@@ -6,9 +6,9 @@ can be checked against fresh runs. Set ``FLOCK_BENCH_FULL=1`` to include the
 paper's largest dataset sizes (slower).
 
 Benchmarks with machine-readable output additionally call
-:func:`write_json_report`, which writes ``benchmarks/results/<name>.json``
-and refreshes the committed ``BENCH_<name>.json`` artifact at the repo root
-so result history travels with the code. Every such payload carries the
+:func:`write_json_report`, which refreshes the committed
+``BENCH_<name>.json`` artifact at the repo root (its only copy) so result
+history travels with the code. Every such payload carries the
 same metadata envelope — ``cpu_count`` (the host's usable cores, so a
 committed number can be judged against the machine that produced it) and
 ``gate`` (``applied``/``skipped_reason`` plus the thresholds, so an
@@ -64,10 +64,9 @@ def write_report(name: str, lines: list[str]) -> None:
 def write_json_report(name: str, payload: dict) -> None:
     """Persist a benchmark's machine-readable results.
 
-    Writes ``benchmarks/results/<name>.json`` and the committed repo-root
-    artifact ``BENCH_<name>.json`` (same content). Enforces the shared
-    metadata envelope: ``cpu_count`` and a ``gate`` dict with ``applied``
-    and ``skipped_reason``.
+    Writes the committed repo-root artifact ``BENCH_<name>.json``.
+    Enforces the shared metadata envelope: ``cpu_count`` and a ``gate``
+    dict with ``applied`` and ``skipped_reason``.
     """
     assert isinstance(payload.get("cpu_count"), int), (
         f"benchmark {name!r}: payload must record 'cpu_count' "
@@ -119,8 +118,6 @@ def write_json_report(name: str, payload: dict) -> None:
                 f"hosts are forbidden"
             )
     data = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(data)
     (REPO_ROOT / f"BENCH_{name}.json").write_text(data)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from flock.db import functions as fn
 from flock.db import index as index_module
-from flock.db.encoding import DictionaryVector, EncodedVector
+from flock.db.encoding import EncodedVector
 from flock.db.exec import grouping
 from flock.db.exec import parallel as par
 from flock.db.exec import spill as spill_module
@@ -44,6 +44,10 @@ from flock.db.vector import Batch, ColumnVector
 from flock.errors import ExecutionError
 from flock.observability import get_tracer, metrics
 from flock.testing import faultpoints
+
+
+#: EXPLAIN ANALYZE ``spill=`` tag of each ``spill.<kind>`` counter.
+_SPILL_LABELS = {"aggregates": "agg", "joins": "join"}
 
 
 class ExecutionContext(Protocol):
@@ -477,9 +481,13 @@ class Executor:
             return left.filter(~matched)
         if node.join_type == "CROSS" and node.condition is None:
             return self._cross(left, right)
-        equi, residual = _split_join_condition(node, left.num_columns)
-        if equi:
-            return self._hash_join(node, left, right, equi, residual)
+        left_keys, right_keys, residual = _split_join_condition(
+            node, left.num_columns
+        )
+        if left_keys:
+            return self._hash_join(
+                node, left, right, left_keys, right_keys, residual
+            )
         return self._nested_loop(node, left, right, node.condition)
 
     def _matched_left_rows(
@@ -495,43 +503,16 @@ class Executor:
             if right.num_rows > 0:
                 matched[:] = True
             return matched
-        equi, residual = _split_join_condition(node, left.num_columns)
-        if equi:
-            left_keys = [expr.evaluate(left) for expr, _ in equi]
-            right_keys = [expr.evaluate(right) for _, expr in equi]
-            fast = (
-                grouping.join_single_int(left_keys[0], right_keys[0])
-                if len(equi) == 1
-                else None
+        left_keys, right_keys, residual = _split_join_condition(
+            node, left.num_columns
+        )
+        if left_keys:
+            left_idx, right_idx, match_counts = grouping.equi_match(
+                [e.evaluate(left) for e in left_keys],
+                [e.evaluate(right) for e in right_keys],
             )
-            if fast is not None:
-                left_idx, right_idx, match_counts = fast
-                if residual is None:
-                    matched[match_counts > 0] = True
-                    return matched
-            else:
-                table: dict[tuple, list[int]] = {}
-                for i, key in enumerate(_key_rows(right_keys)):
-                    if key is None:
-                        continue
-                    table.setdefault(key, []).append(i)
-                left_out: list[int] = []
-                right_out: list[int] = []
-                for i, key in enumerate(_key_rows(left_keys)):
-                    if key is None:
-                        continue
-                    hits = table.get(key)
-                    if not hits:
-                        continue
-                    if residual is None:
-                        matched[i] = True
-                    else:
-                        left_out.extend([i] * len(hits))
-                        right_out.extend(hits)
-                if residual is None:
-                    return matched
-                left_idx = np.array(left_out, dtype=np.int64)
-                right_idx = np.array(right_out, dtype=np.int64)
+            if residual is None:
+                return match_counts > 0
             combined = _combine(left, right, left_idx, right_idx)
             mask = truthy_mask(residual.evaluate(combined))
             matched[left_idx[mask]] = True
@@ -554,147 +535,130 @@ class Executor:
         node: JoinNode,
         left: Batch,
         right: Batch,
-        equi: list[tuple[BoundExpr, BoundExpr]],
+        left_keys: list[BoundExpr],
+        right_keys: list[BoundExpr],
         residual: BoundExpr | None,
     ) -> Batch:
-        budget = getattr(self.context, "memory_budget", None)
-        if (
-            budget
-            and residual is None
-            and node.join_type in ("INNER", "LEFT")
-            and left.num_rows > 1
-            and right.num_rows > 0
-            and spill_module.batch_nbytes(left)
-            + spill_module.batch_nbytes(right)
-            > budget
-        ):
-            spilled = self._hash_join_spilled(node, left, right, equi)
-            if spilled is not None:
-                return spilled
+        """INNER/LEFT equi-join, one key partition at a time.
 
-        left_keys = [expr.evaluate(left) for expr, _ in equi]
-        right_keys = [expr.evaluate(right) for _, expr in equi]
-        left_idx, right_idx, unmatched = _equi_match(
-            left_keys, right_keys, node.join_type == "LEFT"
+        Equal keys share a partition, so partitions join independently;
+        each reports its pairs with global row positions, and ordering the
+        pieces by ``(left row, right row)`` is exactly the pair order one
+        build-then-probe pass emits. LEFT padding appends the unmatched
+        left rows (NULL-key rows included) ascending, then the rows whose
+        every match failed the residual. A join with a residual always
+        runs as one partition: the residual is applied to the merged pairs.
+        """
+        want_left = node.join_type == "LEFT"
+
+        def join_partition(left_part, right_part):
+            (lsub, lrows), (rsub, rrows) = left_part, right_part
+            lidx, ridx, counts = grouping.equi_match(
+                [e.evaluate(lsub) for e in left_keys],
+                [e.evaluate(rsub) for e in right_keys],
+            )
+            unmatched = lrows[counts == 0] if want_left else lrows[:0]
+            pairs = _combine(lsub, rsub, lidx, ridx)
+            return pairs, lrows[lidx], rrows[ridx], unmatched
+
+        pairs, left_rows, right_rows, unmatched = zip(
+            *self._map_partitions(
+                node,
+                "joins",
+                [left, right],
+                [left_keys, right_keys],
+                join_partition,
+                splittable=residual is None,
+            )
         )
-        unmatched_left: list[int] = unmatched.tolist()
-        combined = _combine(left, right, left_idx, right_idx)
+        combined = Batch.concat_all(pairs)
+        left_rows = np.concatenate(left_rows)
+        unmatched = np.sort(np.concatenate(unmatched))
+        if len(pairs) > 1:
+            order = np.lexsort((np.concatenate(right_rows), left_rows))
+            combined, left_rows = combined.take(order), left_rows[order]
 
         if residual is not None:
             mask = truthy_mask(residual.evaluate(combined))
-            if node.join_type == "LEFT":
-                # Rows failing the residual revert to unmatched.
-                failed_left = set(left_idx[~mask].tolist())
-                surviving_left = set(left_idx[mask].tolist())
-                extra = sorted(failed_left - surviving_left - set(unmatched_left))
-                unmatched_left.extend(extra)
             combined = combined.filter(mask)
-
-        if node.join_type == "LEFT" and unmatched_left:
-            pad = _left_padding(left, right, np.array(unmatched_left))
-            combined = combined.concat(pad)
+            if want_left:
+                # Rows whose every match failed the residual revert to
+                # unmatched, after the rows that never matched at all.
+                paired = np.zeros(left.num_rows, dtype=bool)
+                paired[left_rows] = True
+                paired[left_rows[mask]] = False
+                unmatched = np.concatenate([unmatched, np.nonzero(paired)[0]])
+        if len(unmatched):
+            combined = combined.concat(_left_padding(left, right, unmatched))
         return combined
 
-    def _hash_join_spilled(
+    def _map_partitions(
         self,
-        node: JoinNode,
-        left: Batch,
-        right: Batch,
-        equi: list[tuple[BoundExpr, BoundExpr]],
-    ) -> Batch | None:
-        """Partitioned hash join under the memory budget (no residual).
+        node: PlanNode,
+        kind: str,
+        inputs: list[Batch],
+        key_exprs: list[list[BoundExpr]],
+        work,
+        splittable: bool = True,
+    ) -> list:
+        """``work`` applied to each key partition of *inputs*; its results.
 
-        Both inputs hash-partition by join key; matching keys land in the
-        same partition, so partitions join independently against disk-
-        resident (still encoded) inputs. Per-partition pairs carry global
-        row positions, and the merge reorders the concatenated output by
-        ``(left row, right row)`` — exactly the pair order the in-memory
-        build-then-probe join emits. LEFT padding appends the unmatched
-        left rows (NULL-key rows included) in ascending global order, as
-        the serial path does. Only reached for pure equi INNER/LEFT joins:
-        a residual predicate interleaves match- and unmatched-row decisions
-        in ways partitioning cannot reproduce cheaply, so those stay in
-        memory.
+        ``work`` receives one ``(batch, global row positions)`` pair per
+        input. Under the memory budget there is one partition — the inputs
+        themselves, untouched. Over it, rows are partitioned by
+        ``key code % partitions`` (equal keys stay together, across inputs
+        too), each partition is written to the spill directory with its
+        columns still encoded, and partitions are read back one at a time.
+        The global positions let the caller restore serial output order,
+        which is what keeps spilled execution bit-identical. *inputs* is
+        emptied once spilled, so a caller that drops its own references
+        leaves the files as the only copy.
         """
+        budget = getattr(self.context, "memory_budget", None)
         spill_dir = getattr(self.context, "spill_directory", None)
-        if spill_dir is None:
-            return None
-        budget = self.context.memory_budget
-        total = spill_module.batch_nbytes(left) + spill_module.batch_nbytes(
-            right
-        )
+        total = 0
+        if (
+            budget
+            and spill_dir is not None
+            and splittable
+            and inputs[0].num_rows > 1
+            and inputs[-1].num_rows > 0
+        ):
+            total = sum(spill_module.batch_nbytes(b) for b in inputs)
+        if total <= (budget or 0):
+            whole = [(b, np.arange(b.num_rows, dtype=np.int64)) for b in inputs]
+            return [work(*whole)]
         partitions = spill_module.partition_count(total, budget)
-        left_keys = [expr.evaluate(left) for expr, _ in equi]
-        right_keys = [expr.evaluate(right) for _, expr in equi]
-        left_part = np.fromiter(
-            (
-                -1 if key is None else hash(key) % partitions
-                for key in _key_rows(left_keys)
-            ),
-            dtype=np.int64,
-            count=left.num_rows,
+        keyed = grouping.key_codes(
+            *[
+                [e.evaluate(b) for e in exprs]
+                for b, exprs in zip(inputs, key_exprs)
+            ]
         )
-        right_part = np.fromiter(
-            (
-                -1 if key is None else hash(key) % partitions
-                for key in _key_rows(right_keys)
-            ),
-            dtype=np.int64,
-            count=right.num_rows,
+        part_ids = np.split(
+            keyed.codes % partitions,
+            np.cumsum([b.num_rows for b in inputs])[:-1],
         )
-        del left_keys, right_keys
-        unmatched: list[np.ndarray] = []
-        if node.join_type == "LEFT" and (left_part < 0).any():
-            unmatched.append(np.nonzero(left_part < 0)[0].astype(np.int64))
-        pieces: list[tuple[Batch, np.ndarray, np.ndarray]] = []
-        spilled_parts = 0
         with spill_module.SpillManager(spill_dir()) as manager:
-            pending: list[tuple[str, str]] = []
+            files = []
             for p in range(partitions):
-                lrows = np.nonzero(left_part == p)[0].astype(np.int64)
-                if not len(lrows):
-                    continue  # right-only partitions can never match
-                rrows = np.nonzero(right_part == p)[0].astype(np.int64)
-                if not len(rrows):
-                    if node.join_type == "LEFT":
-                        unmatched.append(lrows)
-                    continue
-                pending.append(
-                    (
-                        manager.spill(left.take(lrows), lrows),
-                        manager.spill(right.take(rrows), rrows),
+                row_sets = [np.nonzero(ids == p)[0] for ids in part_ids]
+                if len(row_sets[0]):  # nothing to emit without first-input rows
+                    files.append(
+                        [
+                            manager.spill(b.take(rows), rows)
+                            for b, rows in zip(inputs, row_sets)
+                        ]
                     )
-                )
-            spilled_parts = len(pending)
-            for left_path, right_path in pending:
-                lsub, lrows = manager.load(left_path)
-                rsub, rrows = manager.load(right_path)
-                lkeys = [expr.evaluate(lsub) for expr, _ in equi]
-                rkeys = [expr.evaluate(rsub) for _, expr in equi]
-                lidx, ridx, local_unmatched = _equi_match(
-                    lkeys, rkeys, node.join_type == "LEFT"
-                )
-                if len(local_unmatched):
-                    unmatched.append(lrows[local_unmatched])
-                pieces.append(
-                    (_combine(lsub, rsub, lidx, ridx), lrows[lidx], rrows[ridx])
-                )
-        if pieces:
-            combined = Batch.concat_all([piece for piece, _, _ in pieces])
-            gleft = np.concatenate([gl for _, gl, _ in pieces])
-            gright = np.concatenate([gr for _, _, gr in pieces])
-            combined = combined.take(np.lexsort((gright, gleft)))
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            combined = _combine(left, right, empty, empty)
-        if node.join_type == "LEFT" and unmatched:
-            rows = np.sort(np.concatenate(unmatched))
-            combined = combined.concat(_left_padding(left, right, rows))
-        metrics().counter("spill.joins").inc()
+            inputs.clear()
+            results = [
+                work(*[manager.load(path) for path in paths]) for paths in files
+            ]
+        metrics().counter(f"spill.{kind}").inc()
         if self.collect_stats:
             stats = self.node_stats.setdefault(id(node), NodeStats())
-            stats.extras["spill"] = f"join:{spilled_parts}"
-        return combined
+            stats.extras["spill"] = f"{_SPILL_LABELS[kind]}:{len(files)}"
+        return results
 
     def _nested_loop(
         self, node: JoinNode, left: Batch, right: Batch, condition: BoundExpr | None
@@ -716,111 +680,62 @@ class Executor:
 
     # -- aggregation -------------------------------------------------------
     def _aggregate(self, node: AggregateNode) -> Batch:
-        child = self._execute(node.child)
-        group_vectors = [e.evaluate(child) for e in node.group_exprs]
+        """Hash aggregation, one key partition at a time.
 
-        budget = getattr(self.context, "memory_budget", None)
-        if (
-            budget
-            and group_vectors
-            and child.num_rows > 1
-            and spill_module.batch_nbytes(child) > budget
-        ):
-            spilled = self._aggregate_spilled(node, child, group_vectors)
-            if spilled is not None:
-                return spilled
-
-        group_keys, group_indexes = _group_rows(group_vectors, child.num_rows)
-        return self._aggregate_output(node, child, group_keys, group_indexes)
-
-    def _aggregate_output(
-        self,
-        node: AggregateNode,
-        child: Batch,
-        group_keys: list[tuple],
-        group_indexes: list[np.ndarray],
-    ) -> Batch:
-        columns: list[ColumnVector] = []
-        for k, expr in enumerate(node.group_exprs):
-            values = [key[k] for key in group_keys]
-            columns.append(ColumnVector.from_values(expr.dtype, values))
-
-        for spec_index, spec in enumerate(node.aggregates):
-            results = _aggregate_values(node, child, spec_index, group_indexes)
-            columns.append(ColumnVector.from_values(spec.dtype, results))
-
-        return Batch([f.name for f in node.fields], columns)
-
-    def _aggregate_spilled(
-        self,
-        node: AggregateNode,
-        child: Batch,
-        group_vectors: list[ColumnVector],
-    ) -> Batch | None:
-        """Partition-and-spill hash aggregation under the memory budget.
-
-        Rows hash-partition by group key, each partition is written to disk
-        (columns still encoded) and aggregated independently; because a
-        group lives wholly in one partition and keeps its rows in ascending
-        global order, every per-group reduction sees exactly the array the
-        in-memory path would, and sorting the merged groups by global
-        first-occurrence position restores the serial output order.
+        A group lives wholly in one partition with its rows in ascending
+        global order, so every reduction sees exactly the array a single
+        pass would; ordering the groups by the global position of their
+        first row restores first-occurrence output order.
         """
-        spill_dir = getattr(self.context, "spill_directory", None)
-        if spill_dir is None:
-            return None
-        budget = self.context.memory_budget
-        total = spill_module.batch_nbytes(child)
-        partitions = spill_module.partition_count(total, budget)
-        pylists = [v.to_pylist() for v in group_vectors]
-        part_ids = spill_module.key_partition_ids(
-            list(zip(*pylists)), partitions
-        )
-        del pylists
-        with spill_module.SpillManager(spill_dir()) as manager:
-            files = [
-                manager.spill(child.take(rows), rows)
-                for rows in spill_module.partition_rows(part_ids, partitions)
+        child = self._execute(node.child)
+        n_specs = len(node.aggregates)
+        if not node.group_exprs:
+            everything = [np.arange(child.num_rows, dtype=np.int64)]
+            results = [
+                _aggregate_values(node, child, s, everything)
+                for s in range(n_specs)
             ]
-            child = None  # the spilled partitions are now the only copy
-            group_vectors = None
-            entries: list[tuple[int, tuple, list]] = []
-            for path in files:
-                sub, rows = manager.load(path)
-                sub_groups = [e.evaluate(sub) for e in node.group_exprs]
-                keys, indexes = _group_rows(sub_groups, sub.num_rows)
-                per_spec = [
-                    _aggregate_values(node, sub, s, indexes)
-                    for s in range(len(node.aggregates))
-                ]
-                for g, (key, local_rows) in enumerate(zip(keys, indexes)):
-                    entries.append(
-                        (
-                            int(rows[local_rows[0]]),
-                            key,
-                            [values[g] for values in per_spec],
-                        )
-                    )
-        entries.sort(key=lambda e: e[0])
-        metrics().counter("spill.aggregates").inc()
-        if self.collect_stats:
-            stats = self.node_stats.setdefault(id(node), NodeStats())
-            stats.extras["spill"] = f"agg:{len(files)}"
+            key_columns: list[ColumnVector] = []
+        else:
 
-        columns: list[ColumnVector] = []
-        for k, expr in enumerate(node.group_exprs):
-            columns.append(
-                ColumnVector.from_values(
-                    expr.dtype, [key[k] for _, key, _ in entries]
+            def aggregate_partition(part):
+                sub, rows = part
+                group_vectors = [e.evaluate(sub) for e in node.group_exprs]
+                keyed = grouping.key_codes(group_vectors)
+                groups = grouping.group_rows(keyed)
+                return (
+                    rows[keyed.first_rows],
+                    [v.take(keyed.first_rows) for v in group_vectors],
+                    [
+                        _aggregate_values(node, sub, s, groups)
+                        for s in range(n_specs)
+                    ],
+                )
+
+            inputs = [child]
+            del child
+            first_rows, key_parts, value_parts = zip(
+                *self._map_partitions(
+                    node, "aggregates", inputs, [node.group_exprs],
+                    aggregate_partition,
                 )
             )
-        for spec_index, spec in enumerate(node.aggregates):
-            columns.append(
-                ColumnVector.from_values(
-                    spec.dtype,
-                    [values[spec_index] for _, _, values in entries],
-                )
-            )
+            key_columns = [
+                par.concat_columns(expr.dtype, [part[k] for part in key_parts])
+                for k, expr in enumerate(node.group_exprs)
+            ]
+            results = [
+                [value for part in value_parts for value in part[s]]
+                for s in range(n_specs)
+            ]
+            if len(first_rows) > 1:
+                order = np.argsort(np.concatenate(first_rows))
+                key_columns = [column.take(order) for column in key_columns]
+                results = [[values[i] for i in order] for values in results]
+        columns = key_columns + [
+            ColumnVector.from_values(spec.dtype, values)
+            for spec, values in zip(node.aggregates, results)
+        ]
         return Batch([f.name for f in node.fields], columns)
 
     # -- sort / limit / distinct -------------------------------------------
@@ -828,13 +743,9 @@ class Executor:
         child = self._execute(node.child)
         if child.num_rows <= 1 or not node.keys:
             return child
-        code_arrays = []
-        for expr, ascending in node.keys:
-            vector = expr.evaluate(child)
-            code_arrays.append(_sort_codes(vector, ascending))
+        code_arrays = grouping.sort_key_codes(node.keys, child)
         # np.lexsort treats the LAST array as the primary key.
-        order = np.lexsort(tuple(reversed(code_arrays)))
-        return child.take(order)
+        return child.take(np.lexsort(tuple(reversed(code_arrays))))
 
     def _limit(self, node: LimitNode) -> Batch:
         sort = node.child
@@ -858,21 +769,12 @@ class Executor:
         child = self._execute(sort.child)
         n = child.num_rows
         k = node.offset + node.limit
-        if n <= 1 or k >= n:
-            code_arrays = [
-                _sort_codes(expr.evaluate(child), ascending)
-                for expr, ascending in sort.keys
-            ] if n > 1 else []
-            ordered = (
-                child.take(np.lexsort(tuple(reversed(code_arrays))))
-                if code_arrays
-                else child
-            )
+        if n <= 1:
+            return child.slice(node.offset, k)
+        code_arrays = grouping.sort_key_codes(sort.keys, child)
+        if k >= n:
+            ordered = child.take(np.lexsort(tuple(reversed(code_arrays))))
             return ordered.slice(node.offset, k)
-        code_arrays = [
-            _sort_codes(expr.evaluate(child), ascending)
-            for expr, ascending in sort.keys
-        ]
         mode = "sort"
         if k == 0:
             rows = np.empty(0, dtype=np.int64)
@@ -899,96 +801,58 @@ class Executor:
     def _set_op(self, node: SetOpNode) -> Batch:
         left = self._execute(node.left)
         right = Batch(left.names, self._execute(node.right).columns)
-
         if node.op == "UNION":
             combined = left.concat(right)
             if node.all:
                 return combined
-            return self._distinct_rows(combined)
-
-        from collections import Counter
-
-        left_rows = list(left.rows())
-        right_rows = list(right.rows())
-        if node.op == "EXCEPT":
-            if node.all:
-                budget = Counter(right_rows)
-                keep = []
-                for i, row in enumerate(left_rows):
-                    if budget[row] > 0:
-                        budget[row] -= 1
-                    else:
-                        keep.append(i)
-            else:
-                blocked = set(right_rows)
-                seen: set[tuple] = set()
-                keep = []
-                for i, row in enumerate(left_rows):
-                    if row not in blocked and row not in seen:
-                        seen.add(row)
-                        keep.append(i)
-            return left.take(np.array(keep, dtype=np.int64))
-        if node.op == "INTERSECT":
-            if node.all:
-                budget = Counter(right_rows)
-                keep = []
-                for i, row in enumerate(left_rows):
-                    if budget[row] > 0:
-                        budget[row] -= 1
-                        keep.append(i)
-            else:
-                allowed = set(right_rows)
-                seen = set()
-                keep = []
-                for i, row in enumerate(left_rows):
-                    if row in allowed and row not in seen:
-                        seen.add(row)
-                        keep.append(i)
-            return left.take(np.array(keep, dtype=np.int64))
-        raise ExecutionError(f"unknown set operation {node.op!r}")
-
-    def _distinct_rows(self, batch: Batch) -> Batch:
-        seen: set[tuple] = set()
-        keep: list[int] = []
-        pylists = [c.to_pylist() for c in batch.columns]
-        for i, key in enumerate(zip(*pylists)):
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        return batch.take(np.array(keep, dtype=np.int64))
+            return combined.take(grouping.key_codes(combined.columns).first_rows)
+        if node.op not in ("INTERSECT", "EXCEPT"):
+            raise ExecutionError(f"unknown set operation {node.op!r}")
+        # Left rows come first in the shared code space, so a code's first
+        # row is a left row whenever the code occurs on the left at all.
+        keyed = grouping.key_codes(left.columns, right.columns)
+        n = left.num_rows
+        codes = keyed.codes[:n]
+        in_right = np.bincount(keyed.codes[n:], minlength=len(keyed.first_rows))
+        if node.all:
+            # Each right row cancels (EXCEPT) or admits (INTERSECT) one
+            # left occurrence, earliest first.
+            order, per_code = grouping.rows_by_code(codes, len(in_right))
+            occurrence = np.empty(n, dtype=np.int64)
+            occurrence[order] = np.arange(n) - np.repeat(
+                np.cumsum(per_code) - per_code, per_code
+            )
+            keep = occurrence < in_right[codes]
+            if node.op == "EXCEPT":
+                keep = ~keep
+        else:
+            keep = np.zeros(n, dtype=bool)
+            keep[keyed.first_rows[keyed.first_rows < n]] = True
+            keep &= (in_right[codes] > 0) == (node.op == "INTERSECT")
+        return left.filter(keep)
 
     # -- window functions --------------------------------------------------
     def _window(self, node: WindowNode) -> Batch:
         """Evaluate one window function, appending a column in input order.
 
-        Partitions hash on key tuples; each partition is ordered by the
-        window ORDER BY via the shared :func:`_sort_codes` encoding (stable,
-        so ties keep input row order — deterministic under every execution
-        tier). SUM uses the SQL default RANGE frame: peers by the ORDER BY
-        key share the cumulative value at the end of their peer group.
+        Partitions are the key kernel's groups; each is ordered by the
+        window ORDER BY via the shared ``grouping.sort_codes`` encoding
+        (stable, so ties keep input row order — deterministic under every
+        execution tier). SUM uses the SQL default RANGE frame: peers by the
+        ORDER BY key share the cumulative value at the end of their peer
+        group.
         """
         child = self._execute(node.child)
         n = child.num_rows
         if node.partition_exprs:
-            pylists = [
-                e.evaluate(child).to_pylist() for e in node.partition_exprs
-            ]
-            groups: dict[tuple, list[int]] = {}
-            for i, key in enumerate(zip(*pylists)):
-                groups.setdefault(key, []).append(i)
-            partitions = [
-                np.array(ix, dtype=np.int64) for ix in groups.values()
-            ]
+            partitions = grouping.group_rows(
+                grouping.key_codes(
+                    [e.evaluate(child) for e in node.partition_exprs]
+                )
+            )
         else:
             partitions = [np.arange(n, dtype=np.int64)]
-        codes = (
-            [
-                _sort_codes(expr.evaluate(child), asc)
-                for expr, asc in node.order_keys
-            ]
-            if node.order_keys
-            else None
-        )
+        codes = grouping.sort_key_codes(node.order_keys, child) or None
         arg_list = (
             node.arg.evaluate(child).to_pylist()
             if node.arg is not None
@@ -1056,14 +920,7 @@ class Executor:
 
     def _distinct(self, node: DistinctNode) -> Batch:
         child = self._execute(node.child)
-        seen: set[tuple] = set()
-        keep: list[int] = []
-        pylists = [c.to_pylist() for c in child.columns]
-        for i, key in enumerate(zip(*pylists)):
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        return child.take(np.array(keep, dtype=np.int64))
+        return child.take(grouping.key_codes(child.columns).first_rows)
 
 
 # ----------------------------------------------------------------------
@@ -1079,71 +936,41 @@ def _conjuncts(expr: BoundExpr) -> list[BoundExpr]:
 
 def _split_join_condition(
     node: JoinNode, left_width: int
-) -> tuple[list[tuple[BoundExpr, BoundExpr]], BoundExpr | None]:
-    """Split a join condition into equi-key pairs and a residual predicate.
+) -> tuple[list[BoundExpr], list[BoundExpr], BoundExpr | None]:
+    """Split a join condition into equi-key expressions and a residual.
 
     An equi pair is a conjunct ``e_left = e_right`` where one side reads only
-    left columns and the other only right columns; the right-side expression
-    is rewritten to right-local column positions. Everything else stays in
-    the residual (evaluated over the combined row).
+    left columns and the other only right columns; pairs come back as two
+    parallel lists, the right-side expressions rewritten to right-local
+    column positions. Everything else stays in the residual (evaluated over
+    the combined row).
     """
     from flock.db.expr import BoundBinary
 
-    if node.condition is None:
-        return [], None
-    equi: list[tuple[BoundExpr, BoundExpr]] = []
-    residual: list[BoundExpr] = []
+    left_keys: list[BoundExpr] = []
+    right_keys: list[BoundExpr] = []
+    residual: BoundExpr | None = None
     right_width = len(node.right.fields)
     right_mapping = {left_width + i: i for i in range(right_width)}
-    for conjunct in _conjuncts(node.condition):
+    for conjunct in _conjuncts(node.condition) if node.condition else []:
         if isinstance(conjunct, BoundBinary) and conjunct.op == "=":
             left_refs = conjunct.left.referenced_columns()
             right_refs = conjunct.right.referenced_columns()
             if left_refs and right_refs:
                 if max(left_refs) < left_width and min(right_refs) >= left_width:
-                    equi.append(
-                        (conjunct.left, conjunct.right.rewrite_columns(right_mapping))
-                    )
+                    left_keys.append(conjunct.left)
+                    right_keys.append(conjunct.right.rewrite_columns(right_mapping))
                     continue
                 if max(right_refs) < left_width and min(left_refs) >= left_width:
-                    equi.append(
-                        (conjunct.right, conjunct.left.rewrite_columns(right_mapping))
-                    )
+                    left_keys.append(conjunct.right)
+                    right_keys.append(conjunct.left.rewrite_columns(right_mapping))
                     continue
-        residual.append(conjunct)
-    residual_expr: BoundExpr | None = None
-    for conjunct in residual:
-        if residual_expr is None:
-            residual_expr = conjunct
-        else:
-            from flock.db.expr import BoundBinary as _BB
-
-            residual_expr = _BB("AND", residual_expr, conjunct, DataType.BOOLEAN)
-    return equi, residual_expr
-
-
-def _group_rows(
-    group_vectors: list[ColumnVector], num_rows: int
-) -> tuple[list[tuple], list[np.ndarray]]:
-    """Group keys (first-occurrence order) and ascending row indexes.
-
-    The shared grouping core of the in-memory and spilled aggregate paths
-    (and the parallel partial builder reproduces the same contract).
-    """
-    if group_vectors:
-        fast = grouping.group_keys(group_vectors)
-        if fast is not None:
-            return fast
-        groups: dict[tuple, list[int]] = {}
-        order: list[tuple] = []
-        pylists = [v.to_pylist() for v in group_vectors]
-        for i, key in enumerate(zip(*pylists)):
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(i)
-        return order, [np.array(groups[k], dtype=np.int64) for k in order]
-    return [()], [np.arange(num_rows, dtype=np.int64)]
+        residual = (
+            conjunct
+            if residual is None
+            else BoundBinary("AND", residual, conjunct, DataType.BOOLEAN)
+        )
+    return left_keys, right_keys, residual
 
 
 def _aggregate_values(
@@ -1162,64 +989,6 @@ def _aggregate_values(
         agg.reduce(arg.take(indexes), spec.distinct)
         for indexes in group_indexes
     ]
-
-
-def _equi_match(
-    left_keys: list[ColumnVector],
-    right_keys: list[ColumnVector],
-    want_unmatched: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equi-join pair indexes in build-then-probe order.
-
-    Pairs are ordered by left row with ascending right matches per left
-    row; ``unmatched`` (only collected when requested) holds the left rows
-    with no match — NULL-key rows included — ascending. The shared match
-    core of the in-memory and spilled hash-join paths.
-    """
-    fast = (
-        grouping.join_single_int(left_keys[0], right_keys[0])
-        if len(left_keys) == 1
-        else None
-    )
-    if fast is not None:
-        left_idx, right_idx, match_counts = fast
-        unmatched = (
-            np.nonzero(match_counts == 0)[0].astype(np.int64)
-            if want_unmatched
-            else np.empty(0, dtype=np.int64)
-        )
-        return left_idx, right_idx, unmatched
-    table: dict[tuple, list[int]] = {}
-    for i, key in enumerate(_key_rows(right_keys)):
-        if key is None:
-            continue  # NULL keys never match
-        table.setdefault(key, []).append(i)
-    left_out: list[int] = []
-    right_out: list[int] = []
-    unmatched_out: list[int] = []
-    for i, key in enumerate(_key_rows(left_keys)):
-        matches = table.get(key, []) if key is not None else []
-        if matches:
-            left_out.extend([i] * len(matches))
-            right_out.extend(matches)
-        elif want_unmatched:
-            unmatched_out.append(i)
-    return (
-        np.array(left_out, dtype=np.int64),
-        np.array(right_out, dtype=np.int64),
-        np.array(unmatched_out, dtype=np.int64),
-    )
-
-
-def _key_rows(vectors: list[ColumnVector]) -> list[tuple | None]:
-    """Row keys for hash joins; None where any component is NULL."""
-    n = len(vectors[0]) if vectors else 0
-    pylists = [v.to_pylist() for v in vectors]
-    out: list[tuple | None] = []
-    for i in range(n):
-        key = tuple(p[i] for p in pylists)
-        out.append(None if any(k is None for k in key) else key)
-    return out
 
 
 def _combine(
@@ -1241,47 +1010,3 @@ def _left_padding(left: Batch, right: Batch, left_rows: np.ndarray) -> Batch:
         for c in right.columns
     ]
     return Batch(taken_left.names + right.names, taken_left.columns + null_columns)
-
-
-def _sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
-    """Integer codes whose ascending order realizes the requested key order.
-
-    NULLs sort last for ASC and first for DESC (the PostgreSQL default).
-
-    Dictionary-encoded TEXT sorts on its int32 codes without decoding: the
-    dictionary is sorted, so code order is value order, and lexsort only
-    needs order-isomorphic codes per column — the dense re-ranking of the
-    generic path is unnecessary for an identical permutation.
-    """
-    if isinstance(vector, DictionaryVector):
-        codes = vector.codes.astype(np.int64)
-        null_mask = codes < 0
-        distinct = len(vector.dictionary)
-        if not ascending:
-            codes = distinct - 1 - codes
-            codes[null_mask] = -1  # NULL first on DESC
-        else:
-            codes[null_mask] = distinct  # NULL last on ASC
-        return codes
-    present_mask = ~vector.nulls
-    values = vector.values
-    if vector.dtype.numpy_dtype == np.dtype(object):
-        present = sorted(set(values[present_mask].tolist()))
-        rank = {v: i for i, v in enumerate(present)}
-        codes = np.zeros(len(vector), dtype=np.int64)
-        for i in range(len(vector)):
-            if present_mask[i]:
-                codes[i] = rank[values[i]]
-        distinct = len(present)
-    else:
-        present_values = values[present_mask]
-        unique = np.unique(present_values)
-        codes = np.zeros(len(vector), dtype=np.int64)
-        codes[present_mask] = np.searchsorted(unique, present_values)
-        distinct = len(unique)
-    if not ascending:
-        codes = distinct - 1 - codes
-        codes[vector.nulls] = -1  # NULL first on DESC
-    else:
-        codes[vector.nulls] = distinct  # NULL last on ASC
-    return codes

@@ -1,247 +1,250 @@
-"""Vectorized key formation for the common single-integer-key case.
+"""The key kernel: one row→code mapping behind every keyed operator.
 
-Hash joins and hash aggregation both form per-row keys; the generic paths
-build Python tuples row by row, which dominates the profile once predicates
-and projections are vectorized. For a single INTEGER (or DATE — same int64
-physical type) key column these helpers do the same work with numpy sorts
-and searches, reproducing the documented orderings **bit for bit**:
+Joins, semi-joins, GROUP BY, DISTINCT, set operations, window partitions
+and spill partitioning all ask the same question — *which rows carry equal
+keys?* — and :func:`key_codes` is the only place that answers it. It maps
+key vectors to one dense int64 **code** per row such that two rows share a
+code exactly when their key tuples are equal under Python ``==`` (the
+engine's documented key semantics: NULL equals NULL, ``0.0 == -0.0``,
+``1 == 1.0 == True``, NaN equals nothing — not even itself). Codes are
+numbered by **first occurrence**, so ascending code order *is* the order
+in which a row-at-a-time hash table would have met the keys:
 
-- :func:`group_single_int` returns groups in first-occurrence order with
-  ascending row indexes per group — exactly the dict-insertion order the
-  per-row loop produces.
-- :func:`join_single_int` returns (left_idx, right_idx) pairs ordered by
-  left row, with each left row's matches in ascending right-row order —
-  exactly the build-then-probe order of the per-row hash join. NULL keys on
-  either side never match.
+- GROUP BY / PARTITION BY: :func:`group_rows` — a stable argsort of the
+  codes — yields groups in first-occurrence order, rows ascending within.
+- DISTINCT / UNION: ``first_rows`` is the answer.
+- INTERSECT / EXCEPT [ALL]: bincounts over a code space shared by both
+  inputs (pass them as two sides).
+- Equi-joins of any arity and type: :func:`equi_match` lines both sides'
+  shared codes up, reproducing build-then-probe pair order.
+- Spill: ``codes % partitions`` keeps equal keys together.
 
-FLOAT keys stay on the generic path on purpose: Python dict semantics for
-NaN (identity-based) differ from numpy sort/unique semantics, and the
-generic path is the documented behaviour.
+Per column the coding is injective on values and order-free, so the cheap
+form wins: dictionary-encoded TEXT uses its codes as they are, int64-backed
+columns (INTEGER, DATE, BOOLEAN — bit-packed and run-length included) are
+offset from their minimum, and everything else (plain TEXT, FLOAT, mixed
+types across sides) goes through one value→code dict so Python equality
+decides. Column codes fuse positionally into one int64; when the fused
+space would overflow it is re-densified and fusing continues.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from flock.db.encoding import DictionaryVector
-from flock.db.types import DataType, python_value
+from flock.db.types import DataType, days_to_date
 from flock.db.vector import ColumnVector
 
-#: Key dtypes with int64 physical storage and dict-compatible equality.
-_INT_KEY_TYPES = (DataType.INTEGER, DataType.DATE)
+#: Key dtypes whose physical values compare exactly like their Python values.
+_INT_KEY_TYPES = (DataType.INTEGER, DataType.DATE, DataType.BOOLEAN)
+
+#: Fused codes stay below this so ``fused + codes * span`` cannot wrap.
+_MAX_SPAN = 1 << 62
 
 
-def group_single_int(
-    vector: ColumnVector,
-) -> tuple[list[tuple], list[np.ndarray]] | None:
-    """First-occurrence-ordered groups of one int64-backed key column.
+@dataclass
+class KeyCodes:
+    """Row codes over all sides concatenated in argument order."""
 
-    Returns ``(keys, indexes)`` — keys as 1-tuples of user-facing Python
-    values (None for the NULL group), indexes ascending per group — or None
-    when the column is not eligible for the vectorized path.
+    codes: np.ndarray  # int64 per row, dense, numbered by first occurrence
+    first_rows: np.ndarray  # first_rows[c]: first row with code c (ascending)
+    null_any: np.ndarray  # True where any key column is NULL
 
-    Dictionary-encoded TEXT keys are eligible too: the dictionary maps
-    values to codes injectively, so grouping by int32 code produces the
-    same groups in the same first-occurrence order as grouping by string —
-    without decoding a single row.
+
+def key_codes(*sides: list[ColumnVector]) -> KeyCodes:
+    """Dense first-occurrence row codes of one or more equally wide sides.
+
+    Each side is a list of key vectors; rows of later sides continue the
+    numbering of earlier ones, so equal keys share a code across sides.
+    """
+    fused: np.ndarray | None = None
+    span = 1
+    null_any: np.ndarray | None = None
+    for segments in zip(*sides):
+        codes, card = _column_codes(list(segments))
+        is_null = codes == 0
+        null_any = is_null if null_any is None else null_any | is_null
+        if fused is None:
+            fused, span = codes, card
+            continue
+        if span * card > _MAX_SPAN:
+            fused, span = _densify(fused)
+            if span * card > _MAX_SPAN:
+                codes, card = _densify(codes)
+        fused = fused + codes * span
+        span *= card
+    if fused is None:
+        raise ValueError("key_codes needs at least one key column")
+    n = len(fused)
+    if span > 4 * n + 1024:  # sparse: a first-row table would dwarf the input
+        fused, span = _densify(fused)
+    # first[c] = first row holding fused code c (n where c never occurs);
+    # ranking the occurring codes by it is the first-occurrence numbering.
+    first = np.full(span, n, dtype=np.int64)
+    np.minimum.at(first, fused, np.arange(n, dtype=np.int64))
+    occurring = np.nonzero(first < n)[0]
+    occurring = occurring[np.argsort(first[occurring])]
+    number = np.empty(span, dtype=np.int64)
+    number[occurring] = np.arange(len(occurring), dtype=np.int64)
+    return KeyCodes(number[fused], first[occurring], null_any)
+
+
+def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False), len(uniq)
+
+
+def _column_codes(segments: list[ColumnVector]) -> tuple[np.ndarray, int]:
+    """One key column's codes over its concatenated segments (0 = NULL)
+    and an exclusive upper bound on them."""
+    first = segments[0]
+    if all(
+        isinstance(s, DictionaryVector) and s.dictionary is first.dictionary
+        for s in segments
+    ):
+        codes = np.concatenate([s.codes for s in segments]).astype(np.int64)
+        return codes + 1, len(first.dictionary) + 1
+    if first.dtype in _INT_KEY_TYPES and all(
+        s.dtype is first.dtype for s in segments
+    ):
+        values = np.concatenate([s.values for s in segments]).astype(
+            np.int64, copy=False
+        )
+        nulls = np.concatenate([s.nulls for s in segments])
+        present = values[~nulls]
+        if not len(present):
+            return np.zeros(len(values), dtype=np.int64), 1
+        low, high = int(present.min()), int(present.max())
+        if high - low + 2 > _MAX_SPAN:  # offsets would wrap int64: rank
+            ranks, count = _densify(present)
+            codes = np.zeros(len(values), dtype=np.int64)
+            codes[~nulls] = ranks + 1
+            return codes, count + 1
+        codes = (values - low) + 1
+        codes[nulls] = 0
+        return codes, high - low + 2
+    table: dict = {}
+    coded = []
+    for s in segments:
+        if isinstance(s, DictionaryVector):
+            entries = [0] + [
+                table.setdefault(v, len(table)) + 1
+                for v in s.dictionary.tolist()
+            ]
+            coded.append(np.array(entries, dtype=np.int64)[s.codes + 1])
+            continue
+        present = ~s.nulls
+        values = s.values[present].tolist()
+        if s.dtype is DataType.DATE:  # a date never equals a number
+            values = [days_to_date(v) for v in values]
+        codes = np.zeros(len(present), dtype=np.int64)
+        codes[present] = [table.setdefault(v, len(table)) + 1 for v in values]
+        coded.append(codes)
+    return np.concatenate(coded), len(table) + 1
+
+
+def key_tuples(vectors: list[ColumnVector], rows: np.ndarray) -> list[tuple]:
+    """The key tuples (user-facing Python values) held by *rows*."""
+    return list(zip(*[v.take(rows).to_pylist() for v in vectors]))
+
+
+def rows_by_code(
+    codes: np.ndarray, n_codes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sorted by code (ascending row within a code) and each code's
+    row count: code *c* owns ``order[counts[:c].sum():][:counts[c]]``."""
+    # numpy's stable sort is a linear radix sort for 16-bit keys only.
+    narrow = codes.astype(np.uint16) if n_codes <= 1 << 16 else codes
+    order = np.argsort(narrow, kind="stable")
+    return order, np.bincount(codes, minlength=n_codes)
+
+
+def group_rows(keyed: KeyCodes) -> list[np.ndarray]:
+    """Each code's row indexes, ascending, in code order."""
+    order, counts = rows_by_code(keyed.codes, len(keyed.first_rows))
+    stops = np.cumsum(counts).tolist()
+    return [order[a:b] for a, b in zip([0] + stops, stops)]
+
+
+def equi_match(
+    left_keys: list[ColumnVector], right_keys: list[ColumnVector]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equi-join pair indexes in build-then-probe order.
+
+    Returns ``(left_idx, right_idx, match_counts)``: pairs ordered by left
+    row with ascending right matches per left row, and ``match_counts[i]``
+    left row *i*'s match count. A NULL in any key column never matches.
+    """
+    keyed = key_codes(left_keys, right_keys)
+    n_left = len(left_keys[0])
+    left_codes = keyed.codes[:n_left]
+    right_rows = np.nonzero(~keyed.null_any[n_left:])[0]
+    right_codes = keyed.codes[n_left:][right_rows]
+    # Right rows ordered by code: code c's matches are the per_code[c]
+    # rows from sorted_rows[starts[c]], in ascending row order.
+    order, per_code = rows_by_code(right_codes, len(keyed.first_rows))
+    sorted_rows = right_rows[order]
+    starts = np.cumsum(per_code) - per_code
+    counts = per_code[left_codes]
+    counts[keyed.null_any[:n_left]] = 0
+    left_idx = np.repeat(np.arange(n_left, dtype=np.int64), counts)
+    within = np.arange(len(left_idx), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    right_idx = sorted_rows[np.repeat(starts[left_codes], counts) + within]
+    return left_idx, right_idx, counts
+
+
+def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
+    """Integer codes whose ascending order realizes the requested key order.
+
+    NULLs sort last for ASC and first for DESC (the PostgreSQL default).
+
+    Dictionary-encoded TEXT sorts on its int32 codes without decoding: the
+    dictionary is sorted, so code order is value order, and lexsort only
+    needs order-isomorphic codes per column — the dense re-ranking of the
+    generic path is unnecessary for an identical permutation.
     """
     if isinstance(vector, DictionaryVector):
-        return _group_dict_codes(vector)
-    if vector.dtype not in _INT_KEY_TYPES:
-        return None
-    nulls = vector.nulls
-    nn_pos = np.nonzero(~nulls)[0]
-    entries: list[tuple[int, tuple, np.ndarray]] = []
-    if len(nn_pos):
-        uniq, first_idx, inverse = np.unique(
-            vector.values[nn_pos], return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        counts = np.bincount(inverse, minlength=len(uniq))
-        # Stable sort by group id keeps row positions ascending per group.
-        grouped_rows = nn_pos[np.argsort(inverse, kind="stable")].astype(
-            np.int64, copy=False
-        )
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        first_pos = nn_pos[first_idx]
-        for g in range(len(uniq)):
-            entries.append(
-                (
-                    int(first_pos[g]),
-                    (python_value(uniq[g], vector.dtype),),
-                    grouped_rows[starts[g]:stops[g]],
-                )
-            )
-    if nulls.any():
-        null_rows = np.nonzero(nulls)[0].astype(np.int64, copy=False)
-        entries.append((int(null_rows[0]), (None,), null_rows))
-    entries.sort(key=lambda e: e[0])
-    keys = [key for _, key, _ in entries]
-    indexes = [rows for _, _, rows in entries]
-    return keys, indexes
-
-
-def _group_dict_codes(
-    vector: DictionaryVector,
-) -> tuple[list[tuple], list[np.ndarray]]:
-    """Group a dictionary-encoded column by its int32 codes (-1 = NULL)."""
-    codes = vector.codes
-    nulls = codes < 0
-    nn_pos = np.nonzero(~nulls)[0]
-    entries: list[tuple[int, tuple, np.ndarray]] = []
-    if len(nn_pos):
-        uniq, first_idx, inverse = np.unique(
-            codes[nn_pos], return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        counts = np.bincount(inverse, minlength=len(uniq))
-        grouped_rows = nn_pos[np.argsort(inverse, kind="stable")].astype(
-            np.int64, copy=False
-        )
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        first_pos = nn_pos[first_idx]
-        dictionary = vector.dictionary
-        for g in range(len(uniq)):
-            entries.append(
-                (
-                    int(first_pos[g]),
-                    (python_value(dictionary[uniq[g]], vector.dtype),),
-                    grouped_rows[starts[g]:stops[g]],
-                )
-            )
-    if nulls.any():
-        null_rows = np.nonzero(nulls)[0].astype(np.int64, copy=False)
-        entries.append((int(null_rows[0]), (None,), null_rows))
-    entries.sort(key=lambda e: e[0])
-    keys = [key for _, key, _ in entries]
-    indexes = [rows for _, _, rows in entries]
-    return keys, indexes
-
-
-def group_keys(
-    vectors: list[ColumnVector],
-) -> tuple[list[tuple], list[np.ndarray]] | None:
-    """Vectorized grouping over one or many key columns, or None.
-
-    The single-column form handles int64-backed and dictionary-encoded
-    keys; the multi-column form additionally fuses per-column dense codes
-    into one int64 key (see :func:`group_multi_int`).
-    """
-    if len(vectors) == 1:
-        return group_single_int(vectors[0])
-    return group_multi_int(vectors)
-
-
-def group_multi_int(
-    vectors: list[ColumnVector],
-) -> tuple[list[tuple], list[np.ndarray]] | None:
-    """First-occurrence-ordered groups over several fused key columns.
-
-    Each eligible column maps injectively onto dense codes — dictionary-
-    encoded TEXT already is its codes (+1 so NULL takes 0), int64-backed
-    INTEGER/DATE columns are dense-ranked through ``np.unique`` — and the
-    per-column codes combine positionally into one int64 key
-    (``c0 + c1*K0 + c2*K0*K1 + ...``). Injective per column and disjoint
-    per position, the fused key partitions rows exactly like the generic
-    Python-tuple dict, so groups and their first-occurrence order are
-    reproduced bit for bit. Returns None when any column is ineligible
-    (FLOAT/BOOLEAN/plain TEXT) or the fused key space would overflow.
-    """
-    codes_per: list[np.ndarray] = []
-    decoders: list = []
-    cards: list[int] = []
-    for vector in vectors:
-        if isinstance(vector, DictionaryVector):
-            codes = vector.codes.astype(np.int64) + 1
-            cards.append(len(vector.dictionary) + 1)
-
-            def decode(c, d=vector.dictionary, t=vector.dtype):
-                return None if c == 0 else python_value(d[c - 1], t)
-
-        elif vector.dtype in _INT_KEY_TYPES:
-            values = np.asarray(vector.values)
-            nulls = np.asarray(vector.nulls)
-            uniq = np.unique(values[~nulls])
-            codes = np.searchsorted(uniq, values).astype(np.int64) + 1
-            codes[nulls] = 0
-            cards.append(len(uniq) + 1)
-
-            def decode(c, u=uniq, t=vector.dtype):
-                return None if c == 0 else python_value(u[c - 1], t)
-
+        codes = vector.codes.astype(np.int64)
+        null_mask = codes < 0
+        distinct = len(vector.dictionary)
+        if not ascending:
+            codes = distinct - 1 - codes
+            codes[null_mask] = -1  # NULL first on DESC
         else:
-            return None
-        codes_per.append(codes)
-        decoders.append(decode)
-    span = 1
-    for k in cards:
-        span *= k
-    if span > 1 << 62:
-        return None
-    combined = np.zeros(len(vectors[0]), dtype=np.int64)
-    mult = 1
-    for codes, k in zip(codes_per, cards):
-        combined += codes * mult
-        mult *= k
-    uniq_c, first_idx, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    counts = np.bincount(inverse, minlength=len(uniq_c))
-    grouped_rows = np.argsort(inverse, kind="stable").astype(
-        np.int64, copy=False
-    )
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    entries: list[tuple[int, tuple, np.ndarray]] = []
-    for g in range(len(uniq_c)):
-        code = int(uniq_c[g])
-        key = []
-        for decode, k in zip(decoders, cards):
-            key.append(decode(code % k))
-            code //= k
-        entries.append(
-            (int(first_idx[g]), tuple(key), grouped_rows[starts[g]:stops[g]])
-        )
-    entries.sort(key=lambda e: e[0])
-    keys = [key for _, key, _ in entries]
-    indexes = [rows for _, _, rows in entries]
-    return keys, indexes
+            codes[null_mask] = distinct  # NULL last on ASC
+        return codes
+    present_mask = ~vector.nulls
+    values = vector.values
+    if vector.dtype.numpy_dtype == np.dtype(object):
+        present = sorted(set(values[present_mask].tolist()))
+        rank = {v: i for i, v in enumerate(present)}
+        codes = np.zeros(len(vector), dtype=np.int64)
+        for i in range(len(vector)):
+            if present_mask[i]:
+                codes[i] = rank[values[i]]
+        distinct = len(present)
+    else:
+        present_values = values[present_mask]
+        unique = np.unique(present_values)
+        codes = np.zeros(len(vector), dtype=np.int64)
+        codes[present_mask] = np.searchsorted(unique, present_values)
+        distinct = len(unique)
+    if not ascending:
+        codes = distinct - 1 - codes
+        codes[vector.nulls] = -1  # NULL first on DESC
+    else:
+        codes[vector.nulls] = distinct  # NULL last on ASC
+    return codes
 
 
-def join_single_int(
-    left_vec: ColumnVector, right_vec: ColumnVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Vectorized equi-match of two int64-backed key columns.
-
-    Returns ``(left_idx, right_idx, match_counts)`` where the pairs are
-    ordered by left row with ascending right matches per left row, and
-    ``match_counts[i]`` is left row *i*'s match count (0 for NULL keys) —
-    or None when the key dtypes are not eligible.
-    """
-    if (
-        left_vec.dtype is not right_vec.dtype
-        or left_vec.dtype not in _INT_KEY_TYPES
-    ):
-        return None
-    r_present = np.nonzero(~right_vec.nulls)[0]
-    r_vals = right_vec.values[r_present]
-    order = np.argsort(r_vals, kind="stable")
-    sorted_vals = r_vals[order]
-    sorted_ids = r_present[order].astype(np.int64, copy=False)
-    l_vals = left_vec.values
-    lo = np.searchsorted(sorted_vals, l_vals, side="left")
-    hi = np.searchsorted(sorted_vals, l_vals, side="right")
-    counts = (hi - lo).astype(np.int64)
-    if left_vec.nulls.any():
-        counts[left_vec.nulls] = 0
-    total = int(counts.sum())
-    left_idx = np.repeat(
-        np.arange(len(l_vals), dtype=np.int64), counts
-    )
-    cum = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    right_idx = sorted_ids[np.repeat(lo.astype(np.int64), counts) + within]
-    return left_idx, right_idx, counts
+def sort_key_codes(keys, batch) -> list[np.ndarray]:
+    """:func:`sort_codes` of each ``(expr, ascending)`` ORDER BY key over
+    *batch*, primary key first (``np.lexsort`` wants them reversed)."""
+    return [
+        sort_codes(expr.evaluate(batch), ascending) for expr, ascending in keys
+    ]

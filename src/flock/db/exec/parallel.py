@@ -174,24 +174,9 @@ def aggregate_partial(node: AggregateNode, batch: Batch) -> list[GroupPartial]:
             GroupPartial(key=(), count=batch.num_rows, chunks=arg_vectors)
         ]
     group_vectors = [e.evaluate(batch) for e in node.group_exprs]
-    fast = grouping.group_keys(group_vectors)
-    if fast is not None:
-        keys, index_arrays = fast
-    else:
-        pylists = [v.to_pylist() for v in group_vectors]
-        groups: dict[tuple, list[int]] = {}
-        order: list[tuple] = []
-        for i, key in enumerate(zip(*pylists)):
-            rows = groups.get(key)
-            if rows is None:
-                groups[key] = [i]
-                order.append(key)
-            else:
-                rows.append(i)
-        keys = order
-        index_arrays = [
-            np.array(groups[key], dtype=np.int64) for key in order
-        ]
+    keyed = grouping.key_codes(group_vectors)
+    keys = grouping.key_tuples(group_vectors, keyed.first_rows)
+    index_arrays = grouping.group_rows(keyed)
     partials: list[GroupPartial] = []
     for key, indexes in zip(keys, index_arrays):
         partials.append(
@@ -283,15 +268,10 @@ def topk_partial(
     keys: list[tuple[BoundExpr, bool]], keep: int, batch: Batch
 ) -> TopKPartial:
     """Locally sort one morsel's output and keep its first *keep* rows."""
-    from flock.db.exec.executor import _sort_codes
-
     total = batch.num_rows
     if total == 0:
         return TopKPartial(batch, np.empty(0, dtype=np.int64), 0)
-    code_arrays = [
-        _sort_codes(expr.evaluate(batch), ascending)
-        for expr, ascending in keys
-    ]
+    code_arrays = grouping.sort_key_codes(keys, batch)
     order = np.lexsort(tuple(reversed(code_arrays)))
     pruned = order[:keep].astype(np.int64)
     return TopKPartial(batch.take(pruned), pruned, total)
@@ -310,8 +290,6 @@ def merge_topk(
     serial sort keeps equal-key rows in input order, and input order is
     precisely ascending global position.
     """
-    from flock.db.exec.executor import _sort_codes
-
     batches = []
     positions = []
     base = 0
@@ -322,10 +300,7 @@ def merge_topk(
     merged = concat_batches(batches)
     global_pos = np.concatenate(positions) if positions else np.empty(0)
     if merged.num_rows > 1:
-        code_arrays = [
-            _sort_codes(expr.evaluate(merged), ascending)
-            for expr, ascending in keys
-        ]
+        code_arrays = grouping.sort_key_codes(keys, merged)
         order = np.lexsort(tuple(reversed(code_arrays + [global_pos])))
         merged = merged.take(order)
     return merged.slice(offset, offset + limit)

@@ -1,12 +1,10 @@
 """Disk spill for blocking operators under a memory budget.
 
 When ``SET flock.memory_budget`` / ``FLOCK_MEMORY_BUDGET`` is set and a
-hash aggregate or hash join input exceeds it, the executor hash-partitions
-the input by key and writes each partition — with the columns still in
-their compressed encodings — to files under the database's spill
-directory, then processes partitions one at a time. The merge orders
-results by global first-occurrence / (left, right) row position, which is
-what makes spilled execution bit-identical to the in-memory path.
+hash aggregate or hash join input exceeds it, the executor partitions the
+input by key code (``Executor._map_partitions``) and writes each partition
+— with the columns still in their compressed encodings — to files under
+the database's spill directory, then processes partitions one at a time.
 
 Every spilled batch carries the global row positions of its rows, so a
 partition can map its local results back into the serial output order.
@@ -16,8 +14,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Iterator
-
 import numpy as np
 
 from flock.db.encoding import batch_nbytes  # re-exported for the executor
@@ -62,9 +58,15 @@ class SpillManager:
         payload = pickle.dumps(
             (batch.names, batch.columns, rows), protocol=pickle.HIGHEST_PROTOCOL
         )
-        with open(path, "wb") as f:
-            f.write(payload)
-        self._files.append(path)
+        self._files.append(path)  # first, so close() removes a partial file
+        try:
+            with open(path, "wb") as f:
+                f.write(payload)
+        except OSError as error:
+            self._discard(path)
+            raise ExecutionError(
+                f"cannot write spill file {path}: {error}"
+            ) from error
         registry = metrics()
         registry.counter("spill.partitions").inc()
         registry.counter("spill.bytes_written").inc(len(payload))
@@ -75,48 +77,28 @@ class SpillManager:
         try:
             with open(path, "rb") as f:
                 names, columns, rows = pickle.loads(f.read())
-        except OSError as error:
-            raise ExecutionError(f"cannot read spill file {path}: {error}")
+        except (OSError, pickle.UnpicklingError, EOFError) as error:
+            raise ExecutionError(
+                f"cannot read spill file {path}: {error}"
+            ) from error
+        finally:
+            self._discard(path)
+        return Batch(names, columns), rows
+
+    def _discard(self, path: str) -> None:
         try:
             os.unlink(path)
         except OSError:
             pass
         if path in self._files:
             self._files.remove(path)
-        return Batch(names, columns), rows
 
     def close(self) -> None:
-        for path in self._files:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._files.clear()
+        for path in list(self._files):
+            self._discard(path)
 
     def __enter__(self) -> "SpillManager":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def partition_rows(part_ids: np.ndarray, partitions: int) -> Iterator[np.ndarray]:
-    """Ascending global row positions of each non-empty partition."""
-    for p in range(partitions):
-        rows = np.nonzero(part_ids == p)[0].astype(np.int64, copy=False)
-        if len(rows):
-            yield rows
-
-
-def key_partition_ids(key_rows: list, partitions: int) -> np.ndarray:
-    """Deterministic-by-value partition assignment for per-row key tuples.
-
-    Which partition a key lands in does not affect results (the merge
-    restores global order), it only needs to be consistent within one
-    execution — Python's salted hash is fine.
-    """
-    return np.fromiter(
-        (hash(key) % partitions for key in key_rows),
-        dtype=np.int64,
-        count=len(key_rows),
-    )

@@ -106,6 +106,50 @@ class TestExceptIntersect:
         assert rows == [(1,), (2,)]
 
 
+@pytest.mark.parametrize(
+    "sql,expected",
+    [
+        # Duplicate and NULL rows (NULL equals NULL in set operations);
+        # unsorted on purpose: output keeps left-input order.
+        ("SELECT x, y FROM a EXCEPT ALL SELECT x, y FROM b",
+         [(1, "p"), (3, "s"), (2, "q"), (None, "n")]),
+        ("SELECT x, y FROM a INTERSECT ALL SELECT x, y FROM b",
+         [(2, "q"), (2, "q"), (None, "n"), (None, "n"), (None, None)]),
+        ("SELECT x, y FROM b EXCEPT ALL SELECT x, y FROM a",
+         [(3, "r"), (3, "r"), (None, None)]),
+        ("SELECT x, y FROM b INTERSECT ALL SELECT x, y FROM a",
+         [(2, "q"), (None, "n"), (None, "n"), (None, None), (2, "q")]),
+        ("SELECT x, y FROM a EXCEPT SELECT x, y FROM b",
+         [(1, "p"), (3, "s")]),
+        ("SELECT x, y FROM a INTERSECT SELECT x, y FROM b",
+         [(2, "q"), (None, "n"), (None, None)]),
+        ("SELECT x, y FROM a UNION SELECT x, y FROM b",
+         [(1, "p"), (2, "q"), (None, "n"), (3, "s"), (None, None), (3, "r")]),
+        ("SELECT DISTINCT x, y FROM a",
+         [(1, "p"), (2, "q"), (None, "n"), (3, "s"), (None, None)]),
+        # INT against FLOAT: the binder unifies both sides to FLOAT.
+        ("SELECT x, y FROM a INTERSECT ALL SELECT x, y FROM f",
+         [(2.0, "q"), (None, "n"), (3.0, "s")]),
+        ("SELECT x, y FROM a EXCEPT SELECT x, y FROM f",
+         [(1.0, "p"), (None, None)]),
+    ],
+)
+def test_setops_duplicate_and_null_rows(db, sql, expected):
+    db.execute("CREATE TABLE a (x INT, y TEXT)")
+    db.execute("CREATE TABLE b (x INT, y TEXT)")
+    db.execute("CREATE TABLE f (x FLOAT, y TEXT)")
+    db.execute(
+        "INSERT INTO a VALUES (1,'p'), (2,'q'), (2,'q'), (NULL,'n'), (3,'s'), "
+        "(NULL,'n'), (2,'q'), (NULL,NULL), (NULL,'n')"
+    )
+    db.execute(
+        "INSERT INTO b VALUES (2,'q'), (NULL,'n'), (3,'r'), (3,'r'), "
+        "(NULL,'n'), (NULL,NULL), (2,'q'), (NULL,NULL)"
+    )
+    db.execute("INSERT INTO f VALUES (2.0,'q'), (1.5,'p'), (NULL,'n'), (3.0,'s')")
+    assert db.execute(sql).rows() == expected
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     st.lists(st.integers(0, 6), max_size=20),

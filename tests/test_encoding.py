@@ -29,9 +29,10 @@ from flock.db.encoding import (
     encoding_of,
     vector_nbytes,
 )
+from flock.db.exec.spill import SpillManager
 from flock.db.types import DataType
 from flock.db.vector import ColumnVector
-from flock.errors import FlockError
+from flock.errors import ExecutionError, FlockError
 from flock.observability import metrics
 
 
@@ -284,45 +285,112 @@ def _explain_text(db, sql):
     )
 
 
-def test_aggregate_spills_under_budget():
+def _resident_bytes(db, *tables):
+    return sum(
+        vector_nbytes(c)
+        for t in tables
+        for c in db.catalog.table(t).head_version.columns
+    )
+
+
+@pytest.mark.parametrize(
+    "sql,counter,tag",
+    [
+        (
+            "SELECT cat, qty, COUNT(*), SUM(price), MIN(k) FROM enc "
+            "GROUP BY cat, qty",
+            "spill.aggregates",
+            "spill=agg:",
+        ),
+        (
+            "SELECT e.k, e.cat, d.label FROM enc e JOIN dims d "
+            "ON e.qty = d.qty",
+            "spill.joins",
+            "spill=join:",
+        ),
+        (
+            "SELECT e.k, e.cat, d.label FROM enc e LEFT JOIN dims d "
+            "ON e.qty = d.qty AND e.cat = d.cat",
+            "spill.joins",
+            "spill=join:",
+        ),
+    ],
+)
+def test_spill_is_the_many_partition_case(sql, counter, tag):
+    """One algorithm at every budget: unset, just above the input and far
+    below it give repr-identical rows (unsorted: row order included), and
+    only the last touches the disk."""
     db = Database(encodings=True)
     _fill(db, rows=1200)
-    sql = (
-        "SELECT cat, qty, COUNT(*), SUM(price), MIN(k) FROM enc "
-        "GROUP BY cat, qty ORDER BY cat, qty"
+    db.execute("CREATE TABLE dims (qty INT, cat TEXT, label TEXT)")
+    db.executemany(
+        "INSERT INTO dims VALUES (?, ?, ?)",
+        [(q, f"cat_{q % 3}", f"label_{q % 6}") for q in range(40)],
     )
-    expected = db.execute(sql).rows()
-    before = metrics().counter("spill.aggregates").value
-    db.execute("SET flock.memory_budget = 4000")
-    assert db.execute(sql).rows() == expected
-    assert metrics().counter("spill.aggregates").value > before
-    assert metrics().counter("spill.bytes_written").value > 0
-    assert "spill=agg:" in _explain_text(db, sql)
-    db.execute("SET flock.memory_budget = 0")
-    assert "spill=agg:" not in _explain_text(db, sql)
+    just_above = _resident_bytes(db, "enc", "dims") + 1
+    expected = repr(db.execute(sql).rows())
+    for budget, spills in ((0, False), (just_above, False), (4000, True)):
+        db.execute(f"SET flock.memory_budget = {budget}")
+        before = {
+            name: metrics().counter(name).value
+            for name in (counter, "spill.partitions", "spill.bytes_written")
+        }
+        assert repr(db.execute(sql).rows()) == expected
+        for name, value in before.items():
+            assert (metrics().counter(name).value > value) == spills, name
+        assert (tag in _explain_text(db, sql)) == spills
     db.close()
 
 
-def test_join_spills_under_budget():
-    db = Database(encodings=True)
-    _fill(db, rows=900)
-    db.execute("CREATE TABLE dims (qty INT, label TEXT)")
-    db.executemany(
-        "INSERT INTO dims VALUES (?, ?)",
-        [(q, f"label_{q % 6}") for q in range(50)],
+def test_residual_join_over_budget_stays_one_partition():
+    db = Database(encodings=True, memory_budget=4000)
+    _fill(db, rows=1200)
+    sql = (
+        "SELECT a.k, b.k FROM enc a LEFT JOIN enc b "
+        "ON a.qty = b.qty AND b.k > a.k + 1100"
     )
-    for join in ("JOIN", "LEFT JOIN"):
-        sql = (
-            f"SELECT e.k, e.cat, d.label FROM enc e {join} dims d "
-            "ON e.qty = d.qty ORDER BY e.k"
-        )
-        expected = db.execute(sql).rows()
-        before = metrics().counter("spill.joins").value
-        db.execute("SET flock.memory_budget = 4000")
-        assert db.execute(sql).rows() == expected
-        assert metrics().counter("spill.joins").value > before
-        assert "spill=join:" in _explain_text(db, sql)
-        db.execute("SET flock.memory_budget = 0")
+    before = metrics().counter("spill.partitions").value
+    spilled = repr(db.execute(sql).rows())
+    assert metrics().counter("spill.partitions").value == before
+    assert "spill=" not in _explain_text(db, sql)
+    db.execute("SET flock.memory_budget = 0")
+    assert repr(db.execute(sql).rows()) == spilled
+    db.close()
+
+
+def _spilling_db(monkeypatch, spill_dir):
+    db = Database(encodings=True, memory_budget=4000)
+    _fill(db, rows=1200)
+    monkeypatch.setattr(db, "spill_directory", lambda: str(spill_dir))
+    return db
+
+
+def test_unwritable_spill_directory_is_a_typed_error(tmp_path, monkeypatch):
+    # A regular file where the directory should be: open() fails with
+    # ENOTDIR even for root, which a chmod would not stop.
+    blocker = tmp_path / "spill"
+    blocker.write_text("not a directory")
+    db = _spilling_db(monkeypatch, blocker)
+    with pytest.raises(ExecutionError, match="cannot write spill file .*part-"):
+        db.execute("SELECT cat, qty, COUNT(*) FROM enc GROUP BY cat, qty")
+    db.execute("SET flock.memory_budget = 0")
+    assert db.execute("SELECT COUNT(*) FROM enc").scalar() == 1200
+    db.close()
+
+
+def test_truncated_spill_partition_is_a_typed_error(tmp_path, monkeypatch):
+    db = _spilling_db(monkeypatch, tmp_path)
+    real_load = SpillManager.load
+
+    def truncate_then_load(self, path):
+        with open(path, "r+b") as f:
+            f.truncate(f.seek(0, 2) // 2)
+        return real_load(self, path)
+
+    monkeypatch.setattr(SpillManager, "load", truncate_then_load)
+    with pytest.raises(ExecutionError, match="cannot read spill file .*part-"):
+        db.execute("SELECT cat, qty, COUNT(*) FROM enc GROUP BY cat, qty")
+    assert list(tmp_path.iterdir()) == []  # every partition file unlinked
     db.close()
 
 

@@ -120,6 +120,55 @@ class TestMultiKeyJoins:
         assert rows == [(1, None), (2, None), (3, None), (4, None)]
 
 
+@pytest.fixture
+def dup_keys():
+    database = Database()
+    database.execute("CREATE TABLE a (k1 INTEGER, k2 TEXT, av INTEGER)")
+    database.execute("CREATE TABLE b (k1 INTEGER, k2 TEXT, bv INTEGER)")
+    database.execute(
+        "INSERT INTO a VALUES (1, 'x', 1), (1, 'y', 2), (NULL, 'x', 3), "
+        "(2, NULL, 4), (1, 'x', 15), (3, 'z', 6)"
+    )
+    database.execute(
+        "INSERT INTO b VALUES (1, 'x', 10), (1, 'z', 20), (NULL, 'x', 30), "
+        "(2, NULL, 40), (1, 'x', 12), (3, 'z', 5)"
+    )
+    return database
+
+
+@pytest.mark.parametrize(
+    "sql,expected",
+    [
+        # Multi-column SEMI/ANTI joins, with and without a residual; row
+        # order (unsorted on purpose) is left-input order.
+        ("SELECT av FROM a WHERE EXISTS (SELECT * FROM b "
+         "WHERE b.k1 = a.k1 AND b.k2 = a.k2)",
+         [(1,), (15,), (6,)]),
+        ("SELECT av FROM a WHERE NOT EXISTS (SELECT * FROM b "
+         "WHERE b.k1 = a.k1 AND b.k2 = a.k2)",
+         [(2,), (3,), (4,)]),
+        ("SELECT av FROM a WHERE EXISTS (SELECT * FROM b "
+         "WHERE b.k1 = a.k1 AND b.k2 = a.k2 AND b.bv > a.av)",
+         [(1,)]),
+        ("SELECT av FROM a WHERE NOT EXISTS (SELECT * FROM b "
+         "WHERE b.k1 = a.k1 AND b.k2 = a.k2 AND b.bv > a.av)",
+         [(2,), (3,), (4,), (15,), (6,)]),
+        # Pair order with duplicate keys on both sides; padding order of a
+        # LEFT join: never-matched rows first, residual-failed rows after.
+        ("SELECT av, bv FROM a JOIN b ON a.k1 = b.k1 AND a.k2 = b.k2",
+         [(1, 10), (1, 12), (15, 10), (15, 12), (6, 5)]),
+        ("SELECT av, bv FROM a LEFT JOIN b "
+         "ON a.k1 = b.k1 AND a.k2 = b.k2 AND bv > av",
+         [(1, 10), (1, 12), (2, None), (3, None), (4, None), (15, None),
+          (6, None)]),
+        ("SELECT av, bv FROM a JOIN b ON a.k1 = b.bv - 9 AND a.k2 = b.k2",
+         [(1, 10), (15, 10)]),
+    ],
+)
+def test_multi_column_join_shapes(dup_keys, sql, expected):
+    assert dup_keys.execute(sql).rows() == expected
+
+
 class TestVectorizedIntKeyParity:
     """The single-integer-key fast path must agree with the generic hash
     join — including row order — on duplicates, misses and NULLs."""
