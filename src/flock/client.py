@@ -302,18 +302,19 @@ def connect(
     ``replicas >= 1`` and ``shards >= 1`` require a *path*: WAL shipping
     and shard partitions both need durable directories.
 
-    ``process`` selects the worker backend for the sharded and replicated
+    ``process`` selects the transport for the sharded and replicated
     tiers: ``True`` hosts each shard engine (or follower replica) in its
     own worker process over a CRC-framed wire (see :mod:`flock.proc`),
-    ``False`` forces in-process threads, and ``None`` (the default)
+    ``False`` hosts it in this process, and ``None`` (the default)
     follows the ``FLOCK_PROC`` environment variable. Routing, broadcast
-    and merge semantics are identical on both backends.
+    and merge semantics are identical on both transports.
 
-    ``encodings`` toggles compressed columnar storage for embedded modes
-    (None follows ``FLOCK_ENCODINGS``; ``SET flock.encodings`` switches it
-    at runtime). ``memory_budget`` caps blocking-operator memory in bytes
-    (None follows ``FLOCK_MEMORY_BUDGET``); the sharded/replicated tiers
-    configure their engines through those environment variables.
+    ``encodings`` toggles compressed columnar storage (None follows
+    ``FLOCK_ENCODINGS``; ``SET flock.encodings`` switches it at runtime).
+    ``memory_budget`` caps blocking-operator memory in bytes (None follows
+    ``FLOCK_MEMORY_BUDGET``). Both apply to every engine of the stack:
+    the embedded engine, or a tier's primary, coordinator, shard and
+    follower engines.
     """
     if shards:
         if path is None:
@@ -335,6 +336,8 @@ def connect(
             checkpoint_bytes=checkpoint_bytes,
             max_staleness=max_staleness,
             process=process,
+            encodings=encodings,
+            memory_budget=memory_budget,
         )
         return Client("sharded", sharded.session, cluster=sharded, user=user)
 
@@ -361,6 +364,8 @@ def connect(
             max_pending=max_pending,
             default_timeout_s=default_timeout_s,
             process=process,
+            encodings=encodings,
+            memory_budget=memory_budget,
         )
         return Client("cluster", cluster.session, cluster=cluster, user=user)
 

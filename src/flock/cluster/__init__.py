@@ -2,12 +2,12 @@
 
 The paper's enterprise-grade serving story ("millions of users") on top of
 the PR 3 write-ahead log: a durable primary streams every committed WAL
-record to N in-process follower replicas, each applying the stream through
-the same replay path crash recovery uses and serving MVCC-snapshot reads
-behind its own admission-controlled server; a router fans read-only
-statements across followers within a staleness bound while writes and DDL
-go to the primary; failover re-opens the directory through the normal
-recovery machinery.
+record to N follower replicas (in this process or in worker processes,
+see :mod:`flock.proc`), each applying the stream through the same replay
+path crash recovery uses and serving MVCC-snapshot reads behind its own
+admission-controlled server; a router fans read-only statements across
+followers within a staleness bound while writes and DDL go to the primary;
+failover re-opens the directory through the normal recovery machinery.
 
 Typical use goes through :func:`flock.connect`::
 

@@ -2,10 +2,12 @@
 
 :class:`FlockCluster` is the read-scaling serving tier the paper's
 "millions of users" story needs: one durable primary takes every write and
-DDL, streams each committed WAL record to N in-process follower replicas
-(see :mod:`flock.cluster.hub`), and a router fans read-only statements —
-point PREDICTs and SELECTs — across the followers round-robin, bounded by
-per-replica staleness measured in replication LSNs.
+DDL, streams each committed WAL record to N follower replicas (see
+:mod:`flock.cluster.hub`; each follower is hosted in this process or in a
+worker process, see :mod:`flock.cluster.replica`), and a router fans
+read-only statements — point PREDICTs and SELECTs — across the followers
+round-robin, bounded by per-replica staleness measured in replication
+LSNs.
 
 Bootstrap freezes the primary (statement write lock + commit lock), takes
 one :func:`~flock.db.persist.save_database` snapshot, and subscribes every
@@ -29,47 +31,10 @@ from typing import Any, Sequence
 from flock.cluster.hub import ReplicationHub
 from flock.cluster.replica import FollowerReplica
 from flock.db.engine import is_read_only
-from flock.db.persist import load_database, save_database
+from flock.db.persist import save_database
 from flock.errors import FailoverError, FlockError, ReplicationError
 from flock.observability import metrics
 from flock.serving.server import FlockServer, ServingFuture
-
-
-def build_follower_stack(snapshot_dir, *, cross_optimizer=None,
-                         replica_workers: int = 1,
-                         server_kwargs: dict | None = None):
-    """A follower's engine + registry + read-only server from a snapshot.
-
-    The one recipe for booting a follower, shared by the thread backend
-    (:meth:`FlockCluster._build_follower`) and the process backend (the
-    ``replica`` role in :mod:`flock.proc.worker`), so both tiers serve
-    from byte-identical stacks. Returns ``(database, registry, server)``.
-    """
-    from flock.db.optimizer.rules import Optimizer
-    from flock.inference.optimizer import CrossOptimizer
-    from flock.inference.predict import DefaultScorer
-    from flock.registry import ModelRegistry
-
-    cross = cross_optimizer or CrossOptimizer()
-    registry = ModelRegistry()
-    database = load_database(
-        snapshot_dir,
-        model_store=registry,
-        scorer=DefaultScorer(),
-        optimizer=Optimizer(extra_rules=cross.rules()),
-    )
-    database.cross_optimizer = cross
-    # Engine workers stay at the follower's own setting (default 1):
-    # replicas are the parallelism axis of this tier, one engine each.
-    registry.bind_database(database)
-    registry.load_from_database(database)
-    server = FlockServer(
-        database,
-        workers=replica_workers,
-        read_only=True,
-        **(server_kwargs or {}),
-    )
-    return database, registry, server
 
 
 class PromotionReport(dict):
@@ -105,6 +70,8 @@ class FlockCluster:
         max_pending: int = 256,
         default_timeout_s: float = 30.0,
         process: bool | None = None,
+        encodings: bool | None = None,
+        memory_budget: int | None = None,
     ):
         if path is None:
             raise ReplicationError(
@@ -122,6 +89,10 @@ class FlockCluster:
             group_window_ms=group_window_ms,
             checkpoint_bytes=checkpoint_bytes,
         )
+        #: Engine settings for the primary and every follower engine.
+        self._engine_kwargs = dict(
+            encodings=encodings, memory_budget=memory_budget
+        )
         self._server_kwargs = dict(
             max_batch_size=max_batch_size,
             batch_wait_ms=batch_wait_ms,
@@ -132,9 +103,9 @@ class FlockCluster:
         self._replica_workers = replica_workers
         from flock.proc import proc_enabled
 
-        # The backend seam. A custom cross-optimizer is a live object the
-        # JSON worker config cannot carry; such clusters stay on threads
-        # (followers must plan with the same rules as the primary).
+        # The transport seam. A custom cross-optimizer is a live object the
+        # JSON worker config cannot carry; such clusters host followers in
+        # process (followers must plan with the same rules as the primary).
         self._process = proc_enabled(process) and cross_optimizer is None
         #: Bumped on every promotion; stale clients can detect a failover.
         self.epoch = 1
@@ -149,12 +120,13 @@ class FlockCluster:
     # Construction
     # ------------------------------------------------------------------
     def _open_primary(self) -> None:
-        import flock
+        from flock.client import durable_session
 
-        self.session = flock.open_session(
+        self.session = durable_session(
             self.path,
             self._cross_optimizer,
             **self._open_kwargs,
+            **self._engine_kwargs,
         )
         self.database = self.session.db
         self.registry = self.session.registry
@@ -192,32 +164,26 @@ class FlockCluster:
         metrics().gauge("replication.followers").set(len(self.followers))
 
     def _build_follower(self, snapshot_dir, subscription) -> FollowerReplica:
-        if self._process:
-            # The worker loads the snapshot during its boot handshake —
-            # which completes before _bootstrap_followers deletes the
-            # snapshot directory — then applies forwarded WAL records.
-            from flock.proc.replica import ProcessFollowerReplica
-            from flock.proc.supervisor import WorkerHandle
+        # The handle loads the snapshot while it is built — before
+        # _bootstrap_followers deletes the snapshot directory — and then
+        # applies the records the follower forwards.
+        from flock.proc.supervisor import open_handle
 
-            handle = WorkerHandle({
-                "role": "replica",
-                "name": subscription.name,
-                "path": str(snapshot_dir),
-                "replica_workers": self._replica_workers,
-                "server_kwargs": dict(self._server_kwargs),
-            })
-            return ProcessFollowerReplica(
-                subscription.name, handle, subscription, self.hub
-            )
-        database, registry, server = build_follower_stack(
-            snapshot_dir,
-            cross_optimizer=self._cross_optimizer,
-            replica_workers=self._replica_workers,
-            server_kwargs=self._server_kwargs,
-        )
+        config = {
+            "role": "replica",
+            "name": subscription.name,
+            "path": str(snapshot_dir),
+            "replica_workers": self._replica_workers,
+            "server_kwargs": dict(self._server_kwargs),
+            "engine": self._engine_kwargs,
+        }
+        if self._cross_optimizer is not None:
+            config["cross_optimizer"] = self._cross_optimizer
         return FollowerReplica(
-            subscription.name, database, registry, subscription, self.hub,
-            server,
+            subscription.name,
+            open_handle(config, self._process),
+            subscription,
+            self.hub,
         )
 
     @property

@@ -1,60 +1,62 @@
-"""Follower replicas: apply the primary's stream, serve snapshot reads.
+"""Follower replicas: a forwarder loop over the handle that hosts one.
 
-A :class:`FollowerReplica` owns a full :class:`~flock.db.Database` booted
-from a frozen snapshot of the primary, a :class:`~flock.cluster.hub.Subscription`
-delivering committed records in commit order, and a read-only
-:class:`~flock.serving.FlockServer` the router fans reads to.
+A :class:`FollowerReplica` is the parent-side half of one follower. Its
+engine, registry and read-only :class:`~flock.serving.FlockServer` are
+built by the ``replica`` role of :mod:`flock.proc.worker` from a frozen
+snapshot of the primary, behind a handle — in this process or in a worker
+process (see :mod:`flock.proc.supervisor`). ``database``/``registry``/
+``server`` are the facades of :mod:`flock.proc.facade` on both transports.
 
-The apply loop holds the follower's *statement write lock* for every record
-(the replica apply lock): point reads on the follower run under the shared
-side against their own MVCC snapshot, so applying a multi-table commit is
-invisible to them — exactly the isolation the primary's commit path gives
-its own readers.
+The forwarder thread drains a :class:`~flock.cluster.hub.Subscription`
+in commit order and ships each record as one ``apply`` op; the worker
+applies it under the follower's statement write lock with the audit and
+query-log entries stripped (see ``_apply_replicated``). This side keeps
+the catch-up contract — ``applied_lsn``/``wait_for``, the ``pause``/
+``resume`` lag injectors, ``healthy``/``lag`` routing inputs and
+``status()`` — and an idle heartbeat: a follower with no records to
+forward still pings its handle every few seconds, so a SIGKILLed worker
+is routed around even on an idle tier.
 
-Replicated records are applied with their piggybacked audit/query-log
-entries stripped: the follower serves reads, and its *local* read audits
-interleaving with restored primary audits would break the hash chain. On
-promotion the authoritative trail is recovered from the durable directory,
-not from a follower.
+Any apply or transport failure sets ``error`` (the attribute tests poke to
+simulate a dead follower): the follower stops applying — serving a
+diverged snapshot would be worse than serving a stale one — the router
+skips it and ``promote()`` ignores it.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
-from flock.db.engine import Database
-from flock.db.wal import apply_record
-from flock.observability import get_tracer, metrics
 from flock.cluster.hub import ReplicationHub, Subscription
+from flock.errors import WorkerCrashError
+from flock.observability import metrics
+from flock.proc.facade import (
+    RemoteDatabaseFacade,
+    RemoteRegistryFacade,
+    RemoteServerFacade,
+)
 
-#: Replicated payload keys a follower must not apply (see module docstring).
-_STRIPPED_KEYS = ("audit", "qlog")
+#: Idle polls (at the 0.1 s subscription timeout) between heartbeats.
+_HEARTBEAT_POLLS = 50
 
 
 class FollowerReplica:
-    """One in-process follower: snapshot database + apply thread + server."""
+    """One follower: a hosted snapshot engine + server, fed by a forwarder."""
 
-    def __init__(
-        self,
-        name: str,
-        database: Database,
-        registry,
-        subscription: Subscription,
-        hub: ReplicationHub,
-        server,
-        start: bool = True,
-    ):
+    def __init__(self, name: str, handle, subscription: Subscription,
+                 hub: ReplicationHub):
         self.name = name
-        self.database = database
-        self.registry = registry
+        self.handle = handle
+        self.pid = handle.pid
+        self.database = RemoteDatabaseFacade(handle)
+        self.registry = RemoteRegistryFacade(handle)
+        self.server = RemoteServerFacade(handle)
         self.subscription = subscription
         self.hub = hub
-        self.server = server
         #: Replication LSN of the last record applied here.
         self.applied_lsn = 0
-        #: Set when the apply loop hit an error; the replica stops applying
-        #: (serving a diverged snapshot would be worse than serving a stale
-        #: one) and the router routes around it.
+        #: Set when applying or the transport failed; see module docstring.
         self.error: BaseException | None = None
         self._cond = threading.Condition()
         # Cleared by pause() to inject replication lag (tests, staleness
@@ -63,12 +65,11 @@ class FollowerReplica:
         self._resume.set()
         self._stop = False
         self._thread = threading.Thread(
-            target=self._apply_loop,
+            target=self._forward_loop,
             name=f"flock-replica-{name}",
             daemon=True,
         )
-        if start:
-            self._thread.start()
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # Status
@@ -84,24 +85,18 @@ class FollowerReplica:
 
     def wait_for(self, lsn: int, timeout: float | None = None) -> bool:
         """Block until this replica applied *lsn* (True) or timed out."""
-        deadline = None
-        if timeout is not None:
-            import time
-
-            deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while self.applied_lsn < lsn:
                 if self.error is not None or self._stop:
                     return False
                 if deadline is None:
                     self._cond.wait(0.5)
-                else:
-                    import time
-
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._cond.wait(remaining)
+                    continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._cond.wait(remaining)
             return True
 
     # ------------------------------------------------------------------
@@ -115,27 +110,32 @@ class FollowerReplica:
         self._resume.set()
 
     # ------------------------------------------------------------------
-    # The apply loop
+    # The forwarder
     # ------------------------------------------------------------------
-    def _apply_loop(self) -> None:
+    def _forward_loop(self) -> None:
         registry = metrics()
+        idle = 0
         while not self._stop:
             item = self.subscription.next(timeout=0.1)
             if item is None:
                 if self.subscription.closed and self.subscription.pending == 0:
                     return
+                idle += 1
+                if idle >= _HEARTBEAT_POLLS:
+                    idle = 0
+                    if not self._heartbeat():
+                        return
                 continue
+            idle = 0
             lsn, record = item
             while not self._resume.wait(timeout=0.1):
                 if self._stop:
                     return
             try:
-                self._apply_one(record)
+                self.handle.request("apply", record=record)
             except BaseException as exc:
-                self.error = exc
+                self._fail(exc)
                 registry.counter("replication.apply_errors").inc()
-                with self._cond:
-                    self._cond.notify_all()
                 return
             with self._cond:
                 self.applied_lsn = lsn
@@ -143,60 +143,48 @@ class FollowerReplica:
             registry.counter("replication.records_applied").inc()
             registry.gauge(f"replication.lag.{self.name}").set(self.lag)
 
-    def _apply_one(self, record: dict) -> None:
-        # Shallow-filter instead of mutating: the dict instance is shared
-        # with the primary's WAL and every other follower.
-        stripped = {
-            k: v for k, v in record.items() if k not in _STRIPPED_KEYS
-        }
-        database = self.database
-        with get_tracer().span(
-            "replica.apply",
-            {"replica": self.name, "type": stripped.get("t", "?")},
-        ):
-            # The replica apply lock: exclusive against this follower's own
-            # readers, so a multi-table commit publishes atomically for them.
-            with database.statement_lock.write_locked():
-                apply_record(database, stripped)
-                if stripped.get("t") == "ddl":
-                    database.bump_invalidation_epoch()
-                elif self._touches_models(stripped):
-                    # A deploy committed on the primary: refresh this
-                    # follower's registry from its own flock_models mirror
-                    # (idempotent) and invalidate cached plans that baked in
-                    # the previous model version.
-                    self.registry.load_from_database(database)
-                    database.bump_invalidation_epoch()
+    def _heartbeat(self) -> bool:
+        """True if the handle still answers; on failure set ``error``."""
+        if self.handle.healthy and self.handle.ping():
+            return True
+        self._fail(WorkerCrashError(
+            f"follower {self.name}: worker pid {self.pid} stopped "
+            f"answering heartbeats"
+        ))
+        metrics().counter("replication.worker_deaths").inc()
+        return False
 
-    @staticmethod
-    def _touches_models(record: dict) -> bool:
-        if record.get("t") != "commit":
-            return False
-        return any(
-            effect[0] == "flock_models" for effect in record.get("effects", ())
-        )
+    def _fail(self, exc: BaseException) -> None:
+        self.error = exc
+        with self._cond:
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def stop(self, drain: bool = True, timeout: float | None = 5.0) -> None:
-        """Stop applying and shut the replica's server down."""
-        if drain and self.error is None:
-            self.subscription.close()
+        """Stop forwarding, then close the handle (server drained, engine
+        closed)."""
+        try:
+            if drain and self.error is None:
+                self.subscription.close()
+                self._resume.set()
+                self._thread.join(timeout)
+            self._stop = True
             self._resume.set()
-            self._thread.join(timeout)
-        self._stop = True
-        self._resume.set()
-        self.subscription.close()
-        if self._thread.is_alive():
-            self._thread.join(timeout)
-        with self._cond:
-            self._cond.notify_all()
-        self.server.shutdown(drain=drain)
+            self.subscription.close()
+            if self._thread.is_alive():
+                self._thread.join(timeout)
+            with self._cond:
+                self._cond.notify_all()
+        finally:
+            self.handle.close()
 
     def status(self) -> dict:
         return {
             "name": self.name,
+            "backend": self.handle.backend,
+            "pid": self.pid,
             "applied_lsn": self.applied_lsn,
             "lag": self.lag,
             "healthy": self.healthy,

@@ -65,7 +65,7 @@ def save_database(
             {"name": d.name, "table": d.table, "column": d.column}
             for d in database.catalog.index_defs()
         ],
-        "principals": _dump_principals(database),
+        "principals": dump_principals(database),
         "audit": [_dump_audit_record(r) for r in database.audit.log],
         "query_log": [
             {
@@ -166,7 +166,7 @@ def _dump_version(version: TableVersion) -> dict:
     }
 
 
-def _dump_principals(database: Database) -> list[dict]:
+def dump_principals(database: Database) -> list[dict]:
     out = []
     for key, principal in database.security._principals.items():
         out.append(
@@ -272,7 +272,7 @@ def load_database(
             d["name"], d["table"], d["column"], if_not_exists=True
         )
 
-    _load_principals(database, manifest["principals"])
+    load_principals(database, manifest["principals"])
 
     database.audit.log._records = [
         AuditRecord(**r) for r in manifest["audit"]
@@ -305,7 +305,7 @@ def _load_version(schema: TableSchema, payload: dict) -> TableVersion:
     )
 
 
-def _load_principals(database: Database, payloads: list[dict]) -> None:
+def load_principals(database: Database, payloads: list[dict]) -> None:
     security = database.security
     for p in payloads:
         if p["name"] == "admin":

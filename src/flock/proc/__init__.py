@@ -1,32 +1,29 @@
-"""flock.proc — worker-process runtime for shards and follower replicas.
+"""flock.proc — the runtime that hosts every shard and follower replica.
 
-The thread-backed tiers of :mod:`flock.shard` and :mod:`flock.cluster`
-share one GIL, so their scaling gates measure contention, not parallelism.
-This package hosts each shard engine (and optionally each follower
-replica) in its own spawned worker process, speaking a length-prefixed,
-CRC-framed pickle protocol over a Unix socketpair:
+One op table hosts each shard engine (and each follower replica), reached
+through one of two transports with the same surface:
 
-- :mod:`flock.proc.framing` — the wire format (CRC verified before any
+- :mod:`flock.proc.worker` — the op table (``_build`` + ``_dispatch``)
+  and the worker-process entry point (``python -m flock.proc.worker``)
+  hosting a durable shard engine, a shard-with-replicas
+  :class:`~flock.cluster.FlockCluster`, or a snapshot-booted follower;
+- :mod:`flock.proc.supervisor` — the two handles: ``InProcessHandle``
+  calls the op table directly in this process; ``WorkerHandle`` spawns a
+  worker and speaks framed RPC with deadlines, EOF/heartbeat death
+  detection and kill-on-hang;
+- :mod:`flock.proc.framing` — the worker wire format: length-prefixed,
+  CRC-framed pickle over a Unix socketpair (CRC verified before any
   payload is deserialized; corruption raises typed
   :class:`~flock.errors.ProtocolError`);
-- :mod:`flock.proc.supervisor` — the parent side: spawn, framed RPC with
-  deadlines, EOF/heartbeat death detection, kill-on-hang;
-- :mod:`flock.proc.worker` — the child entry point
-  (``python -m flock.proc.worker``) hosting a durable shard engine, a
-  shard-with-replicas :class:`~flock.cluster.FlockCluster`, or a
-  snapshot-booted follower replica;
-- :mod:`flock.proc.facade` — remote stand-ins for the ``database`` /
-  ``registry`` / ``server`` attributes tests and tools reach through;
-- :mod:`flock.proc.replica` — the process-backed follower driven by the
-  parent-side replication subscription.
+- :mod:`flock.proc.facade` — the ``database`` / ``registry`` / ``server``
+  attributes tests and tools reach through, on both transports.
 
-The backend seam is a single flag: ``flock.connect(path, shards=N,
+The transport seam is a single flag: ``flock.connect(path, shards=N,
 process=True)`` (or ``replicas=N``), defaulting from the ``FLOCK_PROC``
 environment variable so the whole test suite can run process-backed
-without edits. Routing, two-phase DDL broadcast, reopen reconciliation
-and the bit-identical merge discipline are reused unchanged — bring-up
-runs in-process first, then the engines are handed to workers over the
-same directories.
+without edits. Worker processes escape this process's GIL; the in-process
+transport is the only one on hosts without POSIX sockets and keeps the
+unit suite fast. Routing, broadcast, bring-up and merge code is shared.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ def proc_available() -> bool:
     """True when this platform can run the worker-process backend.
 
     The runtime needs Unix-domain socketpairs and ``pass_fds`` — i.e. any
-    POSIX host. On anything else the seam stays on the thread backend.
+    POSIX host. On anything else every handle is in-process.
     """
     import socket
 
@@ -62,7 +59,7 @@ def proc_available() -> bool:
 
 
 def proc_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the backend seam: explicit flag first, then ``FLOCK_PROC``.
+    """Resolve the transport seam: explicit flag first, then ``FLOCK_PROC``.
 
     ``explicit`` is the ``process=`` keyword a caller passed (None means
     "not specified"); the environment default lets CI run the entire

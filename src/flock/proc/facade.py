@@ -1,18 +1,20 @@
-"""Remote stand-ins for the objects a worker process hosts.
+"""The facades a shard or follower exposes, on both transports.
 
 The routers — and a decade of tests — reach *through* a shard or follower
 into ``.database`` / ``.registry`` / ``.server`` attributes: scatter
 inserts call ``shard.database.executemany``, recovery checks walk
 ``shard.database.catalog`` and verify the audit hash chain, the bench
-harness calls ``follower.database.set_workers``. These facades keep every
-one of those paths working when the object actually lives in another
-process: each call becomes one framed RPC on the shard's
-:class:`~flock.proc.supervisor.WorkerHandle`, results come back pickled,
-and worker-side exceptions re-raise here with their original class.
+harness calls ``follower.database.set_workers``. Every one of those paths
+is a facade over the shard's or follower's handle
+(:mod:`flock.proc.supervisor`): each call is one op of the worker op
+table, dispatched directly in this process or as one framed RPC to a
+worker process, and worker-side exceptions re-raise here with their
+original class.
 
 Most methods ride the generic ``call`` op (dotted attribute path resolved
-inside the worker); the hot paths — execute, executemany, head snapshots —
-have dedicated ops so the worker can scrub and lock correctly around them.
+by the op table); the hot paths — execute, executemany, head snapshots —
+have dedicated ops so the op table can scrub and lock correctly around
+them.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from typing import Any, Sequence
 
 
 def rebuild_version(payload: tuple):
-    """A parent-side :class:`~flock.db.storage.TableVersion` from the wire.
+    """A router-side :class:`~flock.db.storage.TableVersion` from a shard.
 
-    Workers ship ``(version_id, schema, columns, operation)`` — never the
-    live version object, whose lazily-built caches (zone maps, delta
-    chains) are process-local state. Rebuilding through the constructor
-    gives the merge path a version indistinguishable from a thread
-    shard's head.
+    The op table ships ``(version_id, schema, columns, operation)`` —
+    never the live version object, whose lazily-built caches (zone maps,
+    delta chains) are process-local state. Rebuilding through the constructor
+    gives the merge path a fresh version on either transport.
     """
     from flock.db.storage import TableVersion
 
@@ -36,7 +37,7 @@ def rebuild_version(payload: tuple):
 
 
 class RemoteTable:
-    """``database.catalog.table(name)`` for a worker-hosted engine."""
+    """``database.catalog.table(name)`` for a hosted engine."""
 
     def __init__(self, handle, name: str):
         self._handle = handle
@@ -84,6 +85,11 @@ class RemoteCatalog:
     def view(self, name: str):
         return self._handle.call("db", "catalog.view", [name])
 
+    @property
+    def settings(self):
+        """The engine's encodings switch (``settings.enabled``)."""
+        return self._handle.call("db", "catalog.settings", invoke=False)
+
 
 class RemoteAuditLog:
     def __init__(self, handle):
@@ -105,11 +111,11 @@ class RemoteAudit:
 
 
 class RemoteDatabaseFacade:
-    """The ``.database`` attribute of a process-backed shard or follower.
+    """The ``.database`` attribute of a shard or follower.
 
-    Execution goes through the worker's real engine — statement locks,
-    WAL, audit chain and all — so a facade ``execute`` is observably the
-    thread backend's ``execute`` plus one process hop.
+    Execution goes through the hosted engine — statement locks, WAL,
+    audit chain and all — so a facade ``execute`` is the engine's
+    ``execute`` plus one dispatch (and, on a worker, one process hop).
     """
 
     def __init__(self, handle):
@@ -130,20 +136,19 @@ class RemoteDatabaseFacade:
             rows=[list(p) for p in seq_of_params], user=user,
         )
 
+    @property
+    def memory_budget(self) -> int | None:
+        return self._handle.call("db", "memory_budget", invoke=False)
+
     def checkpoint(self) -> None:
         self._handle.call("db", "checkpoint")
 
     def set_workers(self, workers: int) -> None:
         self._handle.call("db", "set_workers", [workers])
 
-    def close(self) -> None:
-        # Closing the engine without its process makes no sense; a facade
-        # close is a graceful worker shutdown (final checkpoint included).
-        self._handle.close()
-
 
 class RemoteRegistryFacade:
-    """The ``.registry`` attribute of a process-backed shard or follower.
+    """The ``.registry`` attribute of a shard or follower.
 
     Model graphs pickle by reference to the flock library modules, so
     deploys cross the boundary the same way replicated deploy records
@@ -172,12 +177,12 @@ class RemoteRegistryFacade:
 
 
 class RemoteServerFacade:
-    """The ``.server`` attribute of a process-backed follower replica.
+    """The ``.server`` attribute of a follower replica.
 
     Read routing lands here: the cluster router picks a follower and calls
-    ``server.submit``. The request runs on the worker's real read-only
+    ``server.submit``. The request runs on the follower's read-only
     :class:`~flock.serving.FlockServer` (admission control, read-only
-    enforcement), and since the reply is already complete when the RPC
+    enforcement), and since the reply is already complete when the op
     returns, ``submit`` hands back an immediately-resolved future.
     """
 
@@ -211,45 +216,20 @@ class RemoteServerFacade:
     def _served(self) -> int:
         return self._handle.call("server", "_served", invoke=False)
 
-    def shutdown(self, drain: bool = True, timeout: float | None = None):
-        # The worker's graceful close shuts its server down; nothing to do
-        # from the parent side but tolerate the call.
-        return None
-
 
 class RemoteClusterFacade:
-    """The ``.cluster`` attribute of a shard whose worker hosts a full
+    """The ``.cluster`` attribute of a shard whose handle hosts a full
     :class:`~flock.cluster.FlockCluster` (shards composed with replicas).
 
-    The shard router only needs routing, catch-up and stats; promotion is
-    forwarded for completeness (the report dict ships back verbatim).
+    Routed statements use the shard's own ``execute`` op; what the shard
+    router needs from the hosted cluster itself is follower catch-up.
     """
 
     def __init__(self, handle):
         self._handle = handle
-        self.database = RemoteDatabaseFacade(handle)
-        self.registry = RemoteRegistryFacade(handle)
-
-    def execute(self, sql: str, params: Sequence[Any] | None = None,
-                user: str = "admin", timeout: float | None = None):
-        return self._handle.request(
-            "execute", sql=sql,
-            params=None if params is None else list(params), user=user,
-        )
 
     def wait_for_catchup(self, timeout: float | None = 10.0) -> bool:
         return self._handle.request(
             "wait_for_catchup", timeout=timeout,
             _timeout=None if timeout is None else timeout + 30.0,
         )
-
-    def stats(self) -> dict:
-        return self._handle.call("cluster", "stats")
-
-    def promote(self, drain_timeout: float = 5.0):
-        return self._handle.call(
-            "cluster", "promote", kwargs={"drain_timeout": drain_timeout}
-        )
-
-    def close(self) -> None:
-        self._handle.close()

@@ -1,13 +1,21 @@
-"""Parent side of the worker runtime: spawn, framed RPC, liveness.
+"""Parent side of the worker runtime: the two transports of one op table.
 
-:class:`Channel` is the transport half — request/response over one framed
-socket, serialized by a lock, with a per-request deadline. Any transport
-fault (corrupt frame, EOF, deadline) marks the channel unhealthy: a
-desynced or silent stream is never reused. :class:`WorkerHandle` adds the
-process half — spawn with the config on argv and the socket fd passed
-down, a boot handshake that re-raises worker-side bring-up errors in the
-parent, heartbeat pings, and kill-on-hang so an unresponsive worker fails
-fast instead of stalling the caller (and the CI job) forever.
+Every shard and follower is hosted by the op table in
+:mod:`flock.proc.worker` (``_build`` + ``_dispatch``), reached through one
+of two handles with the same surface — ``request``, ``call``, ``ping``,
+``healthy``, ``pid``, ``close``:
+
+- :class:`WorkerHandle` spawns a worker process and speaks framed RPC to
+  it: the config on argv and the socket fd passed down, a boot handshake
+  that re-raises worker-side bring-up errors in the parent, heartbeat
+  pings, and kill-on-hang so an unresponsive worker fails fast instead of
+  stalling the caller (and the CI job) forever. :class:`Channel` is its
+  transport half — request/response over one framed socket, serialized by
+  a lock, with a per-request deadline; any transport fault (corrupt
+  frame, EOF, deadline) marks it unhealthy, so a desynced or silent
+  stream is never reused.
+- :class:`InProcessHandle` builds the same stack in this process and
+  calls the dispatcher directly: no framing, no pickling, no lock.
 
 Worker-side errors travel back pickled and are re-raised here with their
 original class, so ``ConstraintError`` from a shard engine three processes
@@ -32,6 +40,7 @@ from flock.errors import (
     WorkerTimeoutError,
 )
 from flock.proc.framing import recv_message, send_message
+from flock.proc.worker import _build, _close, _dispatch
 
 #: Default per-request deadline (seconds); a checkpoint or a scatter block
 #: fits comfortably, a hung worker does not. ``FLOCK_PROC_TIMEOUT``
@@ -134,23 +143,53 @@ def _child_env() -> dict:
     return env
 
 
-class WorkerHandle:
+class _Handle:
+    """What both transports share: the label and the generic ``call``.
+
+    Subclasses name their ``backend`` (``"process"`` or ``"thread"``), which
+    follower ``status()`` and shard ``stats()`` report.
+    """
+
+    def __init__(self, config: dict):
+        self.config = config
+        self.label = (
+            f"flock-proc[{config.get('role', '?')}:"
+            f"{config.get('name') or config.get('path', '?')}]"
+        )
+
+    def call(self, target: str, path: str, args: list | None = None,
+             kwargs: dict | None = None, *, invoke: bool = True,
+             attr: str | None = None) -> Any:
+        """Invoke ``<target>.<path>(*args, **kwargs)`` inside the worker.
+
+        The generic escape hatch behind the remote facades: *target* is
+        one of the worker's hosted objects (``db``, ``registry``,
+        ``server``, ``cluster``), *path* a dotted attribute chain,
+        ``invoke=False`` reads the attribute instead of calling it, and
+        ``attr`` plucks one attribute off the result (so e.g. a remote
+        ``catalog.table(name).row_count`` ships one int, not one table).
+        """
+        return self.request(
+            "call", target=target, path=path, args=args or [],
+            kwargs=kwargs or {}, invoke=invoke, attr=attr,
+        )
+
+
+class WorkerHandle(_Handle):
     """One spawned worker process plus its RPC channel.
 
     The boot handshake is part of the contract: the worker runs its whole
     bring-up (recovery replay, snapshot load) before sending one
     ``("ok", {"pid": ...})`` frame — or an ``("err", exc)`` frame whose
     exception re-raises here, so a corrupt shard directory fails the
-    *open*, exactly like the thread backend.
+    *open*, exactly like an :class:`InProcessHandle` whose build raised.
     """
+
+    backend = "process"
 
     def __init__(self, config: dict, *, timeout: float | None = None,
                  boot_timeout: float | None = None):
-        self.config = config
-        self.label = (
-            f"flock-proc[{config.get('role', '?')}:"
-            f"{config.get('name') or config.get('path', '?')}]"
-        )
+        super().__init__(config)
         parent_sock, child_sock = socket.socketpair(
             socket.AF_UNIX, socket.SOCK_STREAM
         )
@@ -223,23 +262,6 @@ class WorkerHandle:
                 ) from exc
             raise
 
-    def call(self, target: str, path: str, args: list | None = None,
-             kwargs: dict | None = None, *, invoke: bool = True,
-             attr: str | None = None) -> Any:
-        """Invoke ``<target>.<path>(*args, **kwargs)`` inside the worker.
-
-        The generic escape hatch behind the remote facades: *target* is
-        one of the worker's hosted objects (``db``, ``registry``,
-        ``server``, ``cluster``), *path* a dotted attribute chain,
-        ``invoke=False`` reads the attribute instead of calling it, and
-        ``attr`` plucks one attribute off the result (so e.g. a remote
-        ``catalog.table(name).row_count`` ships one int, not one table).
-        """
-        return self.request(
-            "call", target=target, path=path, args=args or [],
-            kwargs=kwargs or {}, invoke=invoke, attr=attr,
-        )
-
     # -- lifecycle -----------------------------------------------------
     def close(self, timeout: float = 10.0) -> None:
         """Graceful stop: the worker closes its engine (WAL flushed,
@@ -278,3 +300,47 @@ class WorkerHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else f"exit={self.proc.poll()}"
         return f"<WorkerHandle {self.label} pid={self.proc.pid} {state}>"
+
+
+class InProcessHandle(_Handle):
+    """The worker's op table hosted in this process.
+
+    ``request`` calls :func:`flock.proc.worker._dispatch` on a stack that
+    :func:`~flock.proc.worker._build` built here: no framing, no pickling
+    and no per-handle lock, so concurrent scatter calls on one shard stay
+    concurrent. Results and exceptions are the live objects. This is the
+    only transport where :func:`flock.proc.proc_available` is false, and
+    the default everywhere else.
+    """
+
+    backend = "thread"
+
+    def __init__(self, config: dict):
+        super().__init__(config)
+        self._state = _build(config)
+        self.pid = os.getpid()
+        self._closed = False
+
+    @property
+    def healthy(self) -> bool:
+        return not self._closed
+
+    def ping(self, timeout: float = 5.0) -> bool:
+        return self.healthy
+
+    def request(self, op: str, *, _timeout: float | None = None,
+                **payload: Any) -> Any:
+        if self._closed:
+            raise WorkerCrashError(f"{self.label}: handle is closed")
+        return _dispatch(self._state, op, payload)
+
+    def close(self, timeout: float = 10.0) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        _close(self._state)
+
+
+def open_handle(config: dict, process: bool) -> _Handle:
+    """One shard or follower: in a worker process, or in this one."""
+    return WorkerHandle(config) if process else InProcessHandle(config)

@@ -1,19 +1,26 @@
-"""The worker child: ``python -m flock.proc.worker --fd N --config JSON``.
+"""The op table that hosts every shard and follower, and its worker child.
 
-One worker hosts one engine stack, chosen by ``config["role"]``:
+``_build(config)`` stands up one engine stack, chosen by
+``config["role"]``, and ``_dispatch(state, op, msg)`` is the only place a
+shard or follower operation is implemented:
 
 - ``shard`` — a durable engine over one shard directory (or, when the
-  shard composes with replicas, a full in-worker
-  :class:`~flock.cluster.FlockCluster`), serving routed statements,
-  scatter ``executemany`` batches and head-version snapshots;
+  shard composes with replicas, a full :class:`~flock.cluster.FlockCluster`),
+  serving routed statements, scatter ``executemany`` batches, head-version
+  snapshots and the ``catalog_summary`` a sharded router's bring-up reads;
 - ``replica`` — a follower stack booted from the primary's snapshot
-  directory, applying WAL records the parent forwards from its
-  replication hub and serving reads through a read-only server.
+  directory, applying the WAL records its parent-side forwarder ships as
+  ``apply`` ops and serving reads through a read-only server.
 
-The loop is strictly request/response over the inherited socket: receive
-one framed message, execute, send one ``("ok", value)`` or ``("err",
-pickled-exception)`` frame. Results are scrubbed before the wire (span
-traces are process-local); exceptions are pickle-round-tripped so a
+Two transports reach the table (see :mod:`flock.proc.supervisor`): an
+:class:`~flock.proc.supervisor.InProcessHandle` calls ``_dispatch``
+directly, and a :class:`~flock.proc.supervisor.WorkerHandle` runs this
+module as ``python -m flock.proc.worker --fd N --config JSON``.
+
+The child's loop is strictly request/response over the inherited socket:
+receive one framed message, execute, send one ``("ok", value)`` or
+``("err", pickled-exception)`` frame. Results are scrubbed before the wire
+(span traces are process-local); exceptions are pickle-round-tripped so a
 non-portable one degrades to a :class:`~flock.errors.FlockError` carrying
 the original type name instead of poisoning the stream.
 
@@ -36,6 +43,8 @@ import pickle
 import socket
 import sys
 
+from flock.db.wal import apply_record
+from flock.observability import get_tracer
 from flock.proc.framing import dump_message, recv_message, send_frame
 
 
@@ -61,48 +70,26 @@ def _wire_exc(exc: BaseException) -> BaseException:
         return FlockError(f"{type(exc).__name__}: {exc}")
 
 
-class _NullSubscription:
-    """Stands in for the hub subscription a thread follower would own; the
-    parent's forwarder is the subscription here, records arrive as
-    ``apply`` ops."""
-
-    name = "proc-forwarded"
-    closed = False
-    pending = 0
-
-    def next(self, timeout=None):
-        return None
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class _NullHub:
-    lsn = 0
-
-    def close(self) -> None:
-        pass
-
-
 class _State:
-    """What this worker hosts; any slot may be None depending on role."""
+    """What one handle hosts; any slot may be None depending on role."""
 
-    def __init__(self):
-        self.role = "?"
+    def __init__(self, role: str, name: str):
+        self.role = role
+        self.name = name
         self.db = None
         self.registry = None
         self.server = None
         self.cluster = None
-        self.replica = None
-        self.session = None
 
 
 def _build(config: dict) -> _State:
-    state = _State()
-    state.role = config["role"]
-    path = config["path"]
-    open_kwargs = config.get("open_kwargs") or {}
+    state = _State(config["role"], config.get("name", config["role"]))
     if state.role == "shard":
+        path = config["path"]
+        # ``engine`` holds the settings every hosted engine takes
+        # (encodings, memory budget); ``open_kwargs`` the durable-open
+        # ones (sync mode, group window, checkpoint threshold).
+        open_kwargs = {**config["open_kwargs"], **config["engine"]}
         if config.get("replicas"):
             from flock.cluster import FlockCluster
 
@@ -119,40 +106,139 @@ def _build(config: dict) -> _State:
         else:
             from flock.client import durable_session
 
-            state.session = durable_session(path, None, **open_kwargs)
-            state.db = state.session.db
-            state.registry = state.session.registry
+            session = durable_session(path, None, **open_kwargs)
+            state.db = session.db
+            state.registry = session.registry
     elif state.role == "replica":
-        from flock.cluster.cluster import build_follower_stack
-        from flock.cluster.replica import FollowerReplica
-
-        database, registry, server = build_follower_stack(
-            path,
-            replica_workers=config.get("replica_workers", 1),
-            server_kwargs=config.get("server_kwargs"),
-        )
-        state.db = database
-        state.registry = registry
-        state.server = server
-        # start=False: there is no apply thread here — the parent forwards
-        # records as ``apply`` ops, reusing FollowerReplica's apply logic
-        # (strip, replica apply lock, epoch bumps, registry reload).
-        state.replica = FollowerReplica(
-            config.get("name", "replica"), database, registry,
-            _NullSubscription(), _NullHub(), server, start=False,
-        )
+        _build_follower(state, config)
     else:
         raise ValueError(f"unknown worker role {config['role']!r}")
     return state
+
+
+def _build_follower(state: _State, config: dict) -> None:
+    """A follower's engine + registry + read-only server from the
+    primary's snapshot directory.
+
+    ``cross_optimizer`` is a live object, so only an in-process config
+    carries one; followers must plan with the same rules as the primary.
+    """
+    from flock.db.optimizer.rules import Optimizer
+    from flock.db.persist import load_database
+    from flock.inference.optimizer import CrossOptimizer
+    from flock.inference.predict import DefaultScorer
+    from flock.registry import ModelRegistry
+    from flock.serving.server import FlockServer
+
+    cross = config.get("cross_optimizer") or CrossOptimizer()
+    registry = ModelRegistry()
+    database = load_database(
+        config["path"],
+        model_store=registry,
+        scorer=DefaultScorer(),
+        optimizer=Optimizer(extra_rules=cross.rules()),
+        **config["engine"],
+    )
+    database.cross_optimizer = cross
+    # Engine workers stay at the follower's own setting (default 1):
+    # replicas are the parallelism axis of this tier, one engine each.
+    registry.bind_database(database)
+    registry.load_from_database(database)
+    state.db = database
+    state.registry = registry
+    state.server = FlockServer(
+        database,
+        workers=config.get("replica_workers", 1),
+        read_only=True,
+        **(config.get("server_kwargs") or {}),
+    )
+
+
+#: Replicated payload keys a follower must not apply: it serves reads, and
+#: its *local* read audits interleaving with restored primary audits would
+#: break the hash chain. On promotion the authoritative trail is recovered
+#: from the durable directory, not from a follower.
+_STRIPPED_KEYS = ("audit", "qlog")
+
+
+def _apply_replicated(state: _State, record: dict) -> None:
+    """Apply one committed primary WAL record to this follower's engine.
+
+    Holds the follower's statement write lock for the whole record (the
+    replica apply lock): point reads run under the shared side against
+    their own MVCC snapshot, so a multi-table commit publishes atomically
+    for them — the isolation the primary's commit path gives its readers.
+    """
+    # Shallow-filter instead of mutating: in process the dict instance is
+    # shared with the primary's WAL and every other follower.
+    stripped = {k: v for k, v in record.items() if k not in _STRIPPED_KEYS}
+    database = state.db
+    attributes = {"replica": state.name, "type": stripped.get("t", "?")}
+    with get_tracer().span("replica.apply", attributes):
+        with database.statement_lock.write_locked():
+            apply_record(database, stripped)
+            if stripped.get("t") == "ddl":
+                database.bump_invalidation_epoch()
+            elif stripped.get("t") == "commit" and any(
+                effect[0] == "flock_models"
+                for effect in stripped.get("effects", ())
+            ):
+                # A deploy committed on the primary: refresh the registry
+                # from this follower's own flock_models mirror (idempotent)
+                # and invalidate plans that baked in the previous version.
+                state.registry.load_from_database(database)
+                database.bump_invalidation_epoch()
+
+
+def _catalog_summary(state: _State, model_rows: bool) -> dict:
+    """Everything a sharded router's bring-up reads from one shard, in one
+    reply and without shipping a table: schemas, view texts, index
+    definitions, principals, deployed model versions and the next hidden
+    sequence number per keyed table (with ``model_rows``, also the
+    ``flock_models`` rows the coordinator's registry reloads from)."""
+    from flock.db.persist import dump_principals
+    from flock.shard.merge import SEQ_COLUMN
+
+    db, registry = state.db, state.registry
+    catalog = db.catalog
+    with db.statement_lock.read_locked():
+        schemas = {
+            name: catalog.schema(name) for name in catalog.table_names()
+        }
+        next_sequence = {}
+        for name, schema in schemas.items():
+            head = catalog.table(name).head_version
+            if schema.has_column(SEQ_COLUMN) and head.row_count:
+                sequences = head.columns[schema.index_of(SEQ_COLUMN)].values
+                next_sequence[name.lower()] = int(sequences.max()) + 1
+        summary = {
+            "tables": schemas,
+            "views": {
+                name: str(catalog.view(name))
+                for name in catalog.view_names()
+            },
+            "indexes": catalog.index_defs(),
+            "principals": dump_principals(db),
+            "models": {
+                name: [v.version for v in registry.versions(name)]
+                for name in registry.model_names()
+            },
+            "next_sequence": next_sequence,
+        }
+        if model_rows and catalog.has_table(registry.SYSTEM_TABLE):
+            summary["model_rows"] = list(
+                catalog.table(registry.SYSTEM_TABLE).scan().rows()
+            )
+    return summary
 
 
 def _close(state: _State) -> None:
     if state.cluster is not None:
         state.cluster.close()
         return
-    if state.replica is not None:
-        # No apply thread to stop (records arrive as ops); just drain the
-        # read server and close the snapshot-booted engine.
+    if state.role == "replica":
+        # Records arrive as ops, so there is no apply thread to stop: drain
+        # the read server and close the snapshot-booted engine.
         state.server.shutdown(drain=True)
         state.db.close()
         return
@@ -166,7 +252,6 @@ def _resolve_call(state: _State, msg: dict):
         "registry": state.registry,
         "server": state.server,
         "cluster": state.cluster,
-        "replica": state.replica,
     }
     obj = targets.get(msg["target"])
     if obj is None:
@@ -212,9 +297,9 @@ def _dispatch(state: _State, op: str, msg: dict):
             timeout=msg.get("timeout"),
         ))
     if op == "head_versions":
-        # One acquisition of the statement read lock for all names: the
-        # same internally-consistent per-shard snapshot the thread path
-        # takes in gather_versions.
+        # One acquisition of the statement read lock for all names: one
+        # internally consistent per-shard snapshot (the merge path's
+        # gather contract; see flock.shard.merge).
         shipped = {}
         with state.db.statement_lock.read_locked():
             for name in msg["names"]:
@@ -225,9 +310,10 @@ def _dispatch(state: _State, op: str, msg: dict):
                 )
         return shipped
     if op == "apply":
-        state.replica._apply_one(msg["record"])
-        state.replica.applied_lsn = msg["lsn"]
+        _apply_replicated(state, msg["record"])
         return None
+    if op == "catalog_summary":
+        return _catalog_summary(state, msg.get("model_rows", False))
     if op == "wait_for_catchup":
         return state.cluster.wait_for_catchup(msg.get("timeout"))
     if op == "deploy_many":
@@ -304,8 +390,8 @@ def main(argv=None) -> int:
         state = _build(config)
     except BaseException as exc:
         # Fail the *open*: answer the pending hello with the bring-up
-        # error so the parent re-raises it, exactly like a thread shard
-        # whose directory would not recover.
+        # error so the parent re-raises it, exactly as an in-process build
+        # of a directory that would not recover raises.
         try:
             sock.settimeout(30.0)
             recv_message(sock, eof_ok=True)

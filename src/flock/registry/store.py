@@ -299,10 +299,15 @@ class ModelRegistry:
         """Rebuild the registry from the ``flock_models`` system table."""
         if not database.catalog.has_table(self.SYSTEM_TABLE):
             return 0
-        batch = database.catalog.table(self.SYSTEM_TABLE).scan()
+        return self.load_rows(
+            database.catalog.table(self.SYSTEM_TABLE).scan().rows()
+        )
+
+    def load_rows(self, rows) -> int:
+        """Add the versions in ``flock_models`` *rows* not yet known here."""
         loaded = 0
         with self._lock:
-            for row in batch.rows():
+            for row in rows:
                 name, version, created_by, description, payload = row
                 graph = graph_from_dict(payload)
                 mv = ModelVersion(

@@ -41,10 +41,9 @@ def gather_versions(cluster, names) -> dict:
     wanted = [n.lower() for n in names]
     snapshots: dict[str, list[TableVersion]] = {n: [] for n in wanted}
     for shard in cluster.shards:
-        # The backend seam: a thread shard locks and reads its heads in
-        # place; a process shard ships (version_id, schema, columns,
-        # operation) snapshots over the wire, rebuilt as TableVersions on
-        # this side. Either way, one consistent snapshot per shard.
+        # The shard's op table ships (version_id, schema, columns,
+        # operation) snapshots — across the wire from a worker, by
+        # reference in process — rebuilt as TableVersions on this side.
         heads = shard.head_versions(wanted)
         for name in wanted:
             snapshots[name].append(heads[name])

@@ -49,6 +49,7 @@ from typing import Any, Sequence
 from flock.db.binder import Binder, Scope, fold_constants
 from flock.db.engine import _coerce_insert_value, is_read_only
 from flock.db.expr import BoundLiteral
+from flock.db.persist import load_principals
 from flock.db.plancache import CachedPlan
 from flock.db.result import QueryResult
 from flock.db.schema import Column, TableSchema
@@ -57,6 +58,13 @@ from flock.db.sql.parser import parse_statement
 from flock.db.txn import ReadWriteLock
 from flock.db.types import DataType
 from flock.errors import BindError, FlockError, ShardError
+from flock.proc.facade import (
+    RemoteClusterFacade,
+    RemoteDatabaseFacade,
+    RemoteRegistryFacade,
+    rebuild_version,
+)
+from flock.proc.supervisor import open_handle
 from flock.shard.merge import SEQ_COLUMN, run_scatter
 
 #: Cartesian-product cap for multi-valued pinned keys (IN lists): beyond
@@ -208,77 +216,27 @@ def _select_exprs(statement: ast.Select):
 # One shard
 # ----------------------------------------------------------------------
 class _Shard:
-    """One hash partition: a durable engine, optionally replicated.
+    """One hash partition behind a handle (see :mod:`flock.proc.supervisor`).
 
-    ``database`` is always the shard's *primary* engine — the scatter
-    paths write and snapshot there. ``execute`` goes through the shard's
-    replication router when replicas are attached, so single-shard reads
-    still fan across that shard's followers.
+    The worker op table builds the shard's stack — a durable engine, or a
+    full :class:`~flock.cluster.FlockCluster` when the shard carries
+    replicas — in this process or in a worker process. On both transports
+    ``database``/``registry``/``cluster`` are the facades of
+    :mod:`flock.proc.facade`: ``database`` is always the shard's *primary*
+    engine (the scatter paths write and snapshot there), while ``execute``
+    routes through the shard's replication router when replicas are
+    attached, so single-shard reads still fan across its followers.
     """
 
-    def __init__(self, index: int, path: Path, *, session=None, cluster=None):
+    def __init__(self, index: int, path: Path, handle):
         self.index = index
         self.path = path
-        self.cluster = cluster
-        if cluster is not None:
-            self.database = cluster.database
-            self.registry = cluster.registry
-        else:
-            self.database = session.db
-            self.registry = session.registry
-
-    def execute(self, sql, params=None, user="admin") -> QueryResult:
-        if self.cluster is not None:
-            return self.cluster.execute(sql, params, user)
-        return self.database.execute(sql, params, user=user)
-
-    def head_versions(self, names) -> dict:
-        """Head snapshots for *names* under ONE statement read lock
-        acquisition — one internally consistent per-shard snapshot (the
-        merge path's gather contract; see flock.shard.merge)."""
-        database = self.database
-        heads = {}
-        with database.statement_lock.read_locked():
-            for name in names:
-                heads[name.lower()] = database.catalog.table(
-                    name
-                ).head_version
-        return heads
-
-    def close(self) -> None:
-        if self.cluster is not None:
-            self.cluster.close()
-        else:
-            self.database.close()
-
-
-class _ProcessShard:
-    """One hash partition hosted by a worker process (see flock.proc).
-
-    Mirrors :class:`_Shard`'s whole surface — ``execute`` routes inside
-    the worker (through its in-worker FlockCluster when the shard carries
-    replicas), ``database``/``registry``/``cluster`` are remote facades,
-    ``head_versions`` ships snapshot tuples rebuilt parent-side — so the
-    router, the merge path and every test reaching into a shard work
-    unchanged across the process boundary.
-    """
-
-    def __init__(self, index: int, path: Path, config: dict):
-        from flock.proc.facade import (
-            RemoteClusterFacade,
-            RemoteDatabaseFacade,
-            RemoteRegistryFacade,
-        )
-        from flock.proc.supervisor import WorkerHandle
-
-        self.index = index
-        self.path = path
-        self.handle = WorkerHandle(config)
-        self.database = RemoteDatabaseFacade(self.handle)
-        self.registry = RemoteRegistryFacade(self.handle)
+        self.handle = handle
+        self.database = RemoteDatabaseFacade(handle)
+        self.registry = RemoteRegistryFacade(handle)
         self.cluster = (
-            RemoteClusterFacade(self.handle)
-            if config.get("replicas")
+            RemoteClusterFacade(handle)
+            if handle.config.get("replicas")
             else None
         )
 
@@ -297,8 +255,8 @@ class _ProcessShard:
         )
 
     def head_versions(self, names) -> dict:
-        from flock.proc.facade import rebuild_version
-
+        """Head snapshots for *names*, taken under one acquisition of the
+        shard's statement read lock (the merge path's gather contract)."""
         shipped = self.handle.request("head_versions", names=list(names))
         return {
             name: rebuild_version(payload)
@@ -307,7 +265,7 @@ class _ProcessShard:
 
     def set_fault(self, name: str, action: str = "error", after: int = 1,
                   delay_ms: float = 1.0) -> None:
-        """Arm a faultpoint inside this shard's worker (test control)."""
+        """Arm a faultpoint where this shard runs (test control)."""
         self.handle.request(
             "set_fault", name=name, action=action, after=after,
             delay_ms=delay_ms,
@@ -368,6 +326,8 @@ class ShardedCluster:
         checkpoint_bytes: int | None = None,
         max_staleness: int | None = None,
         process: bool | None = None,
+        encodings: bool | None = None,
+        memory_budget: int | None = None,
     ):
         if path is None:
             raise ShardError(
@@ -386,16 +346,22 @@ class ShardedCluster:
             checkpoint_bytes=checkpoint_bytes,
         )
         self._max_staleness = max_staleness
+        #: Engine settings for the coordinator and every shard engine.
+        self._engine_kwargs = dict(
+            encodings=encodings, memory_budget=memory_budget
+        )
         from flock.proc import proc_enabled
 
-        #: The backend seam: explicit ``process=`` wins, else FLOCK_PROC.
+        #: The transport seam: explicit ``process=`` wins, else FLOCK_PROC.
         self._process = proc_enabled(process)
         self._check_manifest()
 
         import flock
         from flock.client import memory_session
 
-        coordinator_session = memory_session(cross_optimizer)
+        coordinator_session = memory_session(
+            cross_optimizer, **self._engine_kwargs
+        )
         self.coordinator = coordinator_session.db
         self._coordinator_registry = coordinator_session.registry
         self.cross_optimizer = coordinator_session.cross_optimizer
@@ -416,11 +382,15 @@ class ShardedCluster:
         self.session = flock.FlockSession(
             self.coordinator, self.registry, self.cross_optimizer
         )
-        self._reconcile_shards()
-        self._mirror_catalog()
-        self._recover_sequences()
-        if self._process:
-            self._swap_to_process_backend()
+        # One catalog summary per shard drives the whole bring-up; shard
+        # 0's also carries the model rows the coordinator registry needs.
+        summaries = [
+            shard.handle.request("catalog_summary", model_rows=index == 0)
+            for index, shard in enumerate(self.shards)
+        ]
+        self._reconcile_shards(summaries)
+        self._mirror_catalog(summaries[0])
+        self._recover_sequences(summaries)
 
     @property
     def backend(self) -> str:
@@ -442,64 +412,18 @@ class ShardedCluster:
 
     def _open_shard(self, index: int) -> _Shard:
         shard_path = self.path / f"shard-{index}"
-        if self.replicas:
-            from flock.cluster import FlockCluster
+        config = {
+            "role": "shard",
+            "name": f"shard-{index}",
+            "path": str(shard_path),
+            "open_kwargs": dict(self._open_kwargs),
+            "replicas": self.replicas,
+            "max_staleness": self._max_staleness,
+            "engine": self._engine_kwargs,
+        }
+        return _Shard(index, shard_path, open_handle(config, self._process))
 
-            return _Shard(
-                index,
-                shard_path,
-                cluster=FlockCluster(
-                    shard_path,
-                    replicas=self.replicas,
-                    max_staleness=self._max_staleness,
-                    # When this cluster is about to swap to the process
-                    # backend, the throwaway bring-up tier must not fork
-                    # its own follower workers.
-                    process=False if self._process else None,
-                    **self._open_kwargs,
-                ),
-            )
-        from flock.client import durable_session
-
-        return _Shard(
-            index,
-            shard_path,
-            session=durable_session(shard_path, None, **self._open_kwargs),
-        )
-
-    def _spawn_shard(self, index: int) -> _ProcessShard:
-        shard_path = self.path / f"shard-{index}"
-        return _ProcessShard(
-            index,
-            shard_path,
-            {
-                "role": "shard",
-                "name": f"shard-{index}",
-                "path": str(shard_path),
-                "open_kwargs": dict(self._open_kwargs),
-                "replicas": self.replicas,
-                "max_staleness": self._max_staleness,
-            },
-        )
-
-    def _swap_to_process_backend(self) -> None:
-        """Hand the shard directories to worker processes.
-
-        Bring-up always runs on the thread backend first — reconcile,
-        catalog mirror, sequence recovery are *cross-shard* passes that
-        need direct engine access and stay reused unchanged. Once the
-        fleet is consistent, each thread engine is closed (WAL flushed)
-        and a worker re-opens the same directory; from here on every
-        shard runs on its own interpreter, its commit fsyncs and scans
-        unserialized by this process's GIL.
-        """
-        for shard in self.shards:
-            shard.close()
-        self.shards = [
-            self._spawn_shard(index) for index in range(self.n_shards)
-        ]
-
-    def _reconcile_shards(self) -> None:
+    def _reconcile_shards(self, summaries: list[dict]) -> None:
         """Resume any DDL or deploy broadcast a crash cut short mid-fleet.
 
         Broadcasts apply to shard 0 first, then 1..N-1 in order, so after
@@ -509,20 +433,18 @@ class ShardedCluster:
         invariant (tables, views, indexes, model deploys) before the
         coordinator mirrors shard 0's catalog.
         """
-        source = self.shards[0]
-        src_db = source.database
-        src_tables = set(src_db.catalog.table_names())
-        src_views = set(src_db.catalog.view_names())
-        src_indexes = {d.name: d for d in src_db.catalog.index_defs()}
-        for shard in self.shards[1:]:
+        source = summaries[0]
+        src_tables, src_views = source["tables"], source["views"]
+        src_indexes = {d.name: d for d in source["indexes"]}
+        for shard, have in zip(self.shards[1:], summaries[1:]):
             db = shard.database
             # Drops first (views before the tables they may reference):
             # an interrupted DROP broadcast resumes forward.
-            for name in set(db.catalog.view_names()) - src_views:
+            for name in set(have["views"]) - set(src_views):
                 db.execute(f"DROP VIEW IF EXISTS {name}")
-            for name in set(db.catalog.table_names()) - src_tables:
+            for name in set(have["tables"]) - set(src_tables):
                 db.execute(f"DROP TABLE IF EXISTS {name}")
-            for name in sorted(src_tables - set(db.catalog.table_names())):
+            for name in sorted(set(src_tables) - set(have["tables"])):
                 columns = [
                     ast.ColumnDef(
                         c.name,
@@ -531,33 +453,29 @@ class ShardedCluster:
                         primary_key=c.primary_key,
                         hidden=c.hidden,
                     )
-                    for c in src_db.catalog.schema(name).columns
+                    for c in src_tables[name].columns
                 ]
                 db.execute(str(ast.CreateTable(name, columns)))
-            for name in sorted(src_views - set(db.catalog.view_names())):
-                db.execute(
-                    f"CREATE VIEW {name} AS {src_db.catalog.view(name)}"
-                )
-            have = {d.name for d in db.catalog.index_defs()}
-            for name in have - set(src_indexes):
+            for name in sorted(set(src_views) - set(have["views"])):
+                db.execute(f"CREATE VIEW {name} AS {src_views[name]}")
+            # Re-read: the table drops and creates above moved indexes.
+            indexes = {d.name for d in db.catalog.index_defs()}
+            for name in indexes - set(src_indexes):
                 db.execute(f"DROP INDEX IF EXISTS {name}")
-            for name in sorted(set(src_indexes) - have):
+            for name in sorted(set(src_indexes) - indexes):
                 defn = src_indexes[name]
                 db.execute(
                     f"CREATE INDEX {name} ON {defn.table} ({defn.column})"
                 )
-            for model in source.registry.model_names():
-                known = (
-                    {v.version for v in shard.registry.versions(model)}
-                    if shard.registry.has_model(model)
-                    else set()
-                )
+            for model, numbers in source["models"].items():
+                known = set(have["models"].get(model, ()))
                 # Missing versions are always a suffix (deploys broadcast
                 # in shard order), so redeploying in version order keeps
                 # the deterministic numbering aligned.
-                for version in source.registry.versions(model):
-                    if version.version in known:
+                for number in numbers:
+                    if number in known:
                         continue
+                    version = self.shards[0].registry.version(model, number)
                     shard.registry.deploy(
                         model,
                         version.graph,
@@ -567,7 +485,7 @@ class ShardedCluster:
                         training_run_id=version.training_run_id,
                     )
 
-    def _mirror_catalog(self) -> None:
+    def _mirror_catalog(self, source: dict) -> None:
         """Rebuild the coordinator's catalog from shard 0 on reopen.
 
         The coordinator is in-memory (it holds no rows, so there is
@@ -576,12 +494,10 @@ class ShardedCluster:
         identical to every other shard's, minus the hidden sequence
         column.
         """
-        source = self.shards[0].database
         coordinator = self.coordinator
-        for name in source.catalog.table_names():
+        for name, schema in source["tables"].items():
             if coordinator.catalog.has_table(name):
                 continue  # flock_models, pre-bound by the registry
-            schema = source.catalog.schema(name)
             coordinator.catalog.create_table(
                 TableSchema.of(
                     name,
@@ -596,48 +512,31 @@ class ShardedCluster:
                     ],
                 )
             )
-        for view_name in source.catalog.view_names():
+        for view_name, text in source["views"].items():
             if not coordinator.catalog.has_view(view_name):
                 coordinator.catalog.create_view(
-                    view_name,
-                    parse_statement(str(source.catalog.view(view_name))),
+                    view_name, parse_statement(text)
                 )
-        for defn in source.catalog.index_defs():
+        for defn in source["indexes"]:
             if defn.column.lower() == SEQ_COLUMN:
                 continue
             coordinator.catalog.create_index(
                 defn.name, defn.table, defn.column, if_not_exists=True
             )
         # Principals and grants, exactly as persist restores them.
-        for principal in source.security._principals.values():
-            if principal.name == "admin":
-                continue
-            if principal.is_role:
-                coordinator.security.create_role(principal.name)
-            else:
-                coordinator.security.create_user(principal.name)
-        for principal in source.security._principals.values():
-            mirrored = coordinator.security.principal(principal.name)
-            mirrored.roles = set(principal.roles)
-            mirrored.grants = {
-                obj: set(privs)
-                for obj, privs in principal.grants.items()
-            }
-        self._coordinator_registry.load_from_database(source)
+        load_principals(coordinator, source["principals"])
+        self._coordinator_registry.load_rows(source.get("model_rows", ()))
 
-    def _recover_sequences(self) -> None:
+    def _recover_sequences(self, summaries: list[dict]) -> None:
         """Next global sequence per table: max over shards, plus one."""
         for name in self.coordinator.catalog.table_names():
             schema = self.coordinator.catalog.schema(name)
             if not schema.primary_key_indexes:
                 continue
-            top = 0
-            for shard in self.shards:
-                head = shard.database.catalog.table(name).head_version
-                if head.row_count:
-                    sequences = head.columns[len(schema.columns)].values
-                    top = max(top, int(sequences.max()) + 1)
-            self._next_seq[name.lower()] = top
+            self._next_seq[name.lower()] = max(
+                summary["next_sequence"].get(name.lower(), 0)
+                for summary in summaries
+            )
 
     def _take_sequences(self, table_name: str, count: int) -> int:
         with self._seq_lock:
@@ -1099,17 +998,12 @@ class ShardedCluster:
     def restart_shard(self, index: int) -> None:
         """Crash-recover one shard through ``Database.open``.
 
-        On the process backend the old worker is stopped (or was already
-        SIGKILLed — close tolerates a dead peer) and a fresh worker
-        re-opens the directory, running the same recovery in its own
-        process."""
+        The old handle is closed (a worker that was already SIGKILLed is
+        tolerated) and a fresh one re-opens the directory, running the
+        same recovery wherever the shard is hosted."""
         with self._ops.write_locked():
             self.shards[index].close()
-            self.shards[index] = (
-                self._spawn_shard(index)
-                if self._process
-                else self._open_shard(index)
-            )
+            self.shards[index] = self._open_shard(index)
 
     def wait_for_catchup(self, timeout: float | None = 10.0) -> bool:
         """With replicas: block until every shard's followers caught up."""
@@ -1128,6 +1022,8 @@ class ShardedCluster:
             per_shard.append(
                 {
                     "path": str(shard.path),
+                    "backend": shard.handle.backend,
+                    "pid": shard.pid,
                     "rows": {
                         name: database.catalog.table(name).row_count
                         for name in database.catalog.table_names()

@@ -94,6 +94,10 @@ def run(directory: str, seed: int, ops: int, ack_path: str,
         "CREATE TABLE IF NOT EXISTS singles "
         "(m INT PRIMARY KEY, payload TEXT)"
     )
+    if client is not None:
+        # Routed reads below may land on any follower: each must hold the
+        # tables first.
+        client.cluster.wait_for_catchup(30.0)
 
     marker = 0
     ok_singles: list[int] = []

@@ -8,6 +8,7 @@ import pytest
 import flock
 from flock.client import Client
 from flock.errors import FlockError, ReplicationError
+from flock.proc import proc_available
 
 
 class TestEmbeddedMemory:
@@ -104,6 +105,39 @@ class TestClusterMode:
     def test_replicas_require_a_path(self):
         with pytest.raises(ReplicationError):
             flock.connect(replicas=2)
+
+    @pytest.mark.parametrize("process", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not proc_available(),
+            reason="process backend needs POSIX sockets",
+        )),
+    ])
+    def test_engine_settings_reach_every_tier_engine(self, tmp_path,
+                                                     process):
+        """``encodings``/``memory_budget`` configure the primary or
+        coordinator and every shard and follower engine, on both
+        transports."""
+        settings = dict(encodings=False, memory_budget=1000)
+        backend = "process" if process else "thread"
+        with flock.connect(tmp_path / "sharded", shards=2, process=process,
+                           **settings) as client:
+            assert client.cluster.backend == backend
+            engines = [client.db] + [
+                shard.database for shard in client.cluster.shards
+            ]
+            for engine in engines:
+                assert engine.catalog.settings.enabled is False
+                assert engine.memory_budget == 1000
+        with flock.connect(tmp_path / "replicated", replicas=1,
+                           process=process, **settings) as client:
+            assert client.cluster.backend == backend
+            engines = [client.db] + [
+                follower.database for follower in client.cluster.followers
+            ]
+            for engine in engines:
+                assert engine.catalog.settings.enabled is False
+                assert engine.memory_budget == 1000
 
 
 class TestLifecycle:

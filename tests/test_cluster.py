@@ -163,8 +163,10 @@ class TestRouter:
         with pytest.raises(ParseError):
             cluster.execute("FROBNICATE ALL THE THINGS")
         # The router fell back to the primary for the error; the cluster
-        # keeps serving afterwards.
+        # keeps serving afterwards. The read routes to a follower, so it
+        # must have applied the insert first.
         cluster.execute("INSERT INTO ok VALUES (1)")
+        assert cluster.wait_for_catchup(10.0)
         assert cluster.execute("SELECT COUNT(*) FROM ok").scalar() == 1
 
     def test_read_with_subquery_on_writable_table_serves_from_follower(
@@ -212,8 +214,13 @@ class TestRouter:
         for _ in range(4):
             cluster.execute("SELECT COUNT(*) FROM h")
         assert not broken.healthy
-        status = [f["healthy"] for f in cluster.stats()["followers"]]
+        stats = cluster.stats()
+        status = [f["healthy"] for f in stats["followers"]]
         assert status.count(False) == 1
+        # Every follower reports where it runs, whatever the transport.
+        for follower_status in stats["followers"]:
+            assert follower_status["backend"] == stats["backend"]
+            assert isinstance(follower_status["pid"], int)
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,54 @@ def test_sigkill_whole_fleet_then_reopen(tmp_path):
         reopened.close()
 
 
+def test_process_tier_opens_each_directory_once(tmp_path, monkeypatch):
+    """Shard directories are opened only inside their workers: the parent
+    never runs recovery on one, and reopen bring-up reads catalog
+    summaries, never table heads — yet sequences resume at max + 1."""
+    from flock.db import wal
+    from flock.proc.supervisor import WorkerHandle
+
+    opened = []
+    real_open = wal.open_database
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    ops = []
+    real_request = WorkerHandle.request
+
+    def spy_request(self, op, **payload):
+        ops.append(op)
+        return real_request(self, op, **payload)
+
+    monkeypatch.setattr(wal, "open_database", spy_open)
+    monkeypatch.setattr(WorkerHandle, "request", spy_request)
+
+    with flock.connect(tmp_path / "db", shards=SHARDS,
+                       process=True) as client:
+        client.execute("CREATE TABLE t (k INT PRIMARY KEY, v TEXT)")
+        client.executemany(
+            "INSERT INTO t VALUES (?, ?)", [[k, f"v{k}"] for k in range(20)]
+        )
+    ops.clear()
+    with flock.connect(tmp_path / "db", shards=SHARDS,
+                       process=True) as reopened:
+        assert "head_versions" not in ops, ops
+        reopened.execute("INSERT INTO t VALUES (100, 'next')")
+        # Sequences 0..19 went to the first 20 rows; the next is 20.
+        assigned = []
+        for shard in reopened.cluster.shards:
+            head = shard.database.catalog.table("t").head_version
+            keys = head.columns[0].to_pylist()
+            sequences = head.columns[
+                head.schema.index_of("_flock_seq")
+            ].to_pylist()
+            assigned += [s for k, s in zip(keys, sequences) if k == 100]
+        assert assigned == [20]
+    assert opened == []
+
+
 def test_mid_ddl_broadcast_crash_rolls_back_atomically(tmp_path):
     client = flock.connect(tmp_path / "db", shards=SHARDS, process=True)
     client.execute("CREATE TABLE chaos (k INT PRIMARY KEY)")

@@ -467,3 +467,7 @@ class TestClientSurface:
             "single", "scatter", "broadcast", "ddl",
         }
         assert len(stats["per_shard"]) == 3
+        # Every shard reports where it runs, whatever the transport.
+        for shard_stats in stats["per_shard"]:
+            assert shard_stats["backend"] == stats["backend"]
+            assert isinstance(shard_stats["pid"], int)
