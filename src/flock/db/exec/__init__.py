@@ -1,13 +1,2 @@
-"""Physical execution of logical plans."""
-
-from flock.db.exec.executor import ExecutionContext, Executor
-from flock.db.exec.parallel import ParallelConfig
-from flock.db.exec.pool import WorkerPool, in_worker_thread
-
-__all__ = [
-    "ExecutionContext",
-    "Executor",
-    "ParallelConfig",
-    "WorkerPool",
-    "in_worker_thread",
-]
+"""Physical execution of logical plans. Nothing is imported eagerly, so
+storage can use :mod:`flock.db.exec.grouping` without loading the executor."""

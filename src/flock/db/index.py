@@ -6,9 +6,10 @@ Two access-path accelerators over the versioned columnar storage:
 specific :class:`~flock.db.storage.TableVersion`. MVCC correctness comes from
 exact version matching: a lookup is answered only for the version the index
 was built against. When the visible head has moved, the index either advances
-itself from the committed INSERT deltas (the common append-heavy case) or is
-rebuilt lazily on the next lookup — both under the statement lock regime,
-where the head cannot move while any statement is in flight. A lookup against
+itself across the committed deltas (INSERTs append to the buckets; UPDATEs
+that leave the indexed column alone change nothing in them) or is rebuilt
+lazily on the next lookup — both under the statement lock regime, where the
+head cannot move while any statement is in flight. A lookup against
 any *other* version (e.g. a transaction reading its own staged writes)
 returns ``None`` and the executor falls back to the full scan, which is
 always correct because the optimizer keeps the original filter above the
@@ -36,6 +37,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from flock.db.exec import grouping
 from flock.db.types import DataType
 from flock.db.vector import ColumnVector
 from flock.observability.metrics import metrics
@@ -111,48 +113,42 @@ class HashIndex:
     def advance(self, prev_version_id: int, effects: Sequence[Any]) -> bool:
         """Advance the index across a commit's ordered per-table *effects*.
 
-        Only pure-INSERT effect chains starting exactly at the version the
-        index reflects can be applied incrementally (fresh rows append at
-        the tail, so existing buckets stay valid and new row ids are the
-        old row count onward). Anything else leaves the index stale — the
-        next lookup rebuilds. Returns True when the index advanced.
+        Only a chain starting exactly at the version the index reflects,
+        made of effects that cannot move an existing entry, applies
+        incrementally: INSERTs (fresh rows append at the tail, ids from the
+        old row count on) and UPDATEs that do not assign the indexed column
+        (values and row positions are unchanged: a no-op on the buckets).
+        Anything else (DELETE, TRUNCATE, REPLACE, an UPDATE of the indexed
+        column) leaves the index stale for the next lookup to rebuild.
+        Returns True when the index advanced.
         """
         with self._lock:
             if self.version_id != prev_version_id:
                 return False
             for staged in effects:
-                delta = staged.delta
-                if not delta or delta[0] != "INSERT":
+                kind = staged.delta[0] if staged.delta else None
+                if kind != "INSERT" and (
+                    kind != "UPDATE" or self.column_position in staged.delta[2]
+                ):
                     return False
             faultpoints.reach("index.pre_advance")
             for staged in effects:
-                fresh = staged.delta[1][self.column_position]
-                self._append(fresh)
+                if staged.delta[0] == "INSERT":
+                    self._append(staged.delta[1][self.column_position])
                 self.version_id = staged.version_id
             metrics().counter("index.advances").inc()
             return True
 
     def _append(self, fresh: ColumnVector) -> None:
+        # Appended ids are all larger than existing ones, so concatenating
+        # onto an existing bucket keeps it ascending.
         start = self._row_count
-        additions: dict[Any, list[int]] = {}
-        nulls = fresh.nulls
-        if fresh.dtype.numpy_dtype == np.dtype(object):
-            for i, value in enumerate(fresh.values):
-                if not nulls[i]:
-                    additions.setdefault(value, []).append(start + i)
-        else:
-            for i, value in enumerate(fresh.values.tolist()):
-                if not nulls[i]:
-                    additions.setdefault(value, []).append(start + i)
-        for key, ids in additions.items():
-            arr = np.asarray(ids, dtype=np.int64)
+        for key, ids in _build_buckets(fresh).items():
+            ids = ids + start
             existing = self._buckets.get(key)
-            if existing is None:
-                self._buckets[key] = arr
-            else:
-                # Appended ids are all larger than existing ones, so the
-                # concatenation stays ascending.
-                self._buckets[key] = np.concatenate([existing, arr])
+            self._buckets[key] = (
+                ids if existing is None else np.concatenate([existing, ids])
+            )
         self._row_count += len(fresh)
 
     def _rebuild(self, version) -> None:
@@ -177,32 +173,18 @@ def _probe_key(value: Any) -> Any:
 
 
 def _build_buckets(vector: ColumnVector) -> dict[Any, np.ndarray]:
-    """Group ascending row positions by (non-null) value."""
-    nulls = vector.nulls
-    if vector.dtype.numpy_dtype == np.dtype(object):
-        groups: dict[Any, list[int]] = {}
-        for i, value in enumerate(vector.values):
-            if not nulls[i]:
-                groups.setdefault(value, []).append(i)
-        return {
-            key: np.asarray(ids, dtype=np.int64)
-            for key, ids in groups.items()
-        }
-    present = np.nonzero(~nulls)[0]
-    values = vector.values[present]
-    # Stable sort by value keeps row ids ascending within each value group.
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    sorted_ids = present[order].astype(np.int64, copy=False)
-    if len(sorted_values) == 0:
-        return {}
-    boundaries = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(sorted_values)]])
-    buckets: dict[Any, np.ndarray] = {}
-    for start, stop in zip(starts, stops):
-        buckets[sorted_values[start].item()] = sorted_ids[start:stop]
-    return buckets
+    """Ascending row positions per (non-null) value, by the key kernel."""
+    keyed = grouping.key_codes([vector])
+    keys = vector.take(keyed.first_rows)
+    return {
+        key: rows
+        for key, null, rows in zip(
+            keys.values.tolist(),
+            keys.nulls.tolist(),
+            grouping.group_rows(keyed),
+        )
+        if not null
+    }
 
 
 # ----------------------------------------------------------------------

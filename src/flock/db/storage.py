@@ -26,6 +26,7 @@ from flock.db.encoding import (
     EncodingSettings,
     encode_vector,
 )
+from flock.db.exec import grouping
 from flock.db.index import HashIndex, IndexDef
 from flock.db.schema import TableSchema
 from flock.db.types import DataType
@@ -337,7 +338,10 @@ class Table:
                     f"NULL in NOT NULL column {col.name!r} of {self.name!r}"
                 )
             new_columns.append(updated)
-        self._check_primary_key(new_columns)
+        # The base already holds unique keys at fixed row positions, so
+        # only an UPDATE that writes a key column can break them.
+        if not assignments.keys().isdisjoint(self.schema.primary_key_indexes):
+            self._check_primary_key(new_columns)
         staged = self._staged(new_columns, "UPDATE", base)
         staged.delta = ("UPDATE", row_mask, assignments)
         return staged
@@ -395,8 +399,9 @@ class Table:
         *effects* is the ordered chain of staged versions this table saw in
         the committing transaction (not just the final one — intermediate
         versions of a multi-statement transaction carry the per-statement
-        deltas). Indexes that cannot advance are left stale; the next
-        lookup rebuilds them against the new head.
+        deltas). Indexes advance across INSERTs and UPDATEs that leave their
+        column alone (:meth:`HashIndex.advance`); the rest are left stale,
+        and the next lookup rebuilds them against the new head.
         """
         for idx in self.indexes():
             idx.advance(prev_head_id, effects)
@@ -449,18 +454,25 @@ class Table:
         return out
 
     def _check_primary_key(self, columns: Sequence[ColumnVector]) -> None:
-        pk = self.schema.primary_key_indexes
-        if not pk:
+        """Reject NULL or duplicate keys in a whole version with one
+        :func:`~flock.db.exec.grouping.key_codes` pass: a duplicate exists
+        exactly when there are fewer distinct keys than rows. The error
+        names the first violating row in row order."""
+        keys = [columns[i] for i in self.schema.primary_key_indexes]
+        if not keys:
             return
-        key_lists = [columns[i].to_pylist() for i in pk]
-        seen: set[tuple] = set()
-        for key in zip(*key_lists):
-            if None in key:
-                raise ConstraintError(
-                    f"NULL in primary key of table {self.name!r}"
-                )
-            if key in seen:
-                raise ConstraintError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-            seen.add(key)
+        keyed = grouping.key_codes(keys)
+        n = len(keyed.codes)
+        if len(keyed.first_rows) == n and not any(k.has_nulls() for k in keys):
+            return
+        rows = np.arange(n, dtype=np.int64)
+        violating = keyed.null_any | (keyed.first_rows[keyed.codes] != rows)
+        row = int(np.argmax(violating))
+        if keyed.null_any[row]:
+            raise ConstraintError(
+                f"NULL in primary key of table {self.name!r}"
+            )
+        key = grouping.key_tuples(keys, rows[row : row + 1])[0]
+        raise ConstraintError(
+            f"duplicate primary key {key!r} in table {self.name!r}"
+        )

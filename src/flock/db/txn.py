@@ -248,10 +248,11 @@ class TransactionManager:
                 table = self.catalog.table(key)
                 prev_head_id = table.head_version.version_id
                 table.publish(staged)
-                # Keep hash indexes current across the commit when the
-                # transaction's ordered per-table effect chain is pure
-                # INSERTs; otherwise indexes go stale and rebuild lazily
-                # on their next lookup.
+                # Keep hash indexes current across the commit when every
+                # effect in the transaction's ordered per-table chain is an
+                # INSERT or an UPDATE that leaves the indexed column alone;
+                # otherwise indexes go stale and rebuild lazily on their
+                # next lookup.
                 table.maintain_indexes(
                     prev_head_id,
                     [v for k, v in txn._effects if k == key],

@@ -216,6 +216,79 @@ class TestIndexMVCC:
             "SELECT cat FROM items WHERE id = 10"
         ).rows() == [(0,)]
 
+    def _lookup_matches_scan(self, db, sql):
+        indexed = db.execute(sql).rows()
+        db.execute("SET flock.indexes = 0")
+        scanned = db.execute(sql).rows()
+        db.execute("SET flock.indexes = 1")
+        assert indexed == scanned, sql
+        return indexed
+
+    def test_non_key_update_advances_pk_index(self, db):
+        db.execute("SELECT id FROM items WHERE id = 1")  # build _pkey
+        advances = metrics().counter("index.advances").value
+        rebuilds = metrics().counter("index.rebuilds").value
+        db.execute("UPDATE items SET cat = 99, name = 'u' WHERE id = 10")
+        assert metrics().counter("index.advances").value == advances + 1
+        rows = self._lookup_matches_scan(
+            db, "SELECT cat, name FROM items WHERE id = 10"
+        )
+        assert rows == [(99, "u")]
+        assert metrics().counter("index.rebuilds").value == rebuilds
+        pkey = db.catalog.table("items").index("items_pkey")
+        head = db.catalog.table("items").head_version
+        assert pkey.version_id == head.version_id
+
+    def test_update_of_indexed_column_goes_stale_then_rebuilds_once(self, db):
+        db.execute("CREATE INDEX items_cat ON items (cat)")
+        db.execute("SELECT id FROM items WHERE cat = 3")  # build items_cat
+        index = db.catalog.table("items").index("items_cat")
+        db.execute("UPDATE items SET cat = 3 WHERE id IN (1, 2)")
+        head = db.catalog.table("items").head_version
+        assert index.version_id != head.version_id
+        rebuilds = metrics().counter("index.rebuilds").value
+        sql = "SELECT id FROM items WHERE cat = 3 ORDER BY id"
+        assert self._lookup_matches_scan(db, sql)[:3] == [(1,), (2,), (3,)]
+        assert self._lookup_matches_scan(db, sql)[:3] == [(1,), (2,), (3,)]
+        assert metrics().counter("index.rebuilds").value == rebuilds + 1
+        assert index.version_id == head.version_id
+
+    def test_insert_then_update_transaction_advances(self, db):
+        db.execute("SELECT id FROM items WHERE id = 1")
+        index = db.catalog.table("items").index("items_pkey")
+        advances = metrics().counter("index.advances").value
+        rebuilds = metrics().counter("index.rebuilds").value
+        conn = db.connect()
+        conn.execute("BEGIN")
+        conn.execute("INSERT INTO items VALUES (700, 1, 1.0, 'a')")
+        conn.execute("UPDATE items SET price = 9.5 WHERE id IN (5, 700)")
+        conn.execute("COMMIT")
+        assert metrics().counter("index.advances").value == advances + 1
+        head = db.catalog.table("items").head_version
+        assert index.version_id == head.version_id
+        rows = self._lookup_matches_scan(
+            db, "SELECT id, price FROM items WHERE id IN (5, 700) ORDER BY id"
+        )
+        assert rows == [(5, 9.5), (700, 9.5)]
+        assert metrics().counter("index.rebuilds").value == rebuilds
+
+    def test_rollback_leaves_index_at_head(self, db):
+        db.execute("SELECT id FROM items WHERE id = 1")
+        index = db.catalog.table("items").index("items_pkey")
+        head = db.catalog.table("items").head_version.version_id
+        advances = metrics().counter("index.advances").value
+        conn = db.connect()
+        conn.execute("BEGIN")
+        conn.execute("UPDATE items SET cat = 5 WHERE id = 8")
+        conn.execute("INSERT INTO items VALUES (800, 1, 1.0, 'a')")
+        conn.execute("ROLLBACK")
+        assert index.version_id == head
+        assert db.catalog.table("items").head_version.version_id == head
+        assert metrics().counter("index.advances").value == advances
+        assert self._lookup_matches_scan(
+            db, "SELECT cat FROM items WHERE id IN (8, 800)"
+        ) == [(1,)]
+
     def test_multi_statement_transaction_commit(self, db):
         db.execute("SELECT id FROM items WHERE id = 1")  # build index
         conn = db.connect()
