@@ -1,11 +1,17 @@
 """Morsel-parallel scaling: scan/aggregate and batch PREDICT at 1/2/4 workers.
 
-Two workloads sized so the morsel executor engages its parallel paths:
+Two workloads whose tables sit above the cost model's serial floors
+(``PARALLEL_MIN_ROWS``, ``PREDICT_PARALLEL_MIN_ROWS``), so the morsel
+executor fans their pipelines out at the default morsel size:
 
 - **q6** — a TPC-H Q6-style scan-heavy aggregate (selective predicate, one
-  SUM of a product expression) over a synthetic lineitem table;
+  SUM of a product expression) over a synthetic lineitem table; the filter
+  and projection run per morsel;
 - **predict** — a batch ``SUM(PREDICT(model))`` over a patient table with a
-  deployed scaler + logistic-regression pipeline.
+  deployed scaler + logistic-regression pipeline; scoring runs per morsel.
+
+The aggregates above both pipelines run serially over the concatenated
+morsel outputs.
 
 Each workload runs at ``SET flock.workers = 1 / 2 / 4`` on the *same*
 engine and data; results must be bit-identical across worker counts (the
@@ -124,10 +130,6 @@ def scaling_report() -> dict:
     q6_db = _build_q6_engine()
     session = _build_predict_session()
     predict_db = session.database
-    for db in (q6_db, predict_db):
-        db.execute("SET flock.morsel_rows = 8192")
-        db.execute("SET flock.parallel_min_rows = 2048")
-
     cores = _usable_cores()
     report = {
         "cores": cores,

@@ -24,7 +24,6 @@ from flock.db.binder import Binder, ModelSignature, Scope, ScopeEntry, fold_cons
 from flock.db.catalog import Catalog
 from flock.db.encoding import EncodingSettings
 from flock.db.exec.executor import Executor, render_analyzed_plan
-from flock.db.exec.parallel import ParallelConfig
 from flock.db.exec.pool import WorkerPool
 from flock.db.expr import BoundLiteral, truthy_mask
 from flock.db.optimizer.rules import Optimizer
@@ -93,6 +92,21 @@ def _memory_budget_from_env() -> int | None:
     return budget if budget > 0 else None
 
 
+def _checked_workers(value: int | str, source: str) -> int:
+    """*value* as a worker count; *source* names where it came from.
+
+    The one check for ``FLOCK_WORKERS``, ``Database(workers=...)`` and
+    ``SET flock.workers``: anything but an integer >= 1 is a BindError.
+    """
+    try:
+        workers = int(value)
+    except (TypeError, ValueError):
+        workers = 0
+    if workers < 1:
+        raise BindError(f"{source} must be an integer >= 1, got {value!r}")
+    return workers
+
+
 class Database:
     """An in-memory SQL engine with governance built in."""
 
@@ -102,8 +116,6 @@ class Database:
         scorer: Scorer | None = None,
         optimizer: Optimizer | None = None,
         workers: int | None = None,
-        morsel_rows: int | None = None,
-        min_parallel_rows: int | None = None,
         encodings: bool | None = None,
         memory_budget: int | None = None,
     ):
@@ -140,14 +152,16 @@ class Database:
         # flock.db.wal.open_database / Database.open). None means purely
         # in-memory: the whole durability path costs one None check.
         self.wal = None
-        # Morsel-driven parallel execution: settings come from constructor
-        # arguments, then FLOCK_WORKERS/FLOCK_MORSEL_ROWS/
-        # FLOCK_PARALLEL_MIN_ROWS, then the serial default (workers=1).
-        # The pool itself is built lazily on first parallel-eligible query
-        # and is shared by every statement path (including serving).
-        self.parallel = ParallelConfig.from_env(
-            workers, morsel_rows, min_parallel_rows
-        )
+        # Morsel-driven parallel execution: the worker count comes from the
+        # constructor argument, then FLOCK_WORKERS, then the serial default
+        # (1). The pool itself is built lazily on first parallel-eligible
+        # query and is shared by every statement path (including serving).
+        if workers is not None:
+            workers = _checked_workers(workers, "Database(workers=...)")
+        else:
+            raw = os.environ.get("FLOCK_WORKERS", "").strip()
+            workers = _checked_workers(raw, "FLOCK_WORKERS") if raw else 1
+        self._workers = workers
         self._worker_pool: WorkerPool | None = None
         self._pool_lock = threading.Lock()
         # Index-based access paths (hash indexes + zone maps). On by
@@ -262,7 +276,7 @@ class Database:
     @property
     def workers(self) -> int:
         """Current worker-pool size (1 = serial execution)."""
-        return self.parallel.workers
+        return self._workers
 
     def set_workers(self, workers: int) -> None:
         """Resize the worker pool (``SET flock.workers = N``).
@@ -271,11 +285,9 @@ class Database:
         lock, so no reader is mid-fan-out while the old pool is retired;
         its threads finish any queued morsels and exit.
         """
-        workers = int(workers)
-        if workers < 1:
-            raise BindError("flock.workers must be >= 1")
+        workers = _checked_workers(workers, "flock.workers")
         with self._pool_lock:
-            self.parallel.workers = workers
+            self._workers = workers
             if (
                 self._worker_pool is not None
                 and self._worker_pool.workers != workers
@@ -285,14 +297,14 @@ class Database:
 
     def _acquire_pool(self) -> WorkerPool | None:
         """The shared pool, created lazily; None while workers <= 1."""
-        if self.parallel.workers <= 1:
+        if self._workers <= 1:
             return None
         with self._pool_lock:
             pool = self._worker_pool
-            if pool is None or pool.workers != self.parallel.workers:
+            if pool is None or pool.workers != self._workers:
                 if pool is not None:
                     pool.shutdown()
-                pool = WorkerPool(self.parallel.workers)
+                pool = WorkerPool(self._workers)
                 self._worker_pool = pool
             return pool
 
@@ -302,7 +314,6 @@ class Database:
             context,
             collect_stats=collect_stats,
             pool=self._acquire_pool(),
-            parallel=self.parallel,
         )
 
     def _log_ddl(self, op: dict) -> None:
@@ -1188,14 +1199,6 @@ class Database:
             raise BindError(f"SET {name} expects an integer value")
         if name == "flock.workers":
             self.set_workers(value)
-        elif name == "flock.morsel_rows":
-            if value < 1:
-                raise BindError("flock.morsel_rows must be >= 1")
-            self.parallel.morsel_rows = value
-        elif name == "flock.parallel_min_rows":
-            if value < 0:
-                raise BindError("flock.parallel_min_rows must be >= 0")
-            self.parallel.min_parallel_rows = value
         elif name == "flock.indexes":
             if value not in (0, 1):
                 raise BindError("flock.indexes must be 0 or 1")

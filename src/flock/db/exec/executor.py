@@ -24,6 +24,7 @@ from flock.db.exec import parallel as par
 from flock.db.exec import spill as spill_module
 from flock.db.exec.pool import WorkerPool, in_worker_thread
 from flock.db.expr import BoundExpr, truthy_mask
+from flock.db.optimizer.cost import choose_morsel_rows
 from flock.db.plan import (
     AggregateNode,
     DistinctNode,
@@ -40,7 +41,7 @@ from flock.db.plan import (
     WindowNode,
 )
 from flock.db.types import DataType
-from flock.db.vector import Batch, ColumnVector
+from flock.db.vector import Batch, ColumnVector, concat_columns
 from flock.errors import ExecutionError
 from flock.observability import get_tracer, metrics
 from flock.testing import faultpoints
@@ -113,14 +114,14 @@ class Executor:
     ``EXPLAIN ANALYZE``. Trace spans are always emitted (one per operator
     node) unless tracing is globally disabled.
 
-    When a :class:`~flock.db.exec.pool.WorkerPool` and a
-    :class:`~flock.db.exec.parallel.ParallelConfig` with ``workers > 1``
-    are supplied, eligible Scan→Filter/Project/Predict pipelines (and the
-    aggregates / ORDER BY+LIMIT heads above them) execute morsel-parallel
-    with bit-identical results (see :mod:`flock.db.exec.parallel`). The
-    snapshot is pinned in the driver thread: ``context.table_batch`` is
-    called exactly once per scan and workers only see immutable slices of
-    that batch, so MVCC isolation is unaffected by the fan-out.
+    When a :class:`~flock.db.exec.pool.WorkerPool` with ``workers > 1`` is
+    supplied, eligible Scan→Filter/Project/Predict pipelines execute
+    morsel-parallel with bit-identical results (see
+    :mod:`flock.db.exec.parallel`); every other operator runs serially over
+    the pipeline's output. The snapshot is pinned in the driver thread:
+    ``context.table_batch`` is called exactly once per scan and workers
+    only see immutable slices of that batch, so MVCC isolation is
+    unaffected by the fan-out.
     """
 
     def __init__(
@@ -128,19 +129,16 @@ class Executor:
         context: ExecutionContext,
         collect_stats: bool = False,
         pool: WorkerPool | None = None,
-        parallel: par.ParallelConfig | None = None,
     ):
         self.context = context
         self.collect_stats = collect_stats
         self.node_stats: dict[int, NodeStats] = {}
         self.pool = pool
-        self.parallel = parallel
         # A morsel worker must never fan out again: nested parallelism
         # would let pool tasks block on the very pool they run in.
         self._parallel_enabled = (
             pool is not None
-            and parallel is not None
-            and parallel.workers > 1
+            and pool.workers > 1
             and not in_worker_thread()
         )
 
@@ -287,112 +285,27 @@ class Executor:
 
     # -- morsel-driven parallel execution ---------------------------------
     def _try_parallel(self, plan: PlanNode) -> Batch | None:
-        """Morsel-parallel execution of *plan*, or None to stay serial.
+        """Morsel-parallel execution of a pipeline *plan*, or None for serial.
 
-        Three parallel shapes, each with a deterministic merge (see
-        :mod:`flock.db.exec.parallel`): aggregates over a pipeline segment,
-        ORDER BY+LIMIT (top-k) over a segment, and plain pipeline tails
-        (also reached for the inputs of joins, sorts, distincts and set
-        operations, which then run serially over the merged batch).
+        The one parallel shape is a Filter/Project/Predict chain over a
+        scan; its morsel outputs concatenate in morsel order into the serial
+        batch (see :mod:`flock.db.exec.parallel`). ``context.table_batch``
+        runs here, in the driver thread, exactly once per scan: workers
+        share the returned immutable batch, so every morsel sees the same
+        MVCC snapshot.
         """
-        if isinstance(plan, AggregateNode):
-            segment = par.find_segment(plan.child)
-            prepared = self._prepare_morsels(segment, allow_bare_scan=True)
-            if prepared is None:
-                return None
-            scan_batch, bounds = prepared
-            partials = self._run_morsels(
-                plan, segment, scan_batch, bounds,
-                sink=lambda batch: par.aggregate_partial(plan, batch),
-            )
-            return par.merge_aggregate_partials(plan, partials)
-
-        if isinstance(plan, LimitNode):
-            sort = plan.child
-            if (
-                isinstance(sort, SortNode)
-                and sort.keys
-                and plan.limit is not None
-            ):
-                segment = par.find_segment(sort.child)
-                prepared = self._prepare_morsels(
-                    segment, allow_bare_scan=True
-                )
-                if prepared is None:
-                    return None
-                scan_batch, bounds = prepared
-                keep = plan.offset + plan.limit
-                partials = self._run_morsels(
-                    plan, segment, scan_batch, bounds,
-                    sink=lambda batch: par.topk_partial(
-                        sort.keys, keep, batch
-                    ),
-                )
-                return par.merge_topk(
-                    sort.keys, plan.limit, plan.offset, partials
-                )
-            segment = par.find_segment(plan.child)
-            prepared = self._prepare_morsels(segment)
-            if prepared is None:
-                return None
-            scan_batch, bounds = prepared
-            # Each morsel needs at most offset+limit of its own rows: the
-            # serial result is a prefix of the morsel-order concatenation.
-            stop = None if plan.limit is None else plan.offset + plan.limit
-            outputs = self._run_morsels(
-                plan, segment, scan_batch, bounds,
-                sink=(
-                    None
-                    if stop is None
-                    else lambda batch: batch.slice(0, stop)
-                ),
-            )
-            merged = par.concat_batches(outputs)
-            end = merged.num_rows if plan.limit is None else stop
-            return merged.slice(plan.offset, end)
-
-        if isinstance(plan, (FilterNode, ProjectNode, PredictNode)):
-            segment = par.find_segment(plan)
-            prepared = self._prepare_morsels(segment)
-            if prepared is None:
-                return None
-            scan_batch, bounds = prepared
-            outputs = self._run_morsels(plan, segment, scan_batch, bounds)
-            return par.concat_batches(outputs)
-        return None
-
-    def _prepare_morsels(
-        self,
-        segment: par.PipelineSegment | None,
-        allow_bare_scan: bool = False,
-    ) -> tuple[Batch, list[tuple[int, int]]] | None:
-        """Pin the snapshot and split it, or None when serial is better.
-
-        ``context.table_batch`` runs here, in the driver thread, exactly
-        once per scan: workers share the returned immutable batch, so every
-        morsel sees the same MVCC snapshot. A bare scan only parallelizes
-        when a sink (aggregation, top-k) supplies the per-morsel work; a
-        plain pipeline over it would be pure concatenation overhead.
-        """
-        from flock.db.optimizer.cost import choose_morsel_rows
-
-        if segment is None or (not segment.stages and not allow_bare_scan):
+        segment = par.find_segment(plan)
+        if segment is None:
             return None
-        config = self.parallel
-        assert config is not None and self.pool is not None
+        assert self.pool is not None
         start_ns = time.perf_counter_ns()
         scan_batch = self._source_batch(segment.scan)
         morsel_rows = choose_morsel_rows(
             scan_batch.num_rows,
             has_predict=segment.has_predict,
             workers=self.pool.workers,
-            morsel_rows=config.morsel_rows,
-            min_parallel_rows=config.min_parallel_rows,
         )
         if morsel_rows <= 0:
-            return None
-        bounds = par.morsel_bounds(scan_batch.num_rows, morsel_rows)
-        if len(bounds) < 2:
             return None
         if self.collect_stats:
             scan_stats = self.node_stats.setdefault(
@@ -401,25 +314,23 @@ class Executor:
             scan_stats.calls += 1
             scan_stats.rows_out += scan_batch.num_rows
             scan_stats.wall_ns += time.perf_counter_ns() - start_ns
-        return scan_batch, bounds
+        bounds = par.morsel_bounds(scan_batch.num_rows, morsel_rows)
+        return Batch.concat_all(
+            self._run_morsels(plan, segment.stages, scan_batch, bounds)
+        )
 
     def _run_morsels(
         self,
         plan: PlanNode,
-        segment: par.PipelineSegment,
+        stages: list[PlanNode],
         scan_batch: Batch,
         bounds: list[tuple[int, int]],
-        sink=None,
-    ) -> list:
-        """Fan morsels out on the pool; results come back in morsel order.
+    ) -> list[Batch]:
+        """Fan morsels out on the pool; outputs come back in morsel order.
 
-        ``sink`` (partial-state builder or pruner) runs inside the worker,
-        so group gathering and local top-k sorts are parallel too. Per-task
-        ``contextvars`` copies keep each morsel's trace span nested under
-        the current operator span.
+        Per-task ``contextvars`` copies keep each morsel's trace span nested
+        under the current operator span.
         """
-        assert self.pool is not None
-        stages = segment.stages
 
         def run_one(index: int, start: int, stop: int):
             faultpoints.reach("parallel.pre_morsel")
@@ -438,9 +349,8 @@ class Executor:
                             time.perf_counter_ns() - stage_start,
                         )
                     )
-                result = batch if sink is None else sink(batch)
             faultpoints.reach("parallel.post_morsel")
-            return result, stage_stats
+            return batch, stage_stats
 
         tasks = []
         for index, (start, stop) in enumerate(bounds):
@@ -464,6 +374,8 @@ class Executor:
             plan_stats.extras["morsels"] = len(bounds)
             for _, stage_stats in outcomes:
                 for node_id, rows_out, wall_ns in stage_stats:
+                    if node_id == id(plan):
+                        continue  # _execute records the head, merged
                     entry = self.node_stats.setdefault(node_id, NodeStats())
                     entry.calls += 1
                     entry.rows_out += rows_out
@@ -721,7 +633,7 @@ class Executor:
                 )
             )
             key_columns = [
-                par.concat_columns(expr.dtype, [part[k] for part in key_parts])
+                concat_columns(expr.dtype, [part[k] for part in key_parts])
                 for k, expr in enumerate(node.group_exprs)
             ]
             results = [

@@ -42,7 +42,7 @@ DEFAULT_SELECTIVITY = 0.5
 INDEX_MIN_ROWS = 64
 INDEX_MAX_SELECTIVITY = 0.2
 
-#: Parallel execution defaults: below the floor the fan-out/merge overhead
+#: Parallel execution constants: below the floor the fan-out/merge overhead
 #: (task dispatch, context copies, result concatenation) beats any thread
 #: win, so plans stay serial. PREDICT pipelines amortize much earlier
 #: because model scoring dominates per-row cost.
@@ -51,14 +51,7 @@ PARALLEL_MIN_ROWS = 16384
 PREDICT_PARALLEL_MIN_ROWS = 2048
 
 
-def choose_morsel_rows(
-    rows: int,
-    *,
-    has_predict: bool,
-    workers: int,
-    morsel_rows: int | None = None,
-    min_parallel_rows: int | None = None,
-) -> int:
+def choose_morsel_rows(rows: int, *, has_predict: bool, workers: int) -> int:
     """The morsel size to split *rows* with, or 0 to stay serial.
 
     This is the cost model's serial-vs-parallel decision, made on *actual*
@@ -70,12 +63,10 @@ def choose_morsel_rows(
     """
     if workers <= 1 or rows <= 1:
         return 0
-    floor = min_parallel_rows
-    if floor is None:
-        floor = PREDICT_PARALLEL_MIN_ROWS if has_predict else PARALLEL_MIN_ROWS
+    floor = PREDICT_PARALLEL_MIN_ROWS if has_predict else PARALLEL_MIN_ROWS
     if rows < max(floor, 2):
         return 0
-    target = morsel_rows or DEFAULT_MORSEL_ROWS
+    target = DEFAULT_MORSEL_ROWS
     per_worker = -(-rows // workers)  # ceil division
     chunk_floor = 256 if has_predict else 1024
     target = min(target, max(chunk_floor, per_worker))
@@ -266,34 +257,3 @@ class CostModel:
         for child in plan.children():
             total += self.cost(child)
         return total
-
-    def parallel_morsel_rows(
-        self,
-        plan: PlanNode,
-        *,
-        workers: int,
-        morsel_rows: int | None = None,
-        min_parallel_rows: int | None = None,
-    ) -> int:
-        """Plan-time advisory form of :func:`choose_morsel_rows`.
-
-        Uses estimated source cardinality; the executor re-decides with the
-        actual snapshot size before fanning out, so this is for EXPLAIN-time
-        introspection and tests rather than the execution hot path.
-        """
-        source_rows = 0.0
-        has_predict = False
-        for node in plan.walk():
-            if isinstance(node, ScanNode):
-                source_rows = max(
-                    source_rows, float(self._table_rows(node.table_name))
-                )
-            elif isinstance(node, PredictNode):
-                has_predict = True
-        return choose_morsel_rows(
-            int(source_rows),
-            has_predict=has_predict,
-            workers=workers,
-            morsel_rows=morsel_rows,
-            min_parallel_rows=min_parallel_rows,
-        )

@@ -154,14 +154,6 @@ class TableVersion:
     def batch(self) -> Batch:
         return Batch(self.schema.column_names, list(self.columns))
 
-    def morsels(self, morsel_rows: int):
-        """Zero-copy fixed-size row slices of this snapshot, in row order.
-
-        Because a version is immutable, the slices stay valid for as long
-        as any worker holds them — morsel-parallel scans need no latching.
-        """
-        return self.batch().morsels(morsel_rows)
-
     def stats(self) -> TableStats:
         """Per-version statistics, computed lazily and cached."""
         if self._stats is None:

@@ -147,6 +147,28 @@ class ColumnVector:
         return f"ColumnVector({self.dtype}, n={len(self)}, {preview}...)"
 
 
+def concat_columns(
+    dtype: DataType, chunks: Sequence[ColumnVector]
+) -> ColumnVector:
+    """Concatenate *chunks* in order (bitwise equal to one big gather)."""
+    if not chunks:
+        return ColumnVector.empty(dtype)
+    if len(chunks) == 1:
+        return chunks[0]
+    from flock.db.encoding import concat_encoded
+
+    # Slices of one encoded column (same dictionary / frame) merge on the
+    # encoded payload without decoding.
+    encoded = concat_encoded(chunks)
+    if encoded is not None:
+        return encoded
+    return ColumnVector(
+        dtype,
+        np.concatenate([c.values for c in chunks]),
+        np.concatenate([c.nulls for c in chunks]),
+    )
+
+
 def _zero_of(dtype: DataType) -> Any:
     """A placeholder physical value for NULL slots of *dtype*."""
     if dtype.numpy_dtype == np.dtype(object):
@@ -215,18 +237,6 @@ class Batch:
             [a.concat(b) for a, b in zip(self.columns, other.columns)],
         )
 
-    def morsels(self, morsel_rows: int) -> Iterator["Batch"]:
-        """Iterate zero-copy slices of at most *morsel_rows* rows, in order.
-
-        The unit of the morsel-driven parallel executor: each slice shares
-        the underlying numpy buffers, so splitting a snapshot across worker
-        threads costs O(columns) per morsel, not O(rows).
-        """
-        if morsel_rows < 1:
-            raise ExecutionError("morsel_rows must be >= 1")
-        for start in range(0, self.num_rows, morsel_rows):
-            yield self.slice(start, min(start + morsel_rows, self.num_rows))
-
     @staticmethod
     def concat_all(batches: Sequence["Batch"]) -> "Batch":
         """Concatenate *batches* in order with one allocation per column.
@@ -245,24 +255,10 @@ class Batch:
                 raise ExecutionError(
                     "cannot concat batches with different schemas"
                 )
-        from flock.db.encoding import concat_encoded
-
-        columns = []
-        for i, column in enumerate(first.columns):
-            chunks = [b.columns[i] for b in batches]
-            # Morsel outputs are often slices of one encoded column (same
-            # dictionary / frame); those merge on the encoded payload.
-            encoded = concat_encoded(chunks)
-            if encoded is not None:
-                columns.append(encoded)
-                continue
-            columns.append(
-                ColumnVector(
-                    column.dtype,
-                    np.concatenate([c.values for c in chunks]),
-                    np.concatenate([c.nulls for c in chunks]),
-                )
-            )
+        columns = [
+            concat_columns(column.dtype, [b.columns[i] for b in batches])
+            for i, column in enumerate(first.columns)
+        ]
         return Batch(first.names, columns)
 
     def rows(self) -> Iterator[tuple]:

@@ -347,10 +347,11 @@ def test_differential_wal_vs_memory(tmp_path, seed):
 # ----------------------------------------------------------------------
 class _ParallelTwinDriver:
     """Runs one random statement stream against a serial (workers=1) engine
-    and a morsel-parallel twin (workers=4, tiny morsels so even this file's
-    small tables split into many fragments), asserting every statement's
-    result — including row order, float bit patterns and error type — is
-    identical, and diffing complete catalog + table state periodically.
+    and a morsel-parallel twin (workers=4; the test's tiny_morsels fixture
+    splits even this file's small tables into many fragments), asserting
+    every statement's result — including row order, float bit patterns and
+    error type — is identical, and diffing complete catalog + table state
+    periodically.
 
     This is the executable form of the parallel executor's determinism
     contract: parallel execution is an invisible implementation detail.
@@ -363,7 +364,7 @@ class _ParallelTwinDriver:
 
         self.rng = _random.Random(seed)
         self.serial = Database(workers=1)
-        self.parallel = Database(workers=4, morsel_rows=7, min_parallel_rows=1)
+        self.parallel = Database(workers=4)
 
     def close(self) -> None:
         self.serial.close()
@@ -402,11 +403,10 @@ class _ParallelTwinDriver:
             )
         if roll < 0.44:
             return f"DELETE FROM {table} WHERE k > {rng.randrange(200)}"
-        # The read mix leans on every parallel code path: pipelines
-        # (filter/project), partial aggregates (global and grouped, with
-        # NULLs and DISTINCT), top-k, plain LIMIT pruning, the serial
-        # operators (DISTINCT, sort-without-limit) fed by parallel children,
-        # and the decorrelated/lifted constructs (CTEs, EXISTS, scalar
+        # The read mix leans on the parallel pipeline (filter/project) and
+        # every serial operator it feeds: aggregates (global and grouped,
+        # with NULLs and DISTINCT), top-k, plain LIMIT, DISTINCT,
+        # sort-without-limit, and the decorrelated/lifted constructs (CTEs, EXISTS, scalar
         # subqueries, window functions). Statements against dropped tables
         # must raise the identical error on both engines.
         other = rng.choice(self.TABLES)
@@ -539,10 +539,11 @@ class _ParallelTwinDriver:
         "FLOCK_PARALLEL_FUZZ_SEEDS", "7,19"
     ).split(",")]
 )
-def test_differential_parallel_vs_serial(seed):
+def test_differential_parallel_vs_serial(seed, tiny_morsels):
     """Morsel-parallel execution is observationally identical to serial:
     same rows in the same order with the same float bit patterns, and the
     same errors — on arbitrary statement streams."""
+    tiny_morsels(7)
     driver = _ParallelTwinDriver(seed)
     try:
         ops = int(__import__("os").environ.get(

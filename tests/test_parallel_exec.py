@@ -7,12 +7,14 @@ Three layers of coverage:
   morsel-parallel twin with tiny forced morsels, and a numpy reference;
   results must be *bit-identical* between serial and parallel (repr-level:
   row order, -0.0 vs 0.0, exact mantissas), and numerically correct vs
-  numpy;
-- unit tests of the mergeable-state machinery — morsel bounds, column and
-  batch concatenation, the worker pool's ordering and error contracts, the
-  cost model's serial-vs-parallel decision;
-- engine plumbing — ``SET flock.workers``, environment configuration,
-  EXPLAIN ANALYZE parallelism annotations, the nested-parallelism guard.
+  numpy. Aggregates and top-k run serially over a parallel pipeline, so
+  each of their queries also runs over a filter that keeps every row;
+- unit tests of the merge machinery — morsel bounds, column and batch
+  concatenation, the worker pool's ordering and error contracts, the cost
+  model's serial-vs-parallel decision;
+- engine plumbing — ``SET flock.workers``, ``FLOCK_WORKERS`` and
+  ``Database(workers=...)`` validation, EXPLAIN ANALYZE parallelism
+  annotations, the nested-parallelism guard.
 """
 
 from __future__ import annotations
@@ -21,34 +23,38 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flock.db import Database
-from flock.db.exec.parallel import (
-    ParallelConfig,
-    concat_columns,
-    morsel_bounds,
-)
+from flock.db.exec.parallel import morsel_bounds
 from flock.db.exec.pool import WorkerPool, in_worker_thread
 from flock.db.optimizer.cost import (
     DEFAULT_MORSEL_ROWS,
     choose_morsel_rows,
 )
 from flock.db.types import DataType
-from flock.db.vector import Batch, ColumnVector
+from flock.db.vector import Batch, ColumnVector, concat_columns
 from flock.errors import BindError, ExecutionError
 
 
 # ----------------------------------------------------------------------
 # Twin-engine helpers
 # ----------------------------------------------------------------------
-def _twin(morsel_rows: int = 3):
-    serial = Database(workers=1)
-    parallel = Database(
-        workers=4, morsel_rows=morsel_rows, min_parallel_rows=1
-    )
-    return serial, parallel
+def _twin():
+    return Database(workers=1), Database(workers=4)
+
+
+#: A predicate that keeps every row of ``t``: it puts a parallel Filter
+#: pipeline under the aggregate / top-k head.
+EVERY_ROW = "WHERE i IS NULL OR i IS NOT NULL"
+
+#: The tiny_morsels fixture patches module constants once per test; that
+#: holds for every example Hypothesis generates inside it.
+PROPERTY_SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def _load(db, rows):
@@ -71,6 +77,13 @@ def _rows(db, sql):
     return repr(db.execute(sql).rows())
 
 
+def _load_ints(db, n: int = 40) -> None:
+    db.execute("CREATE TABLE t (v INT)")
+    db.execute(
+        "INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(n))
+    )
+
+
 row_strategy = st.tuples(
     st.one_of(st.none(), st.integers(-100, 100)),
     st.one_of(
@@ -82,14 +95,15 @@ row_strategy = st.tuples(
 )
 
 # Shapes deliberately include empty (0 rows), single-row, and sizes around
-# morsel boundaries (morsel_rows=3 → 2/3/4-row tables hit the "fewer rows
+# morsel boundaries (3-row morsels → 2/3/4-row tables hit the "fewer rows
 # than one morsel", "exactly one morsel" and "ragged tail" cases).
 table_strategy = st.lists(row_strategy, min_size=0, max_size=40)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40, **PROPERTY_SETTINGS)
 @given(table_strategy)
-def test_aggregates_bit_identical_and_match_numpy(rows):
+def test_aggregates_bit_identical_and_match_numpy(tiny_morsels, rows):
+    tiny_morsels(3)
     serial, parallel = _twin()
     try:
         for db in (serial, parallel):
@@ -99,7 +113,8 @@ def test_aggregates_bit_identical_and_match_numpy(rows):
             "SUM(f), AVG(f), MIN(f), MAX(f), STDDEV(f), MIN(s), MAX(s) "
             "FROM t"
         )
-        assert _rows(serial, sql) == _rows(parallel, sql)
+        for query in (sql, f"{sql} {EVERY_ROW}"):
+            assert _rows(serial, query) == _rows(parallel, query), query
 
         got = serial.execute(sql).rows()[0]
         ints = [i for i, _, _, _ in rows if i is not None]
@@ -128,56 +143,64 @@ def test_aggregates_bit_identical_and_match_numpy(rows):
         parallel.close()
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40, **PROPERTY_SETTINGS)
 @given(table_strategy)
-def test_grouped_aggregates_bit_identical(rows):
+def test_grouped_aggregates_bit_identical(tiny_morsels, rows):
+    tiny_morsels(3)
     serial, parallel = _twin()
     try:
         for db in (serial, parallel):
             _load(db, rows)
         # Group order is first-appearance order: identical output order is
         # part of the contract, so no ORDER BY here on purpose.
-        for sql in (
-            "SELECT s, COUNT(*), SUM(f), AVG(i), COUNT(DISTINCT i) "
-            "FROM t GROUP BY s",
-            "SELECT b, s, STDDEV(f), MIN(i), MAX(f) FROM t GROUP BY b, s",
-            "SELECT i, COUNT(*) FROM t GROUP BY i HAVING COUNT(*) > 1",
-        ):
-            assert _rows(serial, sql) == _rows(parallel, sql), sql
+        for where in ("", EVERY_ROW):
+            for sql in (
+                "SELECT s, COUNT(*), SUM(f), AVG(i), COUNT(DISTINCT i) "
+                f"FROM t {where} GROUP BY s",
+                "SELECT b, s, STDDEV(f), MIN(i), MAX(f) "
+                f"FROM t {where} GROUP BY b, s",
+                f"SELECT i, COUNT(*) FROM t {where} "
+                "GROUP BY i HAVING COUNT(*) > 1",
+            ):
+                assert _rows(serial, sql) == _rows(parallel, sql), sql
     finally:
         serial.close()
         parallel.close()
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40, **PROPERTY_SETTINGS)
 @given(table_strategy, st.integers(1, 10), st.integers(0, 4))
-def test_topk_and_pipelines_bit_identical(rows, limit, offset):
+def test_topk_and_pipelines_bit_identical(tiny_morsels, rows, limit, offset):
+    tiny_morsels(3)
     serial, parallel = _twin()
     try:
         for db in (serial, parallel):
             _load(db, rows)
-        for sql in (
-            f"SELECT i, f, s FROM t ORDER BY f DESC, i "
-            f"LIMIT {limit} OFFSET {offset}",
-            f"SELECT i, s FROM t ORDER BY s, f LIMIT {limit}",
-            f"SELECT i, f FROM t LIMIT {limit} OFFSET {offset}",
-            "SELECT i * 2 + 1, f FROM t WHERE i > 0",
-            "SELECT DISTINCT s FROM t",
-            "SELECT i, f FROM t ORDER BY i, f, s",
-        ):
-            assert _rows(serial, sql) == _rows(parallel, sql), sql
+        for where in ("", EVERY_ROW):
+            for sql in (
+                f"SELECT i, f, s FROM t {where} ORDER BY f DESC, i "
+                f"LIMIT {limit} OFFSET {offset}",
+                f"SELECT i, s FROM t {where} ORDER BY s, f LIMIT {limit}",
+                f"SELECT i, f FROM t {where} LIMIT {limit} OFFSET {offset}",
+                f"SELECT DISTINCT s FROM t {where}",
+                f"SELECT i, f FROM t {where} ORDER BY i, f, s",
+            ):
+                assert _rows(serial, sql) == _rows(parallel, sql), sql
+        sql = "SELECT i * 2 + 1, f FROM t WHERE i > 0"
+        assert _rows(serial, sql) == _rows(parallel, sql), sql
     finally:
         serial.close()
         parallel.close()
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20, **PROPERTY_SETTINGS)
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=30))
-def test_error_surfacing_bit_identical(values):
+def test_error_surfacing_bit_identical(tiny_morsels, values):
     """Division by zero raises the same error, parallel or not — the
     lowest-index-morsel rule makes the parallel engine surface exactly the
     failure serial execution would hit first."""
-    serial, parallel = _twin(morsel_rows=2)
+    tiny_morsels(2)
+    serial, parallel = _twin()
     try:
         for db in (serial, parallel):
             db.execute("CREATE TABLE z (v INT)")
@@ -202,7 +225,7 @@ def test_error_surfacing_bit_identical(values):
 
 
 # ----------------------------------------------------------------------
-# Mergeable-state machinery
+# Merge machinery
 # ----------------------------------------------------------------------
 class TestMorselBounds:
     def test_partitions_exactly(self):
@@ -256,9 +279,13 @@ class TestConcat:
             ["x"],
             [ColumnVector.from_values(DataType.INTEGER, list(range(10)))],
         )
-        morsels = list(batch.morsels(4))
+        # The executor cuts morsels exactly this way.
+        morsels = [batch.slice(lo, hi) for lo, hi in morsel_bounds(10, 4)]
         assert [m.num_rows for m in morsels] == [4, 4, 2]
-        assert morsels[1].columns[0].values.base is not None
+        for morsel in morsels:
+            column = morsel.columns[0]
+            assert np.shares_memory(column.values, batch.columns[0].values)
+            assert np.shares_memory(column.nulls, batch.columns[0].nulls)
 
 
 class TestWorkerPool:
@@ -323,19 +350,15 @@ class TestCostModel:
         assert choose_morsel_rows(rows, has_predict=False, workers=4) == 0
         assert choose_morsel_rows(rows, has_predict=True, workers=4) > 0
 
-    def test_explicit_floor_and_morsel_size_win(self):
-        chosen = choose_morsel_rows(
-            40, has_predict=False, workers=4,
-            morsel_rows=7, min_parallel_rows=1,
-        )
+    def test_explicit_floor_and_morsel_size_win(self, tiny_morsels):
+        tiny_morsels(7)
+        chosen = choose_morsel_rows(40, has_predict=False, workers=4)
         assert 0 < chosen <= 7
 
-    def test_never_a_single_morsel(self):
+    def test_never_a_single_morsel(self, tiny_morsels):
+        tiny_morsels(300)
         for rows in range(1, 400):
-            chosen = choose_morsel_rows(
-                rows, has_predict=False, workers=4,
-                morsel_rows=300, min_parallel_rows=1,
-            )
+            chosen = choose_morsel_rows(rows, has_predict=False, workers=4)
             if chosen:
                 assert len(morsel_bounds(rows, chosen)) >= 2, rows
 
@@ -346,16 +369,30 @@ class TestCostModel:
 class TestEngineConfiguration:
     def test_env_configuration(self, monkeypatch):
         monkeypatch.setenv("FLOCK_WORKERS", "3")
-        monkeypatch.setenv("FLOCK_MORSEL_ROWS", "512")
-        monkeypatch.setenv("FLOCK_PARALLEL_MIN_ROWS", "64")
-        config = ParallelConfig.from_env()
-        assert config.workers == 3
-        assert config.morsel_rows == 512
-        assert config.min_parallel_rows == 64
+        db = Database()
+        try:
+            assert db.workers == 3
+        finally:
+            db.close()
 
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv("FLOCK_WORKERS", "3")
-        assert ParallelConfig.from_env(workers=2).workers == 2
+        db = Database(workers=2)
+        try:
+            assert db.workers == 2
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_workers_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("FLOCK_WORKERS", raw)
+        with pytest.raises(BindError, match="FLOCK_WORKERS must be"):
+            Database()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_constructor_workers_rejected(self, workers):
+        with pytest.raises(BindError, match=r"Database\(workers=\.\.\.\)"):
+            Database(workers=workers)
 
     def test_set_workers_statement(self):
         db = Database(workers=1)  # explicit: FLOCK_WORKERS may be set in CI
@@ -364,17 +401,24 @@ class TestEngineConfiguration:
             result = db.execute("SET flock.workers = 4")
             assert result.detail == "flock.workers = 4"
             assert db.workers == 4
-            db.execute("SET flock.morsel_rows = 128")
-            db.execute("SET flock.parallel_min_rows = 0")
-            assert db.parallel.morsel_rows == 128
-            assert db.parallel.min_parallel_rows == 0
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize(
+        "name", ["flock.morsel_rows", "flock.parallel_min_rows"]
+    )
+    def test_morsel_settings_are_gone(self, name):
+        db = Database()
+        try:
+            with pytest.raises(BindError, match="unknown setting"):
+                db.execute(f"SET {name} = 8")
         finally:
             db.close()
 
     def test_set_rejects_bad_values(self):
         db = Database()
         try:
-            with pytest.raises(BindError):
+            with pytest.raises(BindError, match="flock.workers must be"):
                 db.execute("SET flock.workers = 0")
             with pytest.raises(BindError):
                 db.execute("SET flock.unknown_thing = 1")
@@ -392,16 +436,13 @@ class TestEngineConfiguration:
         finally:
             db.close()
 
-    def test_explain_analyze_reports_parallelism(self):
-        db = Database(workers=4, morsel_rows=5, min_parallel_rows=1)
+    def test_explain_analyze_reports_parallelism(self, tiny_morsels):
+        tiny_morsels(5)
+        db = Database(workers=4)
         try:
-            db.execute("CREATE TABLE t (v INT)")
-            db.execute(
-                "INSERT INTO t VALUES "
-                + ", ".join(f"({i})" for i in range(40))
-            )
+            _load_ints(db)
             result = db.execute(
-                "EXPLAIN ANALYZE SELECT SUM(v) FROM t"
+                "EXPLAIN ANALYZE SELECT SUM(v) FROM t WHERE v >= 0"
             )
             text = "\n".join(r[0] for r in result.rows())
             assert "workers=4" in text
@@ -409,39 +450,72 @@ class TestEngineConfiguration:
         finally:
             db.close()
 
-    def test_parallel_metrics_recorded(self):
+    def test_parallel_metrics_recorded(self, tiny_morsels):
         from flock.observability import metrics
 
-        db = Database(workers=4, morsel_rows=5, min_parallel_rows=1)
+        tiny_morsels(5)
+        db = Database(workers=4)
         try:
-            db.execute("CREATE TABLE t (v INT)")
-            db.execute(
-                "INSERT INTO t VALUES "
-                + ", ".join(f"({i})" for i in range(40))
-            )
+            _load_ints(db)
             before = metrics().counter("parallel.fragments").value
-            db.execute("SELECT SUM(v) FROM t")
+            db.execute("SELECT SUM(v) FROM t WHERE v >= 0")
             after = metrics().counter("parallel.fragments").value
             assert after > before
         finally:
             db.close()
 
-    def test_no_nested_parallelism(self):
+    def test_no_nested_parallelism(self, tiny_morsels):
         """A query running inside a pool worker must not fan out again."""
-        db = Database(workers=4, morsel_rows=5, min_parallel_rows=1)
+        tiny_morsels(5)
+        db = Database(workers=4)
         try:
-            db.execute("CREATE TABLE t (v INT)")
-            db.execute(
-                "INSERT INTO t VALUES "
-                + ", ".join(f"({i})" for i in range(40))
-            )
+            _load_ints(db)
             pool = db._acquire_pool()
 
-            def inner():
-                result = db.execute("EXPLAIN ANALYZE SELECT SUM(v) FROM t")
+            def explain():
+                result = db.execute(
+                    "EXPLAIN ANALYZE SELECT SUM(v) FROM t WHERE v >= 0"
+                )
                 return "\n".join(r[0] for r in result.rows())
 
-            (text,) = pool.run_ordered([inner])
+            assert "workers=" in explain()  # the driver thread fans out
+            (text,) = pool.run_ordered([explain])
             assert "workers=" not in text
         finally:
             db.close()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT v % 3, SUM(v), COUNT(*) FROM t WHERE v >= 0 "
+            "GROUP BY v % 3",
+            "SELECT v FROM t WHERE v >= 0 ORDER BY v % 7 DESC, v "
+            "LIMIT 5 OFFSET 2",
+        ],
+    )
+    def test_heads_run_serially_over_parallel_pipeline(
+        self, tiny_morsels, sql
+    ):
+        """Aggregate and top-k heads consume the pipeline's concatenated
+        morsel output: only the pipeline node carries workers=/morsels=,
+        and the result is bit-identical to serial execution."""
+        tiny_morsels(5)
+        serial, parallel = _twin()
+        try:
+            for db in (serial, parallel):
+                _load_ints(db)
+            assert _rows(serial, sql) == _rows(parallel, sql)
+            lines = [
+                r[0] for r in parallel.execute(f"EXPLAIN ANALYZE {sql}").rows()
+            ]
+            fanned = [line for line in lines if "workers=4" in line]
+            assert len(fanned) == 1 and "morsels=8" in fanned[0], lines
+            assert " rows=40 " in fanned[0], lines  # counted once, merged
+            assert fanned[0].lstrip().startswith(("Filter", "Project")), lines
+            for line in lines:
+                if line.lstrip().startswith(("Aggregate", "Limit", "Sort")):
+                    assert "workers=" not in line and "morsels=" not in line
+        finally:
+            serial.close()
+            parallel.close()
+

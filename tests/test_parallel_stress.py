@@ -7,7 +7,8 @@ of the table, never a mix (no torn reads). These tests hammer that claim:
 
 - writer threads move value between rows in balanced transactions, so any
   consistent snapshot satisfies a global-sum invariant; reader threads run
-  morsel-parallel aggregates and assert the invariant on every read;
+  aggregates over a morsel-parallel filter and assert the invariant on
+  every read;
 - ``flock.testing.faultpoints`` injects sleeps at morsel boundaries to
   stretch the fan-out window far beyond what timing accidents would give;
 - a durable variant adds checkpoint races and verifies recovery.
@@ -83,8 +84,10 @@ def _read_loop(db: Database, stop: threading.Event, sums: list,
                errors: list) -> None:
     try:
         while not stop.is_set():
+            # The filter keeps every row; it is the parallel pipeline the
+            # serial SUM consumes.
             total = db.execute(
-                "SELECT SUM(balance), COUNT(*) FROM accounts"
+                "SELECT SUM(balance), COUNT(*) FROM accounts WHERE id >= 0"
             ).rows()[0]
             sums.append(total)
     except Exception as exc:  # pragma: no cover - fail the test
@@ -122,10 +125,12 @@ def _run_race(db: Database, duration_s: float = 1.0,
     return sums
 
 
-def test_parallel_reads_are_snapshot_consistent_under_writes():
-    """Every morsel-parallel SUM sees one committed snapshot while balanced
-    transfers race it, with fan-out windows stretched by injected sleeps."""
-    db = Database(workers=4, morsel_rows=7, min_parallel_rows=1)
+def test_parallel_reads_are_snapshot_consistent_under_writes(tiny_morsels):
+    """Every SUM over a morsel-parallel scan sees one committed snapshot
+    while balanced transfers race it, with fan-out windows stretched by
+    injected sleeps."""
+    tiny_morsels(7)
+    db = Database(workers=4)
     try:
         _make_accounts(db)
         # 2 ms per morsel, from the first hit: a 60-row table at 7-row
@@ -142,7 +147,7 @@ def test_parallel_reads_are_snapshot_consistent_under_writes():
         db.close()
 
 
-def test_parallel_predict_is_snapshot_consistent_under_writes():
+def test_parallel_predict_is_snapshot_consistent_under_writes(tiny_morsels):
     """PREDICT fans model scoring out per-morsel; racing writers that swap
     feature values between rows keep the prediction *multiset* invariant,
     so any consistent snapshot yields the same prediction sum."""
@@ -166,8 +171,7 @@ def test_parallel_predict_is_snapshot_consistent_under_writes():
     )
     db = session.database
     db.set_workers(4)
-    db.parallel.morsel_rows = 13
-    db.parallel.min_parallel_rows = 1
+    tiny_morsels(13)
     faultpoints.set_fault(
         "parallel.post_morsel", "sleep", after=1, delay_ms=1.0
     )
@@ -257,16 +261,15 @@ def test_parallel_predict_is_snapshot_consistent_under_writes():
         assert total == pytest.approx(baseline, abs=1e-8)
 
 
-def test_parallel_reads_race_checkpoints_durably(tmp_path):
-    """Parallel aggregates stay consistent while writers commit *and* the
+def test_parallel_reads_race_checkpoints_durably(tmp_path, tiny_morsels):
+    """Aggregates over parallel scans stay consistent while writers commit *and* the
     WAL checkpointer swaps snapshots underneath them; a crash-style reopen
     afterwards recovers the invariant state."""
     path = tmp_path / "stress"
     db = Database.open(path)
     try:
         db.set_workers(4)
-        db.parallel.morsel_rows = 7
-        db.parallel.min_parallel_rows = 1
+        tiny_morsels(7)
         _make_accounts(db)
         faultpoints.set_fault(
             "parallel.pre_morsel", "sleep", after=1, delay_ms=1.0
