@@ -30,8 +30,7 @@ import pytest
 
 from benchmarks.conftest import cpu_count, write_json_report, write_report
 from flock.db import Database
-from flock.db.encoding import encoding_of, vector_nbytes
-from flock.db.encoding import _env_enabled as encodings_lane
+from flock.db.encoding import encoding_of, env_switch, vector_nbytes
 
 ROWS = 60_000
 REPEATS = 7
@@ -116,6 +115,7 @@ def _head_bytes(db: Database) -> tuple[int, dict[str, str | None]]:
 
 @pytest.fixture(scope="module")
 def columnar_report() -> dict:
+    encodings_lane = env_switch("FLOCK_ENCODINGS")
     report: dict = {
         "rows": ROWS,
         "repeats": REPEATS,
@@ -124,8 +124,8 @@ def columnar_report() -> dict:
             "threshold_speedup": 3.0,
             "threshold_memory_reduction": 2.0,
             "queries": GATED,
-            "applied": encodings_lane(),
-            "skipped_reason": None if encodings_lane() else (
+            "applied": encodings_lane,
+            "skipped_reason": None if encodings_lane else (
                 "FLOCK_ENCODINGS=0 lane: plain storage on both sides, "
                 "nothing encoded to measure"
             ),

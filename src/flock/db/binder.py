@@ -9,7 +9,7 @@ optimizer can treat inference as relational algebra (§4.1 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, Protocol, Sequence
 
 from flock.db import functions as fn
 from flock.db.expr import (
@@ -42,7 +42,13 @@ from flock.db.plan import (
 )
 from flock.db.schema import TableSchema
 from flock.db.sql import ast_nodes as ast
-from flock.db.types import SQL_TYPE_ALIASES, DataType, common_type, infer_type
+from flock.db.types import (
+    SQL_TYPE_ALIASES,
+    DataType,
+    coerce_value,
+    common_type,
+    infer_type,
+)
 from flock.db.vector import Batch
 from flock.errors import BindError, TypeMismatchError
 
@@ -142,6 +148,10 @@ class _OneRowBatch(Batch):
 
 _ONE_ROW = _OneRowBatch()
 
+#: Parameter types ``infer_type`` always accepts: a bulk load's values pass
+#: the parameter check with one set lookup each.
+_PLAIN_PARAMETER_TYPES = frozenset({int, float, str, bool, type(None)})
+
 
 class Binder:
     """Binds SELECT statements (and standalone expressions) to plans."""
@@ -163,27 +173,34 @@ class Binder:
         self._ctes: dict[str, tuple[ast.Statement, dict]] = {}
 
     def _bind_parameter(self, param: ast.Parameter) -> BoundLiteral:
+        value = self._parameter_value(param.index)
+        if value is None:
+            return BoundLiteral(DataType.TEXT, None)
+        return BoundLiteral(infer_type(value), value)
+
+    def _parameter_value(self, index: int) -> Any:
+        """The value supplied for placeholder *index*, checked to be one
+        a SQL literal can hold — the one check every ``?`` goes through."""
         if self.parameters is None:
             raise BindError(
                 "statement contains '?' placeholders but no parameters "
                 "were supplied"
             )
-        if not 0 <= param.index < len(self.parameters):
+        if not 0 <= index < len(self.parameters):
             raise BindError(
-                f"parameter {param.index + 1} is out of range: "
+                f"parameter {index + 1} is out of range: "
                 f"{len(self.parameters)} value(s) supplied"
             )
-        value = self.parameters[param.index]
-        if value is None:
-            return BoundLiteral(DataType.TEXT, None)
-        try:
-            dtype = infer_type(value)
-        except TypeMismatchError:
-            raise TypeMismatchError(
-                f"parameter {param.index + 1} has unsupported type "
-                f"{type(value).__name__!r}"
-            ) from None
-        return BoundLiteral(dtype, value)
+        value = self.parameters[index]
+        if type(value) not in _PLAIN_PARAMETER_TYPES:
+            try:
+                infer_type(value)
+            except TypeMismatchError:
+                raise TypeMismatchError(
+                    f"parameter {index + 1} has unsupported type "
+                    f"{type(value).__name__!r}"
+                ) from None
+        return value
 
     # ------------------------------------------------------------------
     # Query expressions (SELECT and set operations)
@@ -1649,3 +1666,94 @@ def _replace_exprs(
         distinct=select.distinct,
         ctes=select.ctes,
     )
+
+
+# ----------------------------------------------------------------------
+# INSERT rows
+# ----------------------------------------------------------------------
+def bind_insert_values(
+    context: BinderContext,
+    statement: ast.Insert,
+    param_rows: Sequence[Sequence[Any] | None],
+) -> list[list[Any]]:
+    """The rows an ``INSERT ... VALUES`` writes, for every parameter row.
+
+    The one binder for VALUES rows: ``execute`` passes one parameter row,
+    ``executemany`` N, and the shard router binds here on its coordinator
+    before routing. Each template row is bound once. A slot without
+    placeholders is folded to a constant; a bare ``?`` takes its parameter
+    through :meth:`Binder._parameter_value`; any other slot (``? + 1``) is
+    re-bound per parameter row. Rows come back full width — NULL where
+    the column list leaves a column out — and coerced to the schema.
+    """
+    schema = context.resolve_table(statement.table)
+    positions = _column_positions(statement, schema)
+    binder = Binder(context, None)
+    templates = []
+    for row in statement.rows:
+        if len(row) != len(positions):
+            raise BindError(
+                f"INSERT row has {len(row)} values, expected "
+                f"{len(positions)}"
+            )
+        constant = [None] * len(schema)
+        slots = []
+        for position, expr in zip(positions, row):
+            dtype = schema.columns[position].dtype
+            if isinstance(expr, ast.Parameter):
+                slots.append((position, dtype, expr.index, None))
+            elif any(isinstance(node, ast.Parameter) for node in expr.walk()):
+                slots.append((position, dtype, None, expr))
+            else:
+                constant[position] = coerce_value(
+                    _fold_insert_expr(binder, expr), dtype
+                )
+        templates.append((constant, slots))
+    rows = []
+    for params in param_rows:
+        binder.parameters = params
+        for constant, slots in templates:
+            full = constant.copy()
+            for position, dtype, index, expr in slots:
+                value = (
+                    binder._parameter_value(index)
+                    if expr is None
+                    else _fold_insert_expr(binder, expr)
+                )
+                full[position] = coerce_value(value, dtype)
+            rows.append(full)
+    return rows
+
+
+def insert_select_rows(
+    context: BinderContext, statement: ast.Insert, source: Batch
+) -> list[list[Any]]:
+    """The full-width, coerced rows ``INSERT ... SELECT`` writes."""
+    schema = context.resolve_table(statement.table)
+    positions = _column_positions(statement, schema)
+    if source.num_columns != len(positions):
+        raise BindError(
+            f"INSERT column count {len(positions)} does not match "
+            f"SELECT column count {source.num_columns}"
+        )
+    dtypes = [schema.columns[p].dtype for p in positions]
+    rows = []
+    for values in source.rows():
+        full = [None] * len(schema)
+        for position, dtype, value in zip(positions, dtypes, values):
+            full[position] = coerce_value(value, dtype)
+        rows.append(full)
+    return rows
+
+
+def _column_positions(statement: ast.Insert, schema: TableSchema) -> list[int]:
+    if statement.columns:
+        return [schema.index_of(c) for c in statement.columns]
+    return list(range(len(schema)))
+
+
+def _fold_insert_expr(binder: Binder, expr: ast.Expr) -> Any:
+    bound = fold_constants(binder._bind_expr(expr, Scope()))
+    if not isinstance(bound, BoundLiteral):
+        raise BindError("INSERT VALUES must be constant expressions")
+    return bound.value

@@ -42,7 +42,7 @@ import numpy as np
 
 from flock.db.types import DataType, python_value
 from flock.db.vector import ColumnVector, _zero_of
-from flock.errors import ExecutionError
+from flock.errors import BindError, ExecutionError
 
 #: Columns shorter than this stay plain: the per-vector bookkeeping would
 #: cost more than the bytes saved, and tiny tables are not scan-bound.
@@ -56,8 +56,17 @@ DICT_MAX_CARDINALITY = 4096
 RLE_MAX_RUN_FRACTION = 4
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("FLOCK_ENCODINGS", "").strip() != "0"
+def env_switch(name: str) -> bool:
+    """The on/off environment variable *name*: unset or empty means on.
+
+    ``FLOCK_ENCODINGS`` and ``FLOCK_INDEXES`` take exactly the values
+    their ``SET flock.*`` statements take, 0 or 1; anything else is a
+    BindError rather than a silent default.
+    """
+    raw = os.environ.get(name, "").strip()
+    if raw not in ("", "0", "1"):
+        raise BindError(f"{name} must be empty, 0 or 1, got {raw!r}")
+    return raw != "0"
 
 
 class EncodingSettings:
@@ -72,11 +81,9 @@ class EncodingSettings:
     __slots__ = ("enabled",)
 
     def __init__(self, enabled: bool | None = None):
-        self.enabled = _env_enabled() if enabled is None else bool(enabled)
-
-
-#: Fallback settings for tables constructed outside a catalog (tests).
-DEFAULT_SETTINGS = EncodingSettings()
+        self.enabled = (
+            env_switch("FLOCK_ENCODINGS") if enabled is None else bool(enabled)
+        )
 
 
 # ----------------------------------------------------------------------

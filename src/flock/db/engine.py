@@ -20,12 +20,19 @@ from typing import Any, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from flock.db.binder import Binder, ModelSignature, Scope, ScopeEntry, fold_constants
+from flock.db.binder import (
+    Binder,
+    ModelSignature,
+    Scope,
+    ScopeEntry,
+    bind_insert_values,
+    insert_select_rows,
+)
 from flock.db.catalog import Catalog
-from flock.db.encoding import EncodingSettings
+from flock.db.encoding import EncodingSettings, env_switch
 from flock.db.exec.executor import Executor, render_analyzed_plan
 from flock.db.exec.pool import WorkerPool
-from flock.db.expr import BoundLiteral, truthy_mask
+from flock.db.expr import truthy_mask
 from flock.db.optimizer.rules import Optimizer
 from flock.db.plan import PlanNode, PredictNode, ScanNode
 from flock.db.plancache import CachedPlan, PlanCache, PreparedPlan
@@ -80,18 +87,6 @@ class QueryLogEntry:
     duration_ms: float = 0.0
 
 
-def _memory_budget_from_env() -> int | None:
-    """FLOCK_MEMORY_BUDGET in bytes; unset/empty/0 means unlimited."""
-    raw = os.environ.get("FLOCK_MEMORY_BUDGET", "").strip()
-    if not raw:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        return None
-    return budget if budget > 0 else None
-
-
 def _checked_workers(value: int | str, source: str) -> int:
     """*value* as a worker count; *source* names where it came from.
 
@@ -105,6 +100,24 @@ def _checked_workers(value: int | str, source: str) -> int:
     if workers < 1:
         raise BindError(f"{source} must be an integer >= 1, got {value!r}")
     return workers
+
+
+def _checked_memory_budget(value: int | str, source: str) -> int | None:
+    """*value* as a memory budget in bytes, None meaning unbounded.
+
+    The one check for ``FLOCK_MEMORY_BUDGET``,
+    ``Database(memory_budget=...)`` and ``SET flock.memory_budget``:
+    anything but an integer >= 0 is a BindError, and 0 means unbounded.
+    """
+    try:
+        budget = -1 if isinstance(value, (bool, float)) else int(value)
+    except (TypeError, ValueError):
+        budget = -1
+    if budget < 0:
+        raise BindError(
+            f"{source} must be an integer >= 0 bytes, got {value!r}"
+        )
+    return budget or None
 
 
 class Database:
@@ -168,18 +181,24 @@ class Database:
         # default; FLOCK_INDEXES=0 or `SET flock.indexes = 0` forces every
         # query down the full-scan path — the live differential oracle the
         # index-off CI job and the twin fuzzer rely on.
-        self._indexes_enabled = (
-            os.environ.get("FLOCK_INDEXES", "").strip() != "0"
-        )
-        # Memory budget for blocking operators (bytes; None = unlimited).
-        # When a hash aggregate / join input exceeds it, the executor
-        # partitions and spills encoded chunks under spill_directory();
-        # ORDER BY + LIMIT independently bounds memory via the top-k heap.
-        self.memory_budget = (
-            memory_budget
-            if memory_budget is not None
-            else _memory_budget_from_env()
-        )
+        self._indexes_enabled = env_switch("FLOCK_INDEXES")
+        # Memory budget for blocking operators (bytes; None = unlimited):
+        # the constructor argument, then FLOCK_MEMORY_BUDGET. When a hash
+        # aggregate / join input exceeds it, the executor partitions and
+        # spills encoded chunks under spill_directory(); ORDER BY + LIMIT
+        # independently bounds memory via the top-k heap.
+        if memory_budget is not None:
+            memory_budget = _checked_memory_budget(
+                memory_budget, "Database(memory_budget=...)"
+            )
+        else:
+            raw = os.environ.get("FLOCK_MEMORY_BUDGET", "").strip()
+            memory_budget = (
+                _checked_memory_budget(raw, "FLOCK_MEMORY_BUDGET")
+                if raw
+                else None
+            )
+        self.memory_budget = memory_budget
         self._spill_dir: str | None = None
 
     # ------------------------------------------------------------------
@@ -490,19 +509,22 @@ class Database:
         user: str,
         txn: Transaction,
         params: list[Any] | None = None,
+        param_rows: list[list[Any]] | None = None,
     ) -> QueryResult:
         """The single entry point every statement execution goes through.
 
         Query-log entries, audit records, metrics and the statement trace
         span are all emitted exactly once per statement here, whether the
         caller is ``Database.execute``, ``Connection.execute``,
-        ``Database.explain`` or the serving layer.
+        ``Database.executemany``, ``Database.explain`` or the serving
+        layer. *param_rows* replaces *params* when an ``INSERT ... VALUES``
+        binds a batch of parameter rows (``executemany``).
         """
         return self._observed_statement(
             entry.sql,
             user,
             entry.statement_type,
-            lambda: self._dispatch(entry, user, txn, params),
+            lambda: self._dispatch(entry, user, txn, params, param_rows),
         )
 
     def _observed_statement(
@@ -609,32 +631,23 @@ class Database:
     ) -> QueryResult:
         """Bind once, re-bind parameters per row — the bulk-load fast path.
 
-        For a single-row parameterized ``INSERT ... VALUES (?, ...)`` the
-        statement is parsed once, every parameter row is materialized
-        against that one template, and all rows are staged and committed as
-        a single table version (one commit, one audit record) instead of
-        one per row. Any other statement falls back to per-row execution.
+        For any ``INSERT ... VALUES`` (one template row or several) the
+        statement is parsed and its template bound once, every parameter
+        row is bound into it, and all rows are staged and committed as a
+        single table version (one commit, one audit record) instead of one
+        per parameter row. Any other statement falls back to per-row
+        execution.
         """
         entry = self.plan_cache.lookup(sql)
         statement = entry.statement
         rows_params = [list(p) for p in seq_of_params]
         if not rows_params:
             return QueryResult("INSERT", affected_rows=0)
-        if (
-            isinstance(statement, ast.Insert)
-            and statement.select is None
-            and len(statement.rows) == 1
-        ):
-            with self.statement_lock.write_locked():
-                return self._observed_statement(
-                    sql,
-                    user,
-                    "INSERT",
-                    lambda: self._executemany_insert(
-                        entry, rows_params, user
-                    ),
-                )
         connection = self.connect(user)
+        if isinstance(statement, ast.Insert) and statement.select is None:
+            for params in rows_params:
+                entry.check_params(params)
+            return connection._autocommit_write(entry, None, rows_params)
         total = 0
         last: QueryResult | None = None
         for params in rows_params:
@@ -642,81 +655,6 @@ class Database:
             total += last.affected_rows
         assert last is not None
         return QueryResult(last.statement_type, affected_rows=total)
-
-    def _executemany_insert(
-        self,
-        entry: CachedPlan,
-        rows_params: list[list[Any]],
-        user: str,
-    ) -> QueryResult:
-        from flock.errors import TransactionError
-
-        statement = entry.statement
-        self.security.check(user, "INSERT", statement.table)
-        table = self.catalog.table(statement.table)
-        schema = table.schema
-        if statement.columns:
-            positions = [schema.index_of(c) for c in statement.columns]
-        else:
-            positions = list(range(len(schema)))
-        template = statement.rows[0]
-        if len(template) != len(positions):
-            raise BindError(
-                f"INSERT row has {len(template)} values, expected "
-                f"{len(positions)}"
-            )
-        # Bind the row template once: each slot is either a '?' parameter
-        # (re-bound per row) or a constant (folded once).
-        binder = Binder(self, None)
-        empty_scope = Scope([])
-        slots: list[tuple[bool, Any]] = []
-        for expr in template:
-            if isinstance(expr, ast.Parameter):
-                slots.append((True, expr.index))
-            else:
-                bound = fold_constants(binder._bind_expr(expr, empty_scope))
-                if not isinstance(bound, BoundLiteral):
-                    raise BindError(
-                        "INSERT VALUES must be constant expressions"
-                    )
-                slots.append((False, bound.value))
-
-        full_rows = []
-        for params in rows_params:
-            entry.check_params(params)
-            full = [None] * len(schema)
-            for (is_param, slot), position in zip(slots, positions):
-                value = params[slot] if is_param else slot
-                full[position] = _coerce_insert_value(
-                    schema.columns[position], value
-                )
-            full_rows.append(full)
-
-        # Audit before the commit (like the per-statement INSERT path): the
-        # record then rides inside the commit's WAL entry, so the trail and
-        # the data are durable together.
-        self.audit.log.record(
-            user,
-            "INSERT",
-            statement.table,
-            detail=f"{len(full_rows)} rows (executemany)",
-        )
-        attempts = 0
-        while True:
-            txn = self.transactions.begin(user)
-            base = txn.visible_version(statement.table)
-            txn.stage(
-                statement.table, table.build_insert(full_rows, base=base)
-            )
-            try:
-                self.transactions.commit(txn)
-                break
-            except TransactionError:
-                attempts += 1
-                if attempts >= 10:
-                    raise
-        self.maybe_auto_checkpoint()
-        return QueryResult("INSERT", affected_rows=len(full_rows))
 
     def _record_statement(
         self,
@@ -750,6 +688,7 @@ class Database:
         user: str,
         txn: Transaction,
         params: list[Any] | None = None,
+        param_rows: list[list[Any]] | None = None,
     ) -> QueryResult:
         statement = entry.statement
         if is_read_only(statement):
@@ -761,7 +700,10 @@ class Database:
                 )
             return self._execute_select(prepared, user, context)
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, user, txn, params)
+            return self._execute_insert(
+                statement, user, txn,
+                [params] if param_rows is None else param_rows,
+            )
         if isinstance(statement, ast.Update):
             return self._execute_update(statement, user, txn, params)
         if isinstance(statement, ast.Delete):
@@ -897,60 +839,19 @@ class Database:
     # -- INSERT -----------------------------------------------------------
     def _execute_insert(
         self, statement: ast.Insert, user: str, txn: Transaction,
-        params: list[Any] | None = None,
+        param_rows: list[list[Any] | None],
     ) -> QueryResult:
         self.security.check(user, "INSERT", statement.table)
         table = self.catalog.table(statement.table)
-        schema = table.schema
-
-        if statement.columns:
-            positions = [schema.index_of(c) for c in statement.columns]
-        else:
-            positions = list(range(len(schema)))
-
         if statement.select is not None:
             select_result = self._execute_select(
-                self._prepare(statement.select, params, user),
+                self._prepare(statement.select, param_rows[0], user),
                 user,
                 _EngineExecutionContext(self, txn),
             )
-            source = select_result.batch
-            assert source is not None
-            if source.num_columns != len(positions):
-                raise BindError(
-                    f"INSERT column count {len(positions)} does not match "
-                    f"SELECT column count {source.num_columns}"
-                )
-            incoming_rows = list(source.rows())
+            full_rows = insert_select_rows(self, statement, select_result.batch)
         else:
-            incoming_rows = []
-            binder = Binder(self, params)
-            empty_scope = Scope([])
-            for row in statement.rows:
-                if len(row) != len(positions):
-                    raise BindError(
-                        f"INSERT row has {len(row)} values, expected "
-                        f"{len(positions)}"
-                    )
-                values = []
-                for expr in row:
-                    bound = fold_constants(binder._bind_expr(expr, empty_scope))
-                    if not isinstance(bound, BoundLiteral):
-                        raise BindError(
-                            "INSERT VALUES must be constant expressions"
-                        )
-                    values.append(bound.value)
-                incoming_rows.append(tuple(values))
-
-        full_rows = []
-        for row in incoming_rows:
-            full = [None] * len(schema)
-            for position, value in zip(positions, row):
-                full[position] = _coerce_insert_value(
-                    schema.columns[position], value
-                )
-            full_rows.append(full)
-
+            full_rows = bind_insert_values(self, statement, param_rows)
         base = txn.visible_version(statement.table)
         staged = table.build_insert(full_rows, base=base)
         txn.stage(statement.table, staged)
@@ -1212,9 +1113,7 @@ class Database:
             self.catalog.settings.enabled = bool(value)
             self.bump_invalidation_epoch()
         elif name == "flock.memory_budget":
-            if value < 0:
-                raise BindError("flock.memory_budget must be >= 0 bytes")
-            self.memory_budget = value or None
+            self.memory_budget = _checked_memory_budget(value, name)
         else:
             raise BindError(f"unknown setting {name!r}")
         self.audit.log.record(user, "SET", name, detail=str(value))
@@ -1274,14 +1173,6 @@ class Database:
             }
         )
         return QueryResult("REVOKE")
-
-
-def _coerce_insert_value(column: Column, value: Any) -> Any:
-    if column.dtype is DataType.DATE and isinstance(value, str):
-        from flock.db.types import date_to_days
-
-        return date_to_days(value)
-    return value
 
 
 def plan_privileges(bound: PlanNode) -> list[tuple[str, str]]:
@@ -1411,19 +1302,30 @@ class Connection:
                 finally:
                     self.database.transactions.rollback(txn)
 
-        # Autocommit write: implicit transaction per statement, executed and
-        # committed under the exclusive lock. Write conflicts (a commit from
-        # an explicit transaction landed first) retry against the new head —
-        # single statements are trivially serializable.
+        return self._autocommit_write(entry, bound_params)
+
+    def _autocommit_write(
+        self,
+        entry: CachedPlan,
+        params: list[Any] | None,
+        param_rows: list[list[Any]] | None = None,
+    ) -> QueryResult:
+        """Run a write statement in its own transaction and commit it.
+
+        Executed and committed under the exclusive lock. Write conflicts (a
+        commit from an explicit transaction landed first) retry against
+        the new head — single statements are trivially serializable.
+        ``Database.executemany`` commits its whole batch through here.
+        """
         from flock.errors import TransactionError
 
-        with lock.write_locked():
+        with self.database.statement_lock.write_locked():
             attempts = 0
             while True:
                 txn = self.database.transactions.begin(self.user)
                 try:
                     result = self.database._run_statement(
-                        entry, self.user, txn, bound_params
+                        entry, self.user, txn, params, param_rows
                     )
                 except FlockError:
                     self.database.transactions.rollback(txn)

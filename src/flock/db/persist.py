@@ -67,17 +67,7 @@ def save_database(
         ],
         "principals": dump_principals(database),
         "audit": [_dump_audit_record(r) for r in database.audit.log],
-        "query_log": [
-            {
-                "sql": e.sql,
-                "user": e.user,
-                "timestamp": e.timestamp,
-                "statement_type": e.statement_type,
-                "success": e.success,
-                "duration_ms": e.duration_ms,
-            }
-            for e in database.query_log
-        ],
+        "query_log": [_dump_qlog_entry(e) for e in database.query_log],
     }
     if wal_generation is not None:
         manifest["wal_generation"] = wal_generation
@@ -194,6 +184,17 @@ def _dump_audit_record(record: AuditRecord) -> dict:
         "success": record.success,
         "previous_digest": record.previous_digest,
         "digest": record.digest,
+    }
+
+
+def _dump_qlog_entry(entry: QueryLogEntry) -> dict:
+    return {
+        "sql": entry.sql,
+        "user": entry.user,
+        "timestamp": entry.timestamp,
+        "statement_type": entry.statement_type,
+        "success": entry.success,
+        "duration_ms": entry.duration_ms,
     }
 
 

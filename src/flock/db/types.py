@@ -121,35 +121,49 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
     """
     if value is None:
         return None
-    if dtype is DataType.INTEGER:
+    if dtype is _INTEGER:
+        if type(value) is int:
+            return value
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             if isinstance(value, (float, np.floating)) and float(value).is_integer():
                 return int(value)
             raise TypeMismatchError(f"cannot store {value!r} in INTEGER column")
         return int(value)
-    if dtype is DataType.FLOAT:
+    if dtype is _FLOAT:
+        if type(value) is float:
+            return value
         if isinstance(value, bool) or not isinstance(
             value, (int, float, np.integer, np.floating)
         ):
             raise TypeMismatchError(f"cannot store {value!r} in FLOAT column")
         return float(value)
-    if dtype is DataType.TEXT:
+    if dtype is _TEXT:
         if not isinstance(value, str):
             raise TypeMismatchError(f"cannot store {value!r} in TEXT column")
         return value
-    if dtype is DataType.BOOLEAN:
+    if dtype is _BOOLEAN:
         if not isinstance(value, (bool, np.bool_)):
             raise TypeMismatchError(f"cannot store {value!r} in BOOLEAN column")
         return bool(value)
-    if dtype is DataType.DATE:
+    if dtype is _DATE:
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return int(value)
         if isinstance(value, (str, datetime.date)):
             return date_to_days(value)
         raise TypeMismatchError(f"cannot store {value!r} in DATE column")
-    if dtype is DataType.MODEL:
+    if dtype is _MODEL:
         return value  # opaque payload; the registry validates it
     raise TypeMismatchError(f"unknown data type {dtype}")
+
+
+# Plain module names for the members: reading ``DataType.INTEGER`` goes
+# through the enum metaclass, a cost coerce_value pays once per stored value.
+_INTEGER = DataType.INTEGER
+_FLOAT = DataType.FLOAT
+_TEXT = DataType.TEXT
+_BOOLEAN = DataType.BOOLEAN
+_DATE = DataType.DATE
+_MODEL = DataType.MODEL
 
 
 def common_type(left: DataType, right: DataType) -> DataType:

@@ -72,6 +72,7 @@ from flock.db.audit import AuditRecord
 from flock.db.engine import Database, QueryLogEntry
 from flock.db.persist import (
     _dump_audit_record,
+    _dump_qlog_entry,
     _fsync_dir,
     dump_values,
     load_database,
@@ -534,17 +535,6 @@ def _replay_effect(
         ]
         return table._staged(columns, data["op"], base)
     raise RecoveryError(f"unknown WAL effect kind {kind!r}")
-
-
-def _dump_qlog_entry(entry: QueryLogEntry) -> dict:
-    return {
-        "sql": entry.sql,
-        "user": entry.user,
-        "timestamp": entry.timestamp,
-        "statement_type": entry.statement_type,
-        "success": entry.success,
-        "duration_ms": entry.duration_ms,
-    }
 
 
 # ----------------------------------------------------------------------

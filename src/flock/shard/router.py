@@ -46,9 +46,8 @@ import zlib
 from pathlib import Path
 from typing import Any, Sequence
 
-from flock.db.binder import Binder, Scope, fold_constants
-from flock.db.engine import _coerce_insert_value, is_read_only
-from flock.db.expr import BoundLiteral
+from flock.db.binder import bind_insert_values, insert_select_rows
+from flock.db.engine import is_read_only
 from flock.db.persist import load_principals
 from flock.db.plancache import CachedPlan
 from flock.db.result import QueryResult
@@ -56,7 +55,7 @@ from flock.db.schema import Column, TableSchema
 from flock.db.sql import ast_nodes as ast
 from flock.db.sql.parser import parse_statement
 from flock.db.txn import ReadWriteLock
-from flock.db.types import DataType
+from flock.db.types import DataType, date_to_days
 from flock.errors import BindError, FlockError, ShardError
 from flock.proc.facade import (
     RemoteClusterFacade,
@@ -83,12 +82,13 @@ def shard_of(key: tuple, n_shards: int) -> int:
 def canonical_key_value(column: Column, value: Any) -> Any:
     """One key value in canonical Python form, so equal keys hash equal.
 
-    Runs the engine's own insert coercion first (DATE strings become day
-    numbers, exactly as storage would hold them), then collapses numeric
-    spellings — ``5``, ``5.0`` and ``numpy.int64(5)`` must land on the
-    same shard whether they arrive in an INSERT row or a WHERE literal.
+    DATE strings become day numbers, exactly as storage holds them, and
+    numeric spellings collapse — ``5``, ``5.0`` and ``numpy.int64(5)``
+    must land on the same shard whether they arrive in an INSERT row or a
+    WHERE literal.
     """
-    value = _coerce_insert_value(column, value)
+    if column.dtype is DataType.DATE and isinstance(value, str):
+        value = date_to_days(value)
     if value is None:
         return None
     if column.dtype in (DataType.INTEGER, DataType.DATE):
@@ -572,7 +572,7 @@ class ShardedCluster:
             return self._execute_read(entry, params, user)
         if isinstance(statement, ast.Insert):
             with self._ops.write_locked():
-                return self._execute_insert(statement, params, user)
+                return self._execute_insert(statement, [params], user)
         if isinstance(statement, (ast.Update, ast.Delete)):
             with self._ops.write_locked():
                 return self._execute_update_delete(
@@ -605,19 +605,13 @@ class ShardedCluster:
         entry = self.coordinator.plan_cache.lookup(sql)
         statement = entry.statement
         rows_params = [list(p) for p in seq_of_params]
-        if (
-            isinstance(statement, ast.Insert)
-            and statement.select is None
-            and len(statement.rows) == 1
-        ):
+        if not rows_params:
+            return QueryResult("INSERT", affected_rows=0)
+        if isinstance(statement, ast.Insert) and statement.select is None:
             for row_params in rows_params:
                 entry.check_params(row_params)
             with self._ops.write_locked():
-                rows = [
-                    self._fold_insert_row(statement, row_params)
-                    for row_params in rows_params
-                ]
-                return self._scatter_rows(statement, rows, user)
+                return self._execute_insert(statement, rows_params, user)
         total = 0
         statement_type = "INSERT"
         for row_params in rows_params:
@@ -671,109 +665,51 @@ class ShardedCluster:
         return None
 
     # -- INSERT --------------------------------------------------------
-    def _execute_insert(self, statement, params, user) -> QueryResult:
+    def _execute_insert(self, statement, param_rows, user) -> QueryResult:
+        """Bind the rows on the coordinator, then scatter them."""
+        # Coordinator privileges mirror the shards'; checking here keeps
+        # denials from reaching any shard.
+        self.coordinator.security.check(user, "INSERT", statement.table)
         if statement.select is not None:
             select_result = self._execute_read(
                 CachedPlan(
                     str(statement.select), statement.select,
-                    len(params or ()),
+                    len(param_rows[0] or ()),
                 ),
-                params,
+                param_rows[0],
                 user,
             )
-            schema = self.coordinator.catalog.schema(statement.table)
-            positions = self._insert_positions(statement, schema)
-            source = select_result.batch
-            if source.num_columns != len(positions):
-                raise BindError(
-                    f"INSERT column count {len(positions)} does not match "
-                    f"SELECT column count {source.num_columns}"
-                )
-            rows = [list(row) for row in source.rows()]
-            return self._scatter_rows(statement, rows, user)
-        rows = [
-            self._fold_insert_row(statement, params, row)
-            for row in statement.rows
-        ]
-        return self._scatter_rows(statement, rows, user)
-
-    def _insert_positions(self, statement, schema) -> list[int]:
-        if statement.columns:
-            return [schema.index_of(c) for c in statement.columns]
-        return list(range(len(schema)))
-
-    def _fold_insert_row(
-        self, statement, params, row: list | None = None
-    ) -> list[Any]:
-        """One VALUES row as constants, exactly as the engine folds them."""
-        if row is None:
-            row = statement.rows[0]
-        schema = self.coordinator.catalog.schema(statement.table)
-        positions = self._insert_positions(statement, schema)
-        if len(row) != len(positions):
-            raise BindError(
-                f"INSERT row has {len(row)} values, expected "
-                f"{len(positions)}"
+            rows = insert_select_rows(
+                self.coordinator, statement, select_result.batch
             )
-        binder = Binder(
-            self.coordinator, None if params is None else list(params)
-        )
-        empty_scope = Scope([])
-        values = []
-        for expr in row:
-            bound = fold_constants(binder._bind_expr(expr, empty_scope))
-            if not isinstance(bound, BoundLiteral):
-                raise BindError("INSERT VALUES must be constant expressions")
-            values.append(bound.value)
-        return values
+        else:
+            rows = bind_insert_values(self.coordinator, statement, param_rows)
+        return self._scatter_rows(statement.table, rows, user)
 
-    def _scatter_rows(self, statement, rows, user) -> QueryResult:
-        """Route value rows by key hash and insert shard-by-shard."""
-        name = statement.table
-        # Coordinator privileges mirror the shards'; checking here keeps
-        # denials from reaching any shard.
-        self.coordinator.security.check(user, "INSERT", name)
-        schema = self.coordinator.catalog.schema(name)
+    def _scatter_rows(self, name, rows, user) -> QueryResult:
+        """Route full-width rows by key hash and insert shard-by-shard."""
         if not rows:
             return QueryResult("INSERT", affected_rows=0)
-        positions = self._insert_positions(statement, schema)
-        column_names = (
-            list(statement.columns)
-            if statement.columns
-            else [c.name for c in schema.columns]
-        )
+        schema = self.coordinator.catalog.schema(name)
+        column_names = [c.name for c in schema.columns]
         key_positions = schema.primary_key_indexes
         if not key_positions:
-            placeholders = ", ".join("?" for _ in column_names)
-            insert_sql = (
-                f"INSERT INTO {name} ({', '.join(column_names)}) "
-                f"VALUES ({placeholders})"
-            )
             self.shards[0].database.executemany(
-                insert_sql, [list(row) for row in rows], user=user
+                _insert_sql(name, column_names), rows, user=user
             )
             return QueryResult("INSERT", affected_rows=len(rows))
 
-        slot_of = {p: i for i, p in enumerate(positions)}
         start = self._take_sequences(name, len(rows))
         groups: dict[int, list[list[Any]]] = {}
         for offset, row in enumerate(rows):
             key = tuple(
-                canonical_key_value(
-                    schema.columns[p],
-                    row[slot_of[p]] if p in slot_of else None,
-                )
+                canonical_key_value(schema.columns[p], row[p])
                 for p in key_positions
             )
             owner = shard_of(key, self.n_shards)
-            groups.setdefault(owner, []).append(list(row) + [start + offset])
+            groups.setdefault(owner, []).append(row + [start + offset])
 
-        placeholders = ", ".join("?" for _ in range(len(column_names) + 1))
-        insert_sql = (
-            f"INSERT INTO {name} "
-            f"({', '.join(column_names + [SEQ_COLUMN])}) "
-            f"VALUES ({placeholders})"
-        )
+        insert_sql = _insert_sql(name, column_names + [SEQ_COLUMN])
         applied: list[tuple[int, list[int]]] = []
         applied_lock = threading.Lock()
         failures: list[FlockError] = []
@@ -1062,6 +998,15 @@ class ShardedCluster:
             f"<flock.shard.ShardedCluster path={self.path} "
             f"shards={self.n_shards} replicas={self.replicas}>"
         )
+
+
+def _insert_sql(table: str, column_names: list[str]) -> str:
+    """A one-row INSERT that names every column and binds each to a ``?``."""
+    placeholders = ", ".join("?" for _ in column_names)
+    return (
+        f"INSERT INTO {table} ({', '.join(column_names)}) "
+        f"VALUES ({placeholders})"
+    )
 
 
 def _inverse_ddl(statement: ast.Statement) -> str | None:

@@ -32,7 +32,7 @@ from flock.db.encoding import (
 from flock.db.exec.spill import SpillManager
 from flock.db.types import DataType
 from flock.db.vector import ColumnVector
-from flock.errors import ExecutionError, FlockError
+from flock.errors import BindError, ExecutionError, FlockError
 from flock.observability import metrics
 
 
@@ -500,3 +500,58 @@ def test_connect_kwargs_reach_engine(tmp_path):
     path = tmp_path / "kw"
     with flock.connect(str(path), encodings=False) as client:
         assert not client.db.encodings_enabled()
+
+
+# One check per knob, whichever of its sources supplies the value.
+@pytest.mark.parametrize("budget", [-5, 1.5, True, "lots"])
+def test_bad_constructor_memory_budget_rejected(budget):
+    with pytest.raises(BindError, match=r"Database\(memory_budget=\.\.\.\)"):
+        Database(memory_budget=budget)
+    with pytest.raises(BindError, match="must be an integer >= 0"):
+        flock.connect(memory_budget=budget)
+
+
+@pytest.mark.parametrize("raw", ["-7", "abc", "1.5"])
+def test_bad_env_memory_budget_rejected(monkeypatch, raw):
+    monkeypatch.setenv("FLOCK_MEMORY_BUDGET", raw)
+    with pytest.raises(BindError, match="FLOCK_MEMORY_BUDGET must be"):
+        Database()
+
+
+@pytest.mark.parametrize(
+    "raw, budget", [("", None), ("0", None), (" 4096 ", 4096)]
+)
+def test_env_memory_budget(monkeypatch, raw, budget):
+    monkeypatch.setenv("FLOCK_MEMORY_BUDGET", raw)
+    db = Database()
+    assert db.memory_budget == budget
+    db.close()
+    assert Database(memory_budget=0).memory_budget is None
+
+
+def test_set_memory_budget_checked():
+    db = Database(memory_budget=4000)
+    with pytest.raises(BindError, match="flock.memory_budget must be"):
+        db.execute("SET flock.memory_budget = -5")
+    assert db.memory_budget == 4000
+    db.execute("SET flock.memory_budget = 0")
+    assert db.memory_budget is None
+    db.close()
+
+
+@pytest.mark.parametrize("name", ["FLOCK_ENCODINGS", "FLOCK_INDEXES"])
+@pytest.mark.parametrize("raw", ["off", "false", "2", "yes"])
+def test_bad_env_switch_rejected(monkeypatch, name, raw):
+    monkeypatch.setenv(name, raw)
+    with pytest.raises(BindError, match=f"{name} must be empty, 0 or 1"):
+        Database()
+
+
+@pytest.mark.parametrize("raw, on", [("", True), ("1", True), ("0", False)])
+def test_env_switches(monkeypatch, raw, on):
+    monkeypatch.setenv("FLOCK_ENCODINGS", raw)
+    monkeypatch.setenv("FLOCK_INDEXES", raw)
+    db = Database()
+    assert db.encodings_enabled() is on
+    assert db.indexes_enabled() is on
+    db.close()

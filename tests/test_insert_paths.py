@@ -1,0 +1,209 @@
+"""One INSERT ... VALUES, four paths, one outcome.
+
+Every shape below runs through {embedded, sharded} x {``execute``,
+``executemany``} and must leave repr-identical rows — or raise the same
+error class with the same message — on all four. ``execute`` runs the
+statement once per parameter row; ``executemany`` sends them all at once.
+Error shapes carry one parameter row, so "nothing staged" is the same
+outcome whether the batch commits once or once per row.
+
+The sharded side reads ``FLOCK_SHARDS`` (default 2) and follows
+``FLOCK_PROC`` for its transport.
+"""
+
+from __future__ import annotations
+
+import datetime
+import os
+
+import pytest
+
+import flock
+from flock.errors import (
+    BindError,
+    CatalogError,
+    ConstraintError,
+    FlockError,
+    TypeMismatchError,
+)
+
+SHARDS = int(os.environ.get("FLOCK_SHARDS", "2"))
+
+SCHEMA = [
+    "CREATE TABLE t (k INT PRIMARY KEY, v TEXT, d DATE)",
+    "CREATE TABLE u (a INT, b TEXT)",
+]
+SEED_ROW = "INSERT INTO t VALUES (0, 'seed', '2023-12-31')"
+#: What ``SELECT * FROM t`` / ``FROM u`` return when an INSERT left nothing.
+SEED_ONLY = (repr([(0, "seed", datetime.date(2023, 12, 31))]), repr([]))
+
+# name -> (sql, parameter rows, affected rows or the error class)
+CASES = {
+    "bare_params": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, "a", "2024-01-01"], [2, None, None], [3, "c", "2024-02-29"]],
+        3,
+    ),
+    "param_plus_one": (
+        "INSERT INTO t VALUES (? + 1, ?, ?)",
+        [[1, "a", None], [5, "b", "2024-03-01"]],
+        2,
+    ),
+    "constants_and_params": (
+        "INSERT INTO t VALUES (?, 'fixed' || 'x', '2024-06-30')",
+        [[4], [9]],
+        2,
+    ),
+    "expression_over_two_params": (
+        "INSERT INTO t VALUES (? * 10 + ?, UPPER(?), ?)",
+        [[1, 2, "ab", "2024-01-05"], [3, 4, "cd", None]],
+        2,
+    ),
+    "column_subset": (
+        "INSERT INTO t (k, v) VALUES (?, ?)",
+        [[7, "x"], [8, "y"]],
+        2,
+    ),
+    "reordered_subset_with_date": (
+        "INSERT INTO t (d, k) VALUES (?, ?)",
+        [["2024-07-04", 11], [None, 12]],
+        2,
+    ),
+    "keyless_table": (
+        "INSERT INTO u VALUES (?, ? || 'z')",
+        [[1, "a"], [2, "b"], [1, "a"]],
+        3,
+    ),
+    "multi_row_template": (
+        "INSERT INTO t VALUES (?, ?, ?), (? + 100, 'second', ?)",
+        [[1, "a", None, 1, "2024-05-05"], [2, "b", "2024-01-01", 2, None]],
+        4,
+    ),
+    "wrong_arity": (
+        "INSERT INTO t VALUES (?, ?)",
+        [[1, "a"]],
+        BindError,
+    ),
+    "wrong_param_count": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, "a"]],
+        BindError,
+    ),
+    "bad_param_type": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, {"x": 1}, None]],
+        TypeMismatchError,
+    ),
+    "bad_param_type_in_expression": (
+        "INSERT INTO t VALUES (? + 1, ?, ?)",
+        [[[1], "a", None]],
+        TypeMismatchError,
+    ),
+    "text_into_integer": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [["one", "a", None]],
+        TypeMismatchError,
+    ),
+    "column_reference_in_values": (
+        "INSERT INTO t VALUES (?, v, ?)",
+        [[1, None]],
+        BindError,
+    ),
+    "unknown_column": (
+        "INSERT INTO t (k, nope) VALUES (?, ?)",
+        [[1, "a"]],
+        CatalogError,
+    ),
+    "null_key": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[None, "a", None]],
+        ConstraintError,
+    ),
+    "duplicate_existing_key": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[0, "dup", None]],
+        ConstraintError,
+    ),
+    "duplicate_within_template": (
+        "INSERT INTO t VALUES (?, ?, NULL), (?, 'twin', NULL)",
+        [[6, "a", 6]],
+        ConstraintError,
+    ),
+}
+
+METHODS = ("execute", "executemany")
+
+
+@pytest.fixture(scope="module")
+def tiers(tmp_path_factory):
+    root = tmp_path_factory.mktemp("insert_paths")
+    embedded = flock.connect()
+    sharded = flock.connect(root / "sharded", shards=SHARDS)
+    yield {"embedded": embedded, "sharded": sharded}
+    sharded.close()
+    embedded.close()
+
+
+def _reset(client) -> None:
+    for name in ("t", "u"):
+        client.execute(f"DROP TABLE IF EXISTS {name}")
+    for ddl in SCHEMA:
+        client.execute(ddl)
+    client.execute(SEED_ROW)
+
+
+def _outcome(client, method: str, sql: str, param_rows: list) -> tuple:
+    """What running *sql* over *param_rows* did: the affected-row count
+    or the error, plus every row left behind."""
+    _reset(client)
+    try:
+        if method == "execute":
+            result = sum(
+                client.execute(sql, params).affected_rows
+                for params in param_rows
+            )
+        else:
+            result = client.executemany(sql, param_rows).affected_rows
+    except FlockError as exc:
+        result = (type(exc), str(exc))
+    left = tuple(
+        repr(client.execute(f"SELECT * FROM {name}").rows())
+        for name in ("t", "u")
+    )
+    return result, left
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_path_agrees(tiers, case):
+    sql, param_rows, expected = CASES[case]
+    outcomes = {
+        (tier, method): _outcome(client, method, sql, param_rows)
+        for tier, client in tiers.items()
+        for method in METHODS
+    }
+    reference = outcomes[("embedded", "execute")]
+    assert all(o == reference for o in outcomes.values()), outcomes
+    result, left = reference
+    if isinstance(expected, int):
+        assert result == expected
+    else:
+        assert result[0] is expected, result
+        assert left == SEED_ONLY, "a failed INSERT left rows behind"
+
+
+def test_multi_row_template_commits_once(tiers):
+    """executemany over a multi-row template is one statement: one
+    commit, one audit record, one query-log entry."""
+    client = tiers["embedded"]
+    _reset(client)
+    db = client.db
+    audit_before = len(list(db.audit.log.records()))
+    log_before = len(db.query_log)
+    sql, param_rows, expected = CASES["multi_row_template"]
+    assert client.executemany(sql, param_rows).affected_rows == expected
+    inserts = [
+        r for r in list(db.audit.log.records())[audit_before:]
+        if r.action == "INSERT"
+    ]
+    assert [r.detail for r in inserts] == [f"{expected} rows"]
+    assert len(db.query_log) == log_before + 1

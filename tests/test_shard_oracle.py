@@ -88,12 +88,18 @@ def logical_state(client) -> dict[str, list]:
     return state
 
 
-def apply_both(sharded, single, sql, params=None):
-    """One op on both sides: same rows/count, or the same error class."""
+def apply_both(sharded, single, sql, params=None, many=False):
+    """One op on both sides: same rows/count, or the same error class.
+
+    ``many`` sends *params* as a batch of parameter rows through
+    ``executemany`` instead of one ``execute``."""
     outcomes = []
     for client in (sharded, single):
         try:
-            result = client.execute(sql, params)
+            if many:
+                result = client.executemany(sql, params)
+            else:
+                result = client.execute(sql, params)
             outcomes.append(
                 ("ok", result.affected_rows, repr(result.rows()))
             )
@@ -141,20 +147,34 @@ def run_round(sharded, single, rng: random.Random, ops: int) -> None:
             if roll < 0.30:
                 # Multi-row scatter; occasionally a duplicate key, which
                 # must fail (and compensate) identically on both sides.
-                batch = []
+                keys = []
                 for _ in range(rng.randrange(1, 6)):
                     if live and rng.random() < 0.1:
-                        key = rng.choice(live)
+                        keys.append(rng.choice(live))
                     else:
                         marker += 1
-                        key = marker
-                    batch.append((key, f"v{key}"))
-                values = ", ".join(f"({k}, '{v}')" for k, v in batch)
-                apply_both(
-                    sharded, single, f"INSERT INTO orac VALUES {values}"
-                )
-                if len({k for k, _ in batch}) == len(batch):
-                    live.extend(k for k, _ in batch)
+                        keys.append(marker)
+                if roll < 0.22:
+                    values = ", ".join(f"({k}, 'v{k}')" for k in keys)
+                    apply_both(
+                        sharded, single, f"INSERT INTO orac VALUES {values}"
+                    )
+                elif rng.random() < 0.5:
+                    # The same rows as one executemany batch (the bulk
+                    # scatter path: one commit per shard, all or nothing).
+                    apply_both(
+                        sharded, single, "INSERT INTO orac VALUES (?, ?)",
+                        [[k, f"v{k}"] for k in keys], many=True,
+                    )
+                else:
+                    # ... with expression slots re-bound per row.
+                    apply_both(
+                        sharded, single,
+                        "INSERT INTO orac VALUES (? + 1, 'v' || ?)",
+                        [[k - 1, str(k)] for k in keys], many=True,
+                    )
+                if len(set(keys)) == len(keys):
+                    live.extend(keys)
             elif roll < 0.45 and live:
                 victim = live.pop(rng.randrange(len(live)))
                 apply_both(
