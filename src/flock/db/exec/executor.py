@@ -16,10 +16,9 @@ from typing import Protocol
 
 import numpy as np
 
-from flock.db import functions as fn
 from flock.db import index as index_module
 from flock.db.encoding import EncodedVector
-from flock.db.exec import grouping
+from flock.db.exec import aggregate, grouping
 from flock.db.exec import parallel as par
 from flock.db.exec import spill as spill_module
 from flock.db.exec.pool import WorkerPool, in_worker_thread
@@ -594,61 +593,45 @@ class Executor:
     def _aggregate(self, node: AggregateNode) -> Batch:
         """Hash aggregation, one key partition at a time.
 
-        A group lives wholly in one partition with its rows in ascending
-        global order, so every reduction sees exactly the array a single
-        pass would; ordering the groups by the global position of their
+        Each partition's aggregates are vector kernels over its group codes
+        (:mod:`~flock.db.exec.aggregate`), whose results do not depend on
+        row order; ordering the groups by the global position of their
         first row restores first-occurrence output order.
         """
         child = self._execute(node.child)
-        n_specs = len(node.aggregates)
+        names = [f.name for f in node.fields]
         if not node.group_exprs:
-            everything = [np.arange(child.num_rows, dtype=np.int64)]
-            results = [
-                _aggregate_values(node, child, s, everything)
-                for s in range(n_specs)
-            ]
-            key_columns: list[ColumnVector] = []
-        else:
-
-            def aggregate_partition(part):
-                sub, rows = part
-                group_vectors = [e.evaluate(sub) for e in node.group_exprs]
-                keyed = grouping.key_codes(group_vectors)
-                groups = grouping.group_rows(keyed)
-                return (
-                    rows[keyed.first_rows],
-                    [v.take(keyed.first_rows) for v in group_vectors],
-                    [
-                        _aggregate_values(node, sub, s, groups)
-                        for s in range(n_specs)
-                    ],
-                )
-
-            inputs = [child]
-            del child
-            first_rows, key_parts, value_parts = zip(
-                *self._map_partitions(
-                    node, "aggregates", inputs, [node.group_exprs],
-                    aggregate_partition,
-                )
+            codes = np.zeros(child.num_rows, dtype=np.int64)
+            return Batch(
+                names, aggregate.aggregate_columns(node.aggregates, child, codes, 1)
             )
-            key_columns = [
-                concat_columns(expr.dtype, [part[k] for part in key_parts])
-                for k, expr in enumerate(node.group_exprs)
-            ]
-            results = [
-                [value for part in value_parts for value in part[s]]
-                for s in range(n_specs)
-            ]
-            if len(first_rows) > 1:
-                order = np.argsort(np.concatenate(first_rows))
-                key_columns = [column.take(order) for column in key_columns]
-                results = [[values[i] for i in order] for values in results]
-        columns = key_columns + [
-            ColumnVector.from_values(spec.dtype, values)
-            for spec, values in zip(node.aggregates, results)
+
+        def aggregate_partition(part):
+            sub, rows = part
+            group_vectors = [e.evaluate(sub) for e in node.group_exprs]
+            keyed = grouping.key_codes(group_vectors)
+            return rows[keyed.first_rows], [
+                v.take(keyed.first_rows) for v in group_vectors
+            ] + aggregate.aggregate_columns(
+                node.aggregates, sub, keyed.codes, len(keyed.first_rows)
+            )
+
+        inputs = [child]
+        del child
+        first_rows, parts = zip(
+            *self._map_partitions(
+                node, "aggregates", inputs, [node.group_exprs],
+                aggregate_partition,
+            )
+        )
+        columns = [
+            concat_columns(field.dtype, [part[k] for part in parts])
+            for k, field in enumerate(node.fields)
         ]
-        return Batch([f.name for f in node.fields], columns)
+        if len(first_rows) > 1:
+            order = np.argsort(np.concatenate(first_rows))
+            columns = [column.take(order) for column in columns]
+        return Batch(names, columns)
 
     # -- sort / limit / distinct -------------------------------------------
     def _sort(self, node: SortNode) -> Batch:
@@ -747,88 +730,61 @@ class Executor:
     def _window(self, node: WindowNode) -> Batch:
         """Evaluate one window function, appending a column in input order.
 
-        Partitions are the key kernel's groups; each is ordered by the
+        Rows are ordered by partition (the key kernel's codes), then by the
         window ORDER BY via the shared ``grouping.sort_codes`` encoding
         (stable, so ties keep input row order — deterministic under every
-        execution tier). SUM uses the SQL default RANGE frame: peers by the
-        ORDER BY key share the cumulative value at the end of their peer
-        group.
+        execution tier). A *peer group* is a run of rows of one partition
+        with equal ORDER BY keys (the whole partition without ORDER BY).
+        SUM uses the SQL default RANGE frame: each row gets the exact sum
+        (:mod:`~flock.db.exec.aggregate`) from its partition's start to the
+        end of its peer group, so without ORDER BY the partition total.
         """
         child = self._execute(node.child)
         n = child.num_rows
         if node.partition_exprs:
-            partitions = grouping.group_rows(
-                grouping.key_codes(
-                    [e.evaluate(child) for e in node.partition_exprs]
-                )
-            )
+            partition = grouping.key_codes(
+                [e.evaluate(child) for e in node.partition_exprs]
+            ).codes
         else:
-            partitions = [np.arange(n, dtype=np.int64)]
-        codes = grouping.sort_key_codes(node.order_keys, child) or None
-        arg_list = (
-            node.arg.evaluate(child).to_pylist()
-            if node.arg is not None
-            else None
-        )
-
-        values: list = [None] * n
-        for part in partitions:
-            if codes is not None:
-                order = part[
-                    np.lexsort(tuple(reversed([c[part] for c in codes])))
-                ]
-                key_rows = [tuple(c[i] for c in codes) for i in order]
+            partition = np.zeros(n, dtype=np.int64)
+        codes = grouping.sort_key_codes(node.order_keys, child)
+        # np.lexsort treats the LAST array as the primary key.
+        order = np.lexsort(tuple(reversed(codes)) + (partition,))
+        keys = [partition[order]] + [c[order] for c in codes]
+        new_partition = np.ones(n, dtype=bool)
+        new_partition[1:] = keys[0][1:] != keys[0][:-1]
+        new_peer = new_partition.copy()
+        for key in keys[1:]:
+            new_peer[1:] |= key[1:] != key[:-1]
+        positions = np.arange(n, dtype=np.int64)
+        part_start = np.maximum.accumulate(np.where(new_partition, positions, 0))
+        if node.func_name == "ROW_NUMBER":
+            sorted_out = ColumnVector.from_numpy(
+                DataType.INTEGER, positions - part_start + 1
+            )
+        elif node.func_name == "RANK":
+            peer_start = np.maximum.accumulate(np.where(new_peer, positions, 0))
+            sorted_out = ColumnVector.from_numpy(
+                DataType.INTEGER, peer_start - part_start + 1
+            )
+        else:  # SUM
+            peer_stop = np.append(np.nonzero(new_peer)[0][1:], n)
+            stops = peer_stop[np.cumsum(new_peer) - 1]
+            arg = node.arg.evaluate(child).take(order)
+            values = np.where(arg.nulls, 0, arg.values)
+            if arg.dtype is DataType.FLOAT:
+                sums = aggregate.range_sums(values, part_start, stops)
             else:
-                order = part
-                key_rows = None
-            if node.func_name == "ROW_NUMBER":
-                for position, i in enumerate(order):
-                    values[i] = position + 1
-            elif node.func_name == "RANK":
-                if key_rows is None:
-                    for i in order:
-                        values[i] = 1
-                else:
-                    rank = 1
-                    for position, i in enumerate(order):
-                        if (
-                            position > 0
-                            and key_rows[position] != key_rows[position - 1]
-                        ):
-                            rank = position + 1
-                        values[i] = rank
-            else:  # SUM
-                assert arg_list is not None
-                if key_rows is None:
-                    total = None
-                    for i in order:
-                        v = arg_list[i]
-                        if v is not None:
-                            total = v if total is None else total + v
-                    for i in order:
-                        values[i] = total
-                else:
-                    running = None
-                    position = 0
-                    size = len(order)
-                    while position < size:
-                        end = position
-                        while (
-                            end + 1 < size
-                            and key_rows[end + 1] == key_rows[position]
-                        ):
-                            end += 1
-                        for j in range(position, end + 1):
-                            v = arg_list[order[j]]
-                            if v is not None:
-                                running = (
-                                    v if running is None else running + v
-                                )
-                        for j in range(position, end + 1):
-                            values[order[j]] = running
-                        position = end + 1
-        vector = ColumnVector.from_values(node.dtype, values)
-        return child.with_columns([node.output_name], [vector])
+                sums = aggregate.int_range_sums(
+                    values.astype(np.int64), part_start, stops
+                )
+            present = np.concatenate([[0], np.cumsum(~arg.nulls)])
+            empty = present[stops] == present[part_start]
+            sums[empty] = 0
+            sorted_out = ColumnVector(node.dtype, sums, empty)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = positions
+        return child.with_columns([node.output_name], [sorted_out.take(inverse)])
 
     def _distinct(self, node: DistinctNode) -> Batch:
         child = self._execute(node.child)
@@ -883,24 +839,6 @@ def _split_join_condition(
             else BoundBinary("AND", residual, conjunct, DataType.BOOLEAN)
         )
     return left_keys, right_keys, residual
-
-
-def _aggregate_values(
-    node: AggregateNode,
-    child: Batch,
-    spec_index: int,
-    group_indexes: list[np.ndarray],
-) -> list:
-    """One aggregate spec evaluated over every group of *child*."""
-    spec = node.aggregates[spec_index]
-    agg = fn.AGGREGATE_FUNCTIONS[spec.func_name]
-    if spec.arg is None:  # COUNT(*)
-        return [len(indexes) for indexes in group_indexes]
-    arg = spec.arg.evaluate(child)
-    return [
-        agg.reduce(arg.take(indexes), spec.distinct)
-        for indexes in group_indexes
-    ]
 
 
 def _combine(

@@ -10,8 +10,10 @@ engine's documented key semantics: NULL equals NULL, ``0.0 == -0.0``,
 numbered by **first occurrence**, so ascending code order *is* the order
 in which a row-at-a-time hash table would have met the keys:
 
-- GROUP BY / PARTITION BY: :func:`group_rows` — a stable argsort of the
-  codes — yields groups in first-occurrence order, rows ascending within.
+- GROUP BY: the aggregate kernels reduce over the codes directly, and
+  ``first_rows`` orders the groups; window PARTITION BY sorts on them.
+- Index buckets: :func:`group_rows` — a stable argsort of the codes —
+  yields groups in first-occurrence order, rows ascending within.
 - DISTINCT / UNION: ``first_rows`` is the answer.
 - INTERSECT / EXCEPT [ALL]: bincounts over a code space shared by both
   inputs (pass them as two sides).
@@ -22,10 +24,12 @@ in which a row-at-a-time hash table would have met the keys:
 Per column the coding is injective on values and order-free, so the cheap
 form wins: dictionary-encoded TEXT uses its codes as they are, int64-backed
 columns (INTEGER, DATE, BOOLEAN — bit-packed and run-length included) are
-offset from their minimum, and everything else (plain TEXT, FLOAT, mixed
-types across sides) goes through one value→code dict so Python equality
-decides. Column codes fuse positionally into one int64; when the fused
-space would overflow it is re-densified and fusing continues.
+offset from their minimum, FLOAT columns are ranked by ``np.unique``
+(which keeps ``0.0 == -0.0`` and every NaN apart), and everything else
+(plain TEXT, mixed types across sides) goes through one value→code dict
+so Python equality decides. Column codes fuse positionally into one
+int64; when the fused space would overflow it is re-densified and fusing
+continues.
 """
 
 from __future__ import annotations
@@ -126,6 +130,17 @@ def _column_codes(segments: list[ColumnVector]) -> tuple[np.ndarray, int]:
         codes = (values - low) + 1
         codes[nulls] = 0
         return codes, high - low + 2
+    if all(s.dtype is DataType.FLOAT for s in segments):
+        # np.unique's sort keeps 0.0 == -0.0 and, with equal_nan=False,
+        # every NaN its own value: Python == on floats, without the dict.
+        values = np.concatenate([s.values for s in segments])
+        nulls = np.concatenate([s.nulls for s in segments])
+        uniq, inverse = np.unique(
+            values[~nulls], return_inverse=True, equal_nan=False
+        )
+        codes = np.zeros(len(values), dtype=np.int64)
+        codes[~nulls] = inverse.reshape(-1) + 1
+        return codes, len(uniq) + 1
     table: dict = {}
     coded = []
     for s in segments:

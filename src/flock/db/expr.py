@@ -47,7 +47,12 @@ def _const_scalar(vector: ColumnVector) -> Any:
 
 
 class BoundExpr:
-    """Base class for bound expressions."""
+    """Base class for bound expressions.
+
+    ``repr`` spells out the whole expression, so two expressions with equal
+    reprs compute the same vector; the aggregate kernels evaluate and sum
+    an argument shared by several aggregates once on that basis.
+    """
 
     dtype: DataType
 
@@ -565,7 +570,8 @@ class BoundCase(BoundExpr):
         return ColumnVector(self.dtype, values, nulls)
 
     def __repr__(self) -> str:
-        return f"Case({len(self.branches)} branches)"
+        whens = " ".join(f"WHEN {c!r} THEN {v!r}" for c, v in self.branches)
+        return f"Case({whens} ELSE {self.default!r})"
 
 
 class BoundCast(BoundExpr):

@@ -2,8 +2,11 @@
 
 Scalar functions are registered in :data:`SCALAR_FUNCTIONS` with a return
 type rule and a vectorized implementation over
-:class:`~flock.db.vector.ColumnVector` arguments. Aggregates are described by
-:data:`AGGREGATE_FUNCTIONS`; the executor computes them per group.
+:class:`~flock.db.vector.ColumnVector` arguments. :data:`AGGREGATE_FUNCTIONS`
+holds each aggregate's return-type rule; the values come from the vector
+kernels in :mod:`flock.db.exec.aggregate`, where FLOAT SUM/AVG are exact
+(the correctly rounded real sum, independent of row order), INTEGER SUM
+raises on int64 overflow, and DISTINCT uses the key kernel's equality.
 """
 
 from __future__ import annotations
@@ -227,71 +230,11 @@ _register("INTERVAL", (2, 2), _always(DataType.INTEGER), _interval_impl)
 
 @dataclass(frozen=True)
 class AggregateFunction:
-    """An aggregate: return-type rule + whole-group reducer.
-
-    ``reduce`` receives the argument vector restricted to one group (or None
-    for COUNT(*)) and returns a Python scalar (None for NULL).
-    """
+    """An aggregate's return-type rule; the executor computes it as one
+    vector kernel over group codes (:mod:`flock.db.exec.aggregate`)."""
 
     name: str
     return_type: Callable[[DataType | None], DataType]
-    reduce: Callable[[ColumnVector | None, bool], Any]
-
-
-def _non_null(vector: ColumnVector) -> np.ndarray:
-    return vector.values[~vector.nulls]
-
-
-def _count_reduce(vector: ColumnVector | None, distinct: bool) -> int:
-    if vector is None:
-        raise ExecutionError("COUNT(*) group size is computed by the executor")
-    present = _non_null(vector)
-    if distinct:
-        if vector.dtype.numpy_dtype == np.dtype(object):
-            return len(set(present.tolist()))
-        return len(np.unique(present))
-    return len(present)
-
-
-def _sum_reduce(vector: ColumnVector | None, distinct: bool) -> Any:
-    present = _non_null(vector)
-    if distinct:
-        present = np.unique(present)
-    if len(present) == 0:
-        return None
-    return present.sum().item()
-
-
-def _avg_reduce(vector: ColumnVector | None, distinct: bool) -> Any:
-    present = _non_null(vector)
-    if distinct:
-        present = np.unique(present)
-    if len(present) == 0:
-        return None
-    return float(present.astype(np.float64).mean())
-
-
-def _minmax_reduce(fn: str):
-    def reduce(vector: ColumnVector | None, distinct: bool) -> Any:
-        present = _non_null(vector)
-        if len(present) == 0:
-            return None
-        if vector.dtype.numpy_dtype == np.dtype(object):
-            items = sorted(present.tolist())
-            return items[0] if fn == "min" else items[-1]
-        value = present.min() if fn == "min" else present.max()
-        return value.item()
-
-    return reduce
-
-
-def _stddev_reduce(vector: ColumnVector | None, distinct: bool) -> Any:
-    present = _non_null(vector).astype(np.float64)
-    if distinct:
-        present = np.unique(present)
-    if len(present) < 2:
-        return None
-    return float(present.std(ddof=1))
 
 
 def _sum_type(arg: DataType | None) -> DataType:
@@ -301,22 +244,12 @@ def _sum_type(arg: DataType | None) -> DataType:
 
 
 AGGREGATE_FUNCTIONS: dict[str, AggregateFunction] = {
-    "COUNT": AggregateFunction(
-        "COUNT", lambda arg: DataType.INTEGER, _count_reduce
-    ),
-    "SUM": AggregateFunction("SUM", _sum_type, _sum_reduce),
-    "AVG": AggregateFunction(
-        "AVG", lambda arg: DataType.FLOAT, _avg_reduce
-    ),
-    "MIN": AggregateFunction(
-        "MIN", lambda arg: arg or DataType.INTEGER, _minmax_reduce("min")
-    ),
-    "MAX": AggregateFunction(
-        "MAX", lambda arg: arg or DataType.INTEGER, _minmax_reduce("max")
-    ),
-    "STDDEV": AggregateFunction(
-        "STDDEV", lambda arg: DataType.FLOAT, _stddev_reduce
-    ),
+    "COUNT": AggregateFunction("COUNT", lambda arg: DataType.INTEGER),
+    "SUM": AggregateFunction("SUM", _sum_type),
+    "AVG": AggregateFunction("AVG", lambda arg: DataType.FLOAT),
+    "MIN": AggregateFunction("MIN", lambda arg: arg or DataType.INTEGER),
+    "MAX": AggregateFunction("MAX", lambda arg: arg or DataType.INTEGER),
+    "STDDEV": AggregateFunction("STDDEV", lambda arg: DataType.FLOAT),
 }
 
 

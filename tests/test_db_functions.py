@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from flock.db import functions as fn
+from flock.db.exec.aggregate import aggregate_columns
+from flock.db.expr import BoundColumn
+from flock.db.plan import AggregateSpec
 from flock.db.types import DataType
-from flock.db.vector import ColumnVector
+from flock.db.vector import Batch, ColumnVector
 from flock.errors import BindError
 
 
@@ -99,47 +103,43 @@ class TestScalars:
             fn.lookup_scalar("NO_SUCH_FN")
 
 
+def _agg(name, vector, distinct=False):
+    """One aggregate over *vector* as a single group, as a Python value."""
+    spec = AggregateSpec(
+        name,
+        BoundColumn(0, vector.dtype, "x"),
+        distinct,
+        "a",
+        fn.AGGREGATE_FUNCTIONS[name].return_type(vector.dtype),
+    )
+    codes = np.zeros(len(vector), dtype=np.int64)
+    (column,) = aggregate_columns([spec], Batch(["x"], [vector]), codes, 1)
+    return column.to_pylist()[0]
+
+
 class TestAggregates:
     def test_count_skips_nulls(self):
-        agg = fn.AGGREGATE_FUNCTIONS["COUNT"]
-        assert agg.reduce(_vec(DataType.INTEGER, [1, None, 3]), False) == 2
+        assert _agg("COUNT", _vec(DataType.INTEGER, [1, None, 3])) == 2
 
     def test_count_distinct(self):
-        agg = fn.AGGREGATE_FUNCTIONS["COUNT"]
-        assert agg.reduce(_vec(DataType.INTEGER, [1, 1, 2, None]), True) == 2
-        assert agg.reduce(_vec(DataType.TEXT, ["a", "a", "b"]), True) == 2
+        assert _agg("COUNT", _vec(DataType.INTEGER, [1, 1, 2, None]), True) == 2
+        assert _agg("COUNT", _vec(DataType.TEXT, ["a", "a", "b"]), True) == 2
 
     def test_sum_empty_is_null(self):
-        agg = fn.AGGREGATE_FUNCTIONS["SUM"]
-        assert agg.reduce(_vec(DataType.INTEGER, [None, None]), False) is None
+        assert _agg("SUM", _vec(DataType.INTEGER, [None, None])) is None
 
     def test_sum_and_avg(self):
-        assert fn.AGGREGATE_FUNCTIONS["SUM"].reduce(
-            _vec(DataType.FLOAT, [1.5, 2.5, None]), False
-        ) == 4.0
-        assert fn.AGGREGATE_FUNCTIONS["AVG"].reduce(
-            _vec(DataType.INTEGER, [2, 4]), False
-        ) == 3.0
+        assert _agg("SUM", _vec(DataType.FLOAT, [1.5, 2.5, None])) == 4.0
+        assert _agg("AVG", _vec(DataType.INTEGER, [2, 4])) == 3.0
 
     def test_min_max_text(self):
-        assert fn.AGGREGATE_FUNCTIONS["MIN"].reduce(
-            _vec(DataType.TEXT, ["pear", "apple"]), False
-        ) == "apple"
-        assert fn.AGGREGATE_FUNCTIONS["MAX"].reduce(
-            _vec(DataType.TEXT, ["pear", "apple"]), False
-        ) == "pear"
+        assert _agg("MIN", _vec(DataType.TEXT, ["pear", "apple"])) == "apple"
+        assert _agg("MAX", _vec(DataType.TEXT, ["pear", "apple"])) == "pear"
 
     def test_stddev(self):
-        out = fn.AGGREGATE_FUNCTIONS["STDDEV"].reduce(
-            _vec(DataType.FLOAT, [1.0, 3.0]), False
-        )
-        assert out == pytest.approx(math.sqrt(2.0))
-        assert (
-            fn.AGGREGATE_FUNCTIONS["STDDEV"].reduce(
-                _vec(DataType.FLOAT, [1.0]), False
-            )
-            is None
-        )
+        out = _agg("STDDEV", _vec(DataType.FLOAT, [1.0, 3.0]))
+        assert out == math.sqrt(2.0)
+        assert _agg("STDDEV", _vec(DataType.FLOAT, [1.0])) is None
 
     def test_sum_rejects_text(self):
         with pytest.raises(BindError):
