@@ -8,8 +8,9 @@ optimizer can treat inference as relational algebra (§4.1 of the paper).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 from flock.db import functions as fn
 from flock.db.expr import (
@@ -82,9 +83,15 @@ class ScopeEntry:
 
 @dataclass
 class Scope:
-    """Visible columns at some point of the plan, in output order."""
+    """Visible columns at some point of the plan, in output order.
+
+    After aggregation, ``grouped`` maps the SQL text of each group key and
+    aggregate call to its position: those whole expressions are all that
+    is visible, and a bare column reference is an error.
+    """
 
     entries: list[ScopeEntry] = field(default_factory=list)
+    grouped: dict[str, int] | None = None
 
     def extend(self, other: "Scope") -> "Scope":
         return Scope(self.entries + other.entries)
@@ -147,6 +154,9 @@ class _OneRowBatch(Batch):
 
 
 _ONE_ROW = _OneRowBatch()
+
+#: Name prefix of the hidden column a scalar subquery is lifted into.
+_SCALAR_PREFIX = "__sq"
 
 #: Parameter types ``infer_type`` always accepts: a bulk load's values pass
 #: the parameter check with one set lookup each.
@@ -319,52 +329,58 @@ class Binder:
 
     def _bind_select_body(self, select: ast.Select) -> PlanNode:
         plan, scope = self._bind_from(select.from_clause)
+        select = _name_lifted_items(select)
+        # The node types in the clauses; a lift runs only if its type does.
+        present = {
+            type(node) for _, expr in select.clauses() for node in expr.walk()
+        }
 
-        # Lift PREDICT expressions appearing anywhere in this SELECT into
-        # PredictNode operators; the rewriter replaces each Predict AST node
-        # with a ColumnRef to the prediction output column.
-        plan, scope, select = self._lift_predicts(plan, scope, select)
+        # PREDICT lifts into PredictNode operators, so the optimizer can
+        # move relational operators across the model boundary.
+        if ast.Predict in present:
+            plan, scope, select = self._lift(
+                plan, scope, select, ast.Predict, self._append_predict
+            )
 
-        # Lift uncorrelated IN (SELECT ...) conjuncts into semi/anti joins.
-        plan, scope, select = self._lift_in_subqueries(plan, scope, select)
-
-        # Lift scalar subqueries into LEFT joins (grouped equality joins for
-        # the correlated-aggregate form) and EXISTS conjuncts into SEMI/ANTI
-        # joins — the decorrelation that makes faithful TPC-H run on the same
-        # join plans as the rewritten templates.
-        plan, scope, select = self._lift_scalar_subqueries(plan, scope, select)
-        plan, scope, select = self._lift_exists(plan, scope, select)
+        # Decorrelation into join plans: IN (SELECT ...) and EXISTS
+        # conjuncts become SEMI/ANTI joins, scalar subqueries LEFT joins
+        # (grouped equality joins for the correlated-aggregate form).
+        if ast.InQuery in present or ast.Exists in present:
+            plan, select = self._lift_semi_joins(plan, scope, select)
+        if ast.ScalarSubquery in present:
+            if any(
+                isinstance(node, ast.ScalarSubquery)
+                for expr in select.group_by
+                for node in expr.walk()
+            ):
+                raise BindError(
+                    "scalar subqueries are not supported in GROUP BY"
+                )
+            plan, scope, select = self._lift(
+                plan, scope, select, ast.ScalarSubquery,
+                self._append_scalar_subquery,
+            )
 
         if select.where is not None:
             predicate = self._bind_boolean(select.where, scope)
             plan = FilterNode(plan, fold_constants(predicate))
 
-        has_aggregates = any(
-            self._contains_aggregate(item.expr) for item in select.items
-        ) or (select.having is not None) or bool(select.group_by)
-
-        if has_aggregates:
-            if self._contains_window(select):
+        if (
+            select.group_by
+            or select.having is not None
+            or any(self._contains_aggregate(i.expr) for i in select.items)
+        ):
+            if ast.WindowFunction in present:
                 raise BindError(
                     "window functions cannot be combined with GROUP BY or "
                     "aggregates"
                 )
-            return self._bind_aggregate_select(select, plan, scope)
-        plan, scope, select = self._lift_windows(plan, scope, select)
-        return self._bind_plain_select(select, plan, scope)
-
-    def _contains_window(self, select: ast.Select) -> bool:
-        def has(expr: ast.Expr | None) -> bool:
-            if expr is None:
-                return False
-            return any(isinstance(n, ast.WindowFunction) for n in expr.walk())
-
-        return (
-            any(has(item.expr) for item in select.items)
-            or has(select.having)
-            or any(has(g) for g in select.group_by)
-            or any(has(o.expr) for o in select.order_by)
-        )
+            plan, scope, select = self._bind_grouping(select, plan, scope)
+        elif ast.WindowFunction in present:
+            plan, scope, select = self._lift(
+                plan, scope, select, ast.WindowFunction, self._append_window
+            )
+        return self._bind_projection(select, plan, scope)
 
     # -- FROM ----------------------------------------------------------
     def _bind_from(
@@ -445,50 +461,45 @@ class Binder:
             return plan, scope
         raise BindError(f"unsupported FROM clause item {from_clause!r}")
 
-    # -- PREDICT lifting -------------------------------------------------
-    def _lift_predicts(
-        self, plan: PlanNode, scope: Scope, select: ast.Select
+    # -- lifting expressions into plan operators ---------------------------
+    def _lift(
+        self,
+        plan: PlanNode,
+        scope: Scope,
+        select: ast.Select,
+        kind: type,
+        append: Callable[..., tuple[PlanNode, Scope, str]],
     ) -> tuple[PlanNode, Scope, ast.Select]:
-        predicts: list[ast.Predict] = []
+        """Lift every *kind* node of *select*'s clauses into the plan.
 
-        def collect(expr: ast.Expr | None) -> None:
-            if expr is None:
-                return
+        Nodes are deduplicated by SQL text and appended in walk order:
+        ``append(plan, scope, node, index)`` returns the plan and scope
+        extended with the hidden column holding the node's value, and that
+        column's name. Each occurrence is then rewritten to a reference to
+        its column.
+        """
+        columns: dict[str, str] = {}
+        for _, expr in select.clauses():
             for node in expr.walk():
-                if isinstance(node, ast.Predict):
-                    predicts.append(node)
-
-        for item in select.items:
-            collect(item.expr)
-        collect(select.where)
-        collect(select.having)
-        for g in select.group_by:
-            collect(g)
-        for o in select.order_by:
-            collect(o.expr)
-
-        if not predicts:
+                if isinstance(node, kind):
+                    key = str(node)
+                    if key not in columns:
+                        plan, scope, name = append(
+                            plan, scope, node, len(columns)
+                        )
+                        columns[key] = name
+        if not columns:
             return plan, scope, select
-
-        replacement: dict[int, ast.ColumnRef] = {}
-        signature_to_column: dict[str, ast.ColumnRef] = {}
-        for index, predict in enumerate(predicts):
-            key = str(predict)
-            if key in signature_to_column:
-                replacement[id(predict)] = signature_to_column[key]
-                continue
-            plan, scope, column_ref = self._append_predict(
-                plan, scope, predict, index
-            )
-            signature_to_column[key] = column_ref
-            replacement[id(predict)] = column_ref
-
-        rewritten = _replace_exprs(select, replacement)
+        rewritten = select.rewrite(
+            lambda node: ast.ColumnRef(columns[str(node)])
+            if isinstance(node, kind)
+            else None
+        )
         return plan, scope, rewritten
 
     def _append_predict(
         self, plan: PlanNode, scope: Scope, predict: ast.Predict, index: int
-    ) -> tuple[PlanNode, Scope, ast.ColumnRef]:
+    ) -> tuple[PlanNode, Scope, str]:
         signature = self.context.resolve_model(predict.model_name)
         if predict.args:
             arg_exprs = [self._bind_expr(a, scope) for a in predict.args]
@@ -551,152 +562,133 @@ class Binder:
         new_scope = Scope(list(scope.entries))
         for f in output_fields:
             new_scope.add(None, f.name, f.dtype)
-        return plan, new_scope, ast.ColumnRef(target.name)
+        return plan, new_scope, target.name
 
-    # -- IN (SELECT ...) lifting -------------------------------------------
-    def _lift_in_subqueries(
+    # -- IN (SELECT ...) and EXISTS lifting ----------------------------------
+    def _lift_semi_joins(
         self, plan: PlanNode, scope: Scope, select: ast.Select
-    ) -> tuple[PlanNode, Scope, ast.Select]:
-        def contains_in_query(expr: ast.Expr | None) -> bool:
-            if expr is None:
-                return False
-            return any(isinstance(n, ast.InQuery) for n in expr.walk())
+    ) -> tuple[PlanNode, ast.Select]:
+        """Lift ``[NOT] IN (SELECT ...)`` and ``[NOT] EXISTS`` WHERE
+        conjuncts into SEMI/ANTI joins, which keep the scope unchanged, and
+        drop them from the WHERE clause."""
+        semi = (ast.InQuery, ast.Exists)
+        conjuncts = (
+            ast.conjuncts(select.where) if select.where is not None else []
+        )
+        top_level = {id(conjunct) for conjunct in conjuncts}
+        for clause, expr in select.clauses():
+            for node in expr.walk():
+                if isinstance(node, semi) and id(node) not in top_level:
+                    form = (
+                        "IN (SELECT ...)"
+                        if isinstance(node, ast.InQuery)
+                        else "EXISTS"
+                    )
+                    if clause == "where":
+                        raise BindError(
+                            f"{form} must be a top-level AND-conjunct of the "
+                            "WHERE clause"
+                        )
+                    raise BindError(
+                        f"{form} is only supported in the WHERE clause"
+                    )
+        remaining: list[ast.Expr] = []
+        for conjunct in conjuncts:
+            if isinstance(conjunct, semi):
+                plan = self._append_semi_join(plan, scope, conjunct)
+            else:
+                remaining.append(conjunct)
+        if len(remaining) == len(conjuncts):
+            return plan, select
+        return plan, dataclasses.replace(select, where=ast.conjoin(remaining))
 
-        for item in select.items:
-            if contains_in_query(item.expr):
+    def _append_semi_join(
+        self, plan: PlanNode, scope: Scope, node: ast.InQuery | ast.Exists
+    ) -> PlanNode:
+        """A SEMI (ANTI when negated) join keeping the rows of *plan* with
+        (without) a match in the subquery. An ANTI join keeps a NOT IN row
+        even when the subquery returns a NULL (documented in DESIGN.md)."""
+        if isinstance(node, ast.InQuery):
+            subplan = self.bind_query(node.query)
+            if len(subplan.fields) != 1:
                 raise BindError(
-                    "IN (SELECT ...) is only supported in the WHERE clause"
+                    "IN (SELECT ...) subquery must produce exactly one column"
                 )
-        if contains_in_query(select.having) or any(
-            contains_in_query(g) for g in select.group_by
+            sub_field = subplan.fields[0]
+            condition = self._make_binary(
+                "=",
+                self._bind_expr(node.operand, scope),
+                BoundColumn(
+                    len(scope.entries), sub_field.dtype, sub_field.name
+                ),
+            )
+        else:
+            sub = node.query
+            subplan, sub_scope = self._bind_plain_subquery(
+                sub, "EXISTS subquery"
+            )
+            if any(
+                self._contains_aggregate(item.expr)
+                for item in sub.items
+                if not isinstance(item.expr, ast.Star)
+            ):
+                raise BindError(
+                    "aggregates are not supported in an EXISTS subquery"
+                )
+            # Conjuncts the subquery evaluates alone filter below the join;
+            # correlated ones are the join condition, over outer columns
+            # then inner — exactly the JoinNode condition space.
+            local, correlated = self._split_correlated(sub.where, sub_scope)
+            if local:
+                predicate = self._bind_boolean(ast.conjoin(local), sub_scope)
+                subplan = FilterNode(subplan, fold_constants(predicate))
+            condition = None
+            if correlated:
+                condition = self._bind_boolean(
+                    ast.conjoin(correlated), scope.extend(sub_scope)
+                )
+        if condition is not None:
+            condition = fold_constants(condition)
+        join_type = "ANTI" if node.negated else "SEMI"
+        return JoinNode(plan, subplan, join_type, condition)
+
+    def _bind_plain_subquery(
+        self, query: ast.Statement, what: str
+    ) -> tuple[PlanNode, Scope]:
+        """The FROM clause of *query* bound, once it is checked to be the
+        plain SELECT that decorrelation handles."""
+        if not isinstance(query, ast.Select) or (
+            query.group_by
+            or query.having is not None
+            or query.order_by
+            or query.limit is not None
+            or query.offset is not None
+            or query.distinct
+            or query.ctes
         ):
             raise BindError(
-                "IN (SELECT ...) is only supported in the WHERE clause"
+                f"{what} must be a plain SELECT without "
+                "GROUP BY/HAVING/ORDER BY/LIMIT/DISTINCT"
             )
-        if select.where is None or not contains_in_query(select.where):
-            return plan, scope, select
+        return self._bind_from(query.from_clause)
 
-        conjuncts = _ast_conjuncts(select.where)
-        remaining: list[ast.Expr] = []
-        counter = 0
-        for conjunct in conjuncts:
-            if isinstance(conjunct, ast.InQuery):
-                plan, scope, replacement = self._append_in_subquery(
-                    plan, scope, conjunct, counter
-                )
-                counter += 1
-                if replacement is not None:
-                    remaining.append(replacement)
-                continue
-            if contains_in_query(conjunct):
-                raise BindError(
-                    "IN (SELECT ...) must be a top-level AND-conjunct of "
-                    "the WHERE clause"
-                )
-            remaining.append(conjunct)
+    def _split_correlated(
+        self, where: ast.Expr | None, sub_scope: Scope
+    ) -> tuple[list[ast.Expr], list[ast.Expr]]:
+        """A subquery's WHERE conjuncts, split into those that bind in the
+        subquery's own scope and those that reference the outer query."""
+        local: list[ast.Expr] = []
+        correlated: list[ast.Expr] = []
+        for conjunct in ast.conjuncts(where) if where is not None else []:
+            try:
+                self._bind_boolean(conjunct, sub_scope)
+            except BindError:
+                correlated.append(conjunct)
+            else:
+                local.append(conjunct)
+        return local, correlated
 
-        new_where: ast.Expr | None = None
-        for conjunct in remaining:
-            new_where = (
-                conjunct
-                if new_where is None
-                else ast.BinaryOp("AND", new_where, conjunct)
-            )
-        rewritten = ast.Select(
-            items=select.items,
-            from_clause=select.from_clause,
-            where=new_where,
-            group_by=select.group_by,
-            having=select.having,
-            order_by=select.order_by,
-            limit=select.limit,
-            offset=select.offset,
-            distinct=select.distinct,
-            ctes=select.ctes,
-        )
-        return plan, scope, rewritten
-
-    def _append_in_subquery(
-        self, plan: PlanNode, scope: Scope, in_query: ast.InQuery, index: int
-    ) -> tuple[PlanNode, Scope, ast.Expr | None]:
-        subplan = self.bind_query(in_query.query)
-        if len(subplan.fields) != 1:
-            raise BindError(
-                "IN (SELECT ...) subquery must produce exactly one column"
-            )
-        subplan = DistinctNode(subplan)
-        operand = self._bind_expr(in_query.operand, scope)
-        hidden_name = f"__inq{index}"
-        sub_field = subplan.fields[0]
-        sub_column = BoundColumn(
-            len(scope.entries), sub_field.dtype, hidden_name
-        )
-        condition = self._make_binary("=", operand, sub_column)
-        join_type = "LEFT" if in_query.negated else "INNER"
-        plan = JoinNode(plan, subplan, join_type, condition)
-        new_scope = Scope(list(scope.entries))
-        new_scope.add(None, hidden_name, sub_field.dtype)
-        if in_query.negated:
-            # Anti-join: keep left rows with no match. (Simplification vs
-            # full SQL NOT IN: a NULL-containing subquery does not veto all
-            # rows here; documented in DESIGN.md.)
-            return plan, new_scope, ast.IsNull(ast.ColumnRef(hidden_name))
-        return plan, new_scope, None
-
-    # -- scalar subquery lifting ------------------------------------------
-    def _lift_scalar_subqueries(
-        self, plan: PlanNode, scope: Scope, select: ast.Select
-    ) -> tuple[PlanNode, Scope, ast.Select]:
-        def collect(expr: ast.Expr | None) -> list[ast.ScalarSubquery]:
-            if expr is None:
-                return []
-            return [
-                n for n in expr.walk() if isinstance(n, ast.ScalarSubquery)
-            ]
-
-        occurrences: list[tuple[ast.ScalarSubquery, str]] = []
-        for item in select.items:
-            occurrences += [(n, "item") for n in collect(item.expr)]
-        occurrences += [(n, "where") for n in collect(select.where)]
-        occurrences += [(n, "having") for n in collect(select.having)]
-        for order in select.order_by:
-            occurrences += [(n, "order") for n in collect(order.expr)]
-        for g in select.group_by:
-            if collect(g):
-                raise BindError(
-                    "scalar subqueries are not supported in GROUP BY"
-                )
-        if not occurrences:
-            return plan, scope, select
-
-        aggregate_select = any(
-            self._contains_aggregate(item.expr) for item in select.items
-        ) or (select.having is not None) or bool(select.group_by)
-
-        replacement: dict[int, ast.Expr] = {}
-        signature_to_name: dict[str, str] = {}
-        for node, context in occurrences:
-            key = str(node)
-            if key not in signature_to_name:
-                plan, scope, name = self._append_scalar_subquery(
-                    plan, scope, node, len(signature_to_name)
-                )
-                signature_to_name[key] = name
-            ref: ast.Expr = ast.ColumnRef(signature_to_name[key])
-            if aggregate_select and context in ("item", "having", "order"):
-                # Post-aggregation contexts see the subquery value through
-                # MIN(): the value is constant per group (it is LEFT-joined
-                # on the group's correlation keys), so MIN is exact.
-                ref = ast.FunctionCall("MIN", [ref])
-            replacement[id(node)] = ref
-        rewritten = _replace_exprs(select, replacement)
-        for old_item, new_item in zip(select.items, rewritten.items):
-            if new_item.alias is None and isinstance(
-                old_item.expr, ast.ScalarSubquery
-            ):
-                new_item.alias = _scalar_subquery_name(old_item.expr)
-        return plan, scope, rewritten
-
+    # -- scalar subqueries ------------------------------------------------
     def _append_scalar_subquery(
         self,
         plan: PlanNode,
@@ -704,7 +696,7 @@ class Binder:
         node: ast.ScalarSubquery,
         index: int,
     ) -> tuple[PlanNode, Scope, str]:
-        hidden_name = f"__sq{index}"
+        hidden_name = f"{_SCALAR_PREFIX}{index}"
         query = node.query
         # Uncorrelated first: the subquery binds on its own.
         try:
@@ -751,44 +743,16 @@ class Binder:
         query: ast.Statement,
         hidden_name: str,
     ) -> tuple[PlanNode, Scope, str]:
-        if not isinstance(query, ast.Select):
-            raise BindError(
-                "correlated scalar subquery must be a plain SELECT"
-            )
-        if (
-            query.group_by
-            or query.having is not None
-            or query.order_by
-            or query.limit is not None
-            or query.offset is not None
-            or query.distinct
-            or query.ctes
-        ):
-            raise BindError(
-                "correlated scalar subquery must be a plain aggregate "
-                "SELECT without GROUP BY/HAVING/ORDER BY/LIMIT/DISTINCT"
-            )
+        what = "correlated scalar subquery"
+        _, sub_scope = self._bind_plain_subquery(query, what)
         if len(query.items) != 1:
             raise BindError("scalar subquery must produce exactly one column")
         if not self._contains_aggregate(query.items[0].expr):
-            raise BindError(
-                "correlated scalar subquery must compute an aggregate"
-            )
-        sub_plan, sub_scope = self._bind_from(query.from_clause)
-        del sub_plan  # probe bind only: classifies conjuncts below
+            raise BindError(f"{what} must compute an aggregate")
 
-        local_asts: list[ast.Expr] = []
+        local, correlated = self._split_correlated(query.where, sub_scope)
         pairs: list[tuple[ast.Expr, ast.Expr]] = []  # (outer, inner) keys
-        conjuncts = (
-            _ast_conjuncts(query.where) if query.where is not None else []
-        )
-        for conjunct in conjuncts:
-            try:
-                self._bind_boolean(conjunct, sub_scope)
-                local_asts.append(conjunct)
-                continue
-            except BindError:
-                pass
+        for conjunct in correlated:
             if not (
                 isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="
             ):
@@ -822,202 +786,34 @@ class Binder:
         # LEFT-join the grouped result on outer key = inner key. This is the
         # same pre-aggregated-join plan the rewritten TPC-H templates use,
         # so results (including float rounding) match bit-for-bit.
-        key_items = [
-            ast.SelectItem(inner_ast, f"{hidden_name}k{i}")
-            for i, (_, inner_ast) in enumerate(pairs)
-        ]
-        local_where: ast.Expr | None = None
-        for conjunct in local_asts:
-            local_where = (
-                conjunct
-                if local_where is None
-                else ast.BinaryOp("AND", local_where, conjunct)
-            )
+        key_names = [f"{hidden_name}k{i}" for i in range(len(pairs))]
         derived = ast.Select(
-            items=key_items + [ast.SelectItem(query.items[0].expr, hidden_name)],
+            items=[
+                ast.SelectItem(inner_ast, name)
+                for (_, inner_ast), name in zip(pairs, key_names)
+            ]
+            + [ast.SelectItem(query.items[0].expr, hidden_name)],
             from_clause=query.from_clause,
-            where=local_where,
+            where=ast.conjoin(local),
             group_by=[inner_ast for _, inner_ast in pairs],
         )
         subplan = self.bind_select(derived)
-
-        left_width = len(scope.entries)
-        condition: BoundExpr | None = None
-        for i, (outer_ast, _) in enumerate(pairs):
-            outer_bound = self._bind_expr(outer_ast, scope)
-            key_field = subplan.fields[i]
-            right_col = BoundColumn(
-                left_width + i, key_field.dtype, key_field.name
-            )
-            eq = self._make_binary("=", outer_bound, right_col)
-            condition = (
-                eq
-                if condition is None
-                else BoundBinary("AND", condition, eq, DataType.BOOLEAN)
-            )
-        plan = JoinNode(plan, subplan, "LEFT", fold_constants(condition))
         new_scope = Scope(list(scope.entries))
         for f in subplan.fields:
             new_scope.add(None, f.name, f.dtype)
+        condition = self._bind_boolean(
+            ast.conjoin(
+                [
+                    ast.BinaryOp("=", outer_ast, ast.ColumnRef(name))
+                    for (outer_ast, _), name in zip(pairs, key_names)
+                ]
+            ),
+            new_scope,
+        )
+        plan = JoinNode(plan, subplan, "LEFT", fold_constants(condition))
         return plan, new_scope, hidden_name
 
-    # -- EXISTS lifting ----------------------------------------------------
-    def _lift_exists(
-        self, plan: PlanNode, scope: Scope, select: ast.Select
-    ) -> tuple[PlanNode, Scope, ast.Select]:
-        def contains(expr: ast.Expr | None) -> bool:
-            if expr is None:
-                return False
-            return any(isinstance(n, ast.Exists) for n in expr.walk())
-
-        misplaced = (
-            any(contains(item.expr) for item in select.items)
-            or contains(select.having)
-            or any(contains(g) for g in select.group_by)
-            or any(contains(o.expr) for o in select.order_by)
-        )
-        if misplaced:
-            raise BindError(
-                "EXISTS is only supported in the WHERE clause"
-            )
-        if select.where is None or not contains(select.where):
-            return plan, scope, select
-
-        remaining: list[ast.Expr] = []
-        for conjunct in _ast_conjuncts(select.where):
-            if isinstance(conjunct, ast.Exists):
-                plan = self._append_exists(plan, scope, conjunct)
-                continue
-            if contains(conjunct):
-                raise BindError(
-                    "EXISTS must be a top-level AND-conjunct of the "
-                    "WHERE clause"
-                )
-            remaining.append(conjunct)
-
-        new_where: ast.Expr | None = None
-        for conjunct in remaining:
-            new_where = (
-                conjunct
-                if new_where is None
-                else ast.BinaryOp("AND", new_where, conjunct)
-            )
-        rewritten = ast.Select(
-            items=select.items,
-            from_clause=select.from_clause,
-            where=new_where,
-            group_by=select.group_by,
-            having=select.having,
-            order_by=select.order_by,
-            limit=select.limit,
-            offset=select.offset,
-            distinct=select.distinct,
-            ctes=select.ctes,
-        )
-        return plan, scope, rewritten
-
-    def _append_exists(
-        self, plan: PlanNode, scope: Scope, exists: ast.Exists
-    ) -> PlanNode:
-        sub = exists.query
-        if not isinstance(sub, ast.Select):
-            raise BindError("EXISTS subquery must be a plain SELECT")
-        if (
-            sub.group_by
-            or sub.having is not None
-            or sub.order_by
-            or sub.limit is not None
-            or sub.offset is not None
-            or sub.distinct
-            or sub.ctes
-        ):
-            raise BindError(
-                "EXISTS subquery must be a plain SELECT without "
-                "GROUP BY/HAVING/ORDER BY/LIMIT/DISTINCT"
-            )
-        if any(
-            self._contains_aggregate(item.expr)
-            for item in sub.items
-            if not isinstance(item.expr, ast.Star)
-        ):
-            raise BindError(
-                "aggregates are not supported in an EXISTS subquery"
-            )
-        sub_plan, sub_scope = self._bind_from(sub.from_clause)
-
-        # Split the subquery's WHERE into conjuncts the subquery can evaluate
-        # alone (filter below the join) and correlated conjuncts referencing
-        # the outer scope (the SEMI/ANTI join condition; positions are outer
-        # columns then inner, exactly the JoinNode condition space).
-        local: list[BoundExpr] = []
-        correlated: list[BoundExpr] = []
-        combined = scope.extend(sub_scope)
-        conjuncts = _ast_conjuncts(sub.where) if sub.where is not None else []
-        for conjunct in conjuncts:
-            try:
-                local.append(self._bind_boolean(conjunct, sub_scope))
-                continue
-            except BindError:
-                pass
-            correlated.append(self._bind_boolean(conjunct, combined))
-
-        if local:
-            predicate = local[0]
-            for extra in local[1:]:
-                predicate = BoundBinary(
-                    "AND", predicate, extra, DataType.BOOLEAN
-                )
-            sub_plan = FilterNode(sub_plan, fold_constants(predicate))
-        condition: BoundExpr | None = None
-        for extra in correlated:
-            condition = (
-                extra
-                if condition is None
-                else BoundBinary("AND", condition, extra, DataType.BOOLEAN)
-            )
-        if condition is not None:
-            condition = fold_constants(condition)
-        join_type = "ANTI" if exists.negated else "SEMI"
-        return JoinNode(plan, sub_plan, join_type, condition)
-
-    # -- window function lifting -------------------------------------------
-    def _lift_windows(
-        self, plan: PlanNode, scope: Scope, select: ast.Select
-    ) -> tuple[PlanNode, Scope, ast.Select]:
-        collected: list[ast.WindowFunction] = []
-
-        def collect(expr: ast.Expr | None) -> None:
-            if expr is None:
-                return
-            for n in expr.walk():
-                if isinstance(n, ast.WindowFunction):
-                    collected.append(n)
-
-        for item in select.items:
-            collect(item.expr)
-        for order in select.order_by:
-            collect(order.expr)
-        if not collected:
-            return plan, scope, select
-
-        replacement: dict[int, ast.Expr] = {}
-        signature_to_name: dict[str, str] = {}
-        for node in collected:
-            key = str(node)
-            if key not in signature_to_name:
-                plan, scope, name = self._append_window(
-                    plan, scope, node, len(signature_to_name)
-                )
-                signature_to_name[key] = name
-            replacement[id(node)] = ast.ColumnRef(signature_to_name[key])
-        rewritten = _replace_exprs(select, replacement)
-        for old_item, new_item in zip(select.items, rewritten.items):
-            if new_item.alias is None and isinstance(
-                old_item.expr, ast.WindowFunction
-            ):
-                new_item.alias = old_item.expr.name.lower()
-        return plan, scope, rewritten
-
+    # -- window functions ------------------------------------------------
     def _append_window(
         self,
         plan: PlanNode,
@@ -1068,8 +864,8 @@ class Binder:
         new_scope.add(None, output_name, dtype)
         return node, new_scope, output_name
 
-    # -- plain (non-aggregate) SELECT ------------------------------------
-    def _bind_plain_select(
+    # -- projection, DISTINCT, ORDER BY, LIMIT ----------------------------
+    def _bind_projection(
         self, select: ast.Select, plan: PlanNode, scope: Scope
     ) -> PlanNode:
         exprs, names = self._bind_select_items(select.items, scope)
@@ -1150,6 +946,8 @@ class Binder:
         names: list[str] = []
         for item in items:
             if isinstance(item.expr, ast.Star):
+                if scope.grouped is not None:
+                    raise BindError("'*' is not valid after aggregation")
                 qual = item.expr.table
                 for i, entry in enumerate(scope.entries):
                     if entry.name.startswith("__"):
@@ -1164,101 +962,65 @@ class Binder:
             names.append(item.alias or _default_name(item.expr))
         return exprs, names
 
-    # -- aggregate SELECT -------------------------------------------------
-    def _bind_aggregate_select(
+    # -- GROUP BY and aggregates ------------------------------------------
+    def _bind_grouping(
         self, select: ast.Select, plan: PlanNode, scope: Scope
-    ) -> PlanNode:
+    ) -> tuple[PlanNode, Scope, ast.Select]:
+        """The aggregation and HAVING filter of *select*, the scope its
+        remaining clauses bind in, and *select* as they must read it."""
+
+        # A lifted scalar subquery is LEFT-joined on the group's
+        # correlation keys, so it is constant per group: outside an
+        # aggregate it is read through MIN(), which is exact.
+        def per_group(node: ast.Expr) -> ast.Expr | None:
+            if isinstance(node, ast.FunctionCall) and fn.is_aggregate(
+                node.name
+            ):
+                return node
+            if isinstance(node, ast.ColumnRef) and node.name.startswith(
+                _SCALAR_PREFIX
+            ):
+                return ast.FunctionCall("MIN", [node])
+            return None
+
+        if any(e.name.startswith(_SCALAR_PREFIX) for e in scope.entries):
+            select = select.rewrite(per_group)
         group_exprs = [self._bind_expr(g, scope) for g in select.group_by]
-        group_names = [_default_name(g) for g in select.group_by]
-        group_keys = [str(g) for g in select.group_by]
-
-        # Collect every aggregate call in items, HAVING and ORDER BY.
         agg_calls: dict[str, ast.FunctionCall] = {}
-
-        def collect(expr: ast.Expr | None) -> None:
-            if expr is None:
-                return
+        for _, expr in select.clauses():
             for node in expr.walk():
                 if isinstance(node, ast.FunctionCall) and fn.is_aggregate(
                     node.name
                 ):
                     agg_calls.setdefault(str(node), node)
-
-        for item in select.items:
-            collect(item.expr)
-        collect(select.having)
-        for order in select.order_by:
-            collect(order.expr)
-
-        specs: list[AggregateSpec] = []
-        agg_position: dict[str, int] = {}
-        for i, (key, call) in enumerate(agg_calls.items()):
-            spec = self._bind_aggregate_call(call, scope, alias=f"__agg{i}")
-            agg_position[key] = len(group_exprs) + i
-            specs.append(spec)
-
+        specs = [
+            self._bind_aggregate_call(call, scope, alias=f"__agg{i}")
+            for i, call in enumerate(agg_calls.values())
+        ]
+        group_names = [_default_name(g) for g in select.group_by]
         plan = AggregateNode(plan, group_exprs, group_names, specs)
 
-        # Post-aggregation scope: group keys by AST text, then aggregates.
-        post = _PostAggregateScope(
-            group_keys=group_keys,
-            group_fields=[(n, e.dtype) for n, e in zip(group_names, group_exprs)],
-            agg_position=agg_position,
-            agg_fields=[(s.alias, s.dtype) for s in specs],
+        # After aggregation only group keys and aggregate calls are
+        # visible, each matched whole by its SQL text.
+        post = Scope(
+            [
+                ScopeEntry(None, name, e.dtype)
+                for name, e in zip(group_names, group_exprs)
+            ]
+            + [ScopeEntry(None, s.alias, s.dtype) for s in specs],
+            grouped={},
         )
+        for position, text in enumerate(
+            [str(g) for g in select.group_by] + list(agg_calls)
+        ):
+            post.grouped.setdefault(text, position)
 
         if select.having is not None:
-            predicate = self._bind_post_aggregate(select.having, post)
+            predicate = self._bind_expr(select.having, post)
             if predicate.dtype is not DataType.BOOLEAN:
                 raise BindError("HAVING predicate must be boolean")
             plan = FilterNode(plan, predicate)
-
-        exprs: list[BoundExpr] = []
-        names: list[str] = []
-        for item in select.items:
-            bound = self._bind_post_aggregate(item.expr, post)
-            exprs.append(bound)
-            names.append(item.alias or _default_name(item.expr))
-
-        output_scope = Scope(
-            [ScopeEntry(None, n, e.dtype) for n, e in zip(names, exprs)]
-        )
-        hidden: list[tuple[BoundExpr, bool]] = []
-        sort_keys: list[tuple[int, bool]] = []
-        for order in select.order_by:
-            position = self._try_projection_position(
-                order.expr, select.items, names, output_scope
-            )
-            if position is not None:
-                sort_keys.append((position, order.ascending))
-                continue
-            bound = self._bind_post_aggregate(order.expr, post)
-            hidden.append((bound, order.ascending))
-            sort_keys.append((len(exprs) + len(hidden) - 1, order.ascending))
-
-        all_exprs = exprs + [h[0] for h in hidden]
-        all_names = names + [f"__sort{i}" for i in range(len(hidden))]
-        plan = ProjectNode(plan, all_exprs, all_names)
-        if select.distinct:
-            plan = DistinctNode(plan)
-        if sort_keys:
-            keys = [
-                (
-                    BoundColumn(pos, plan.fields[pos].dtype, plan.fields[pos].name),
-                    asc,
-                )
-                for pos, asc in sort_keys
-            ]
-            plan = SortNode(plan, keys)
-        if hidden:
-            keep = [
-                BoundColumn(i, f.dtype, f.name)
-                for i, f in enumerate(plan.fields[: len(exprs)])
-            ]
-            plan = ProjectNode(plan, keep, names)
-        if select.limit is not None or select.offset is not None:
-            plan = LimitNode(plan, select.limit, select.offset or 0)
-        return plan
+        return plan, post, select
 
     def _bind_aggregate_call(
         self, call: ast.FunctionCall, scope: Scope, alias: str
@@ -1276,54 +1038,6 @@ class Binder:
         dtype = agg.return_type(arg.dtype)
         return AggregateSpec(call.name.upper(), arg, call.distinct, alias, dtype)
 
-    def _bind_post_aggregate(
-        self, expr: ast.Expr, post: "_PostAggregateScope"
-    ) -> BoundExpr:
-        position = post.position_of(expr)
-        if position is not None:
-            name, dtype = post.field_at(position)
-            return BoundColumn(position, dtype, name)
-        if isinstance(expr, ast.Literal):
-            if expr.value is None:
-                return BoundLiteral(DataType.TEXT, None)
-            return BoundLiteral(infer_type(expr.value), expr.value)
-        if isinstance(expr, ast.Parameter):
-            return self._bind_parameter(expr)
-        if isinstance(expr, ast.UnaryOp):
-            inner = self._bind_post_aggregate(expr.operand, post)
-            return BoundUnary(expr.op, inner)
-        if isinstance(expr, ast.BinaryOp):
-            left = self._bind_post_aggregate(expr.left, post)
-            right = self._bind_post_aggregate(expr.right, post)
-            return self._make_binary(expr.op, left, right)
-        if isinstance(expr, ast.FunctionCall) and not fn.is_aggregate(expr.name):
-            args = [self._bind_post_aggregate(a, post) for a in expr.args]
-            return self._make_function(expr.name, args)
-        if isinstance(expr, ast.CaseWhen):
-            branches = [
-                (
-                    self._bind_post_aggregate(c, post),
-                    self._bind_post_aggregate(v, post),
-                )
-                for c, v in expr.branches
-            ]
-            default = (
-                self._bind_post_aggregate(expr.default, post)
-                if expr.default is not None
-                else None
-            )
-            return self._make_case(branches, default)
-        if isinstance(expr, ast.Cast):
-            inner = self._bind_post_aggregate(expr.operand, post)
-            return BoundCast(inner, _resolve_type_name(expr.type_name))
-        if isinstance(expr, ast.ColumnRef):
-            raise BindError(
-                f"column {expr} must appear in GROUP BY or inside an aggregate"
-            )
-        raise BindError(
-            f"expression {expr} is not valid after aggregation"
-        )
-
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
@@ -1334,6 +1048,11 @@ class Binder:
         return bound
 
     def _bind_expr(self, expr: ast.Expr, scope: Scope) -> BoundExpr:
+        if scope.grouped is not None:
+            position = scope.grouped.get(str(expr))
+            if position is not None:
+                entry = scope.entries[position]
+                return BoundColumn(position, entry.dtype, entry.name)
         if isinstance(expr, ast.Literal):
             if expr.value is None:
                 return BoundLiteral(DataType.TEXT, None)
@@ -1341,6 +1060,11 @@ class Binder:
         if isinstance(expr, ast.Parameter):
             return self._bind_parameter(expr)
         if isinstance(expr, ast.ColumnRef):
+            if scope.grouped is not None:
+                raise BindError(
+                    f"column {expr} must appear in GROUP BY or inside an "
+                    "aggregate"
+                )
             position, dtype = scope.resolve(expr.name, expr.table)
             return BoundColumn(position, dtype, expr.name)
         if isinstance(expr, ast.UnaryOp):
@@ -1543,51 +1267,40 @@ class Binder:
         )
 
 
-@dataclass
-class _PostAggregateScope:
-    """Columns visible after aggregation: group keys then aggregates."""
-
-    group_keys: list[str]  # AST text of each GROUP BY expression
-    group_fields: list[tuple[str, DataType]]
-    agg_position: dict[str, int]  # AST text of aggregate call → position
-    agg_fields: list[tuple[str, DataType]]
-
-    def position_of(self, expr: ast.Expr) -> int | None:
-        text = str(expr)
-        for i, key in enumerate(self.group_keys):
-            if key == text:
-                return i
-        return self.agg_position.get(text)
-
-    def field_at(self, position: int) -> tuple[str, DataType]:
-        if position < len(self.group_fields):
-            return self.group_fields[position]
-        return self.agg_fields[position - len(self.group_fields)]
-
-
-def _ast_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _ast_conjuncts(expr.left) + _ast_conjuncts(expr.right)
-    return [expr]
-
-
-def _scalar_subquery_name(node: ast.ScalarSubquery) -> str:
-    # Mirror the Postgres convention: a bare scalar subquery in the select
-    # list is named after its inner output expression.
-    query = node.query
-    if isinstance(query, ast.Select) and len(query.items) == 1:
-        item = query.items[0]
-        return item.alias or _default_name(item.expr)
-    return "subquery"
-
-
 def _default_name(expr: ast.Expr) -> str:
     if isinstance(expr, ast.ColumnRef):
         return expr.name
-    if isinstance(expr, ast.FunctionCall):
+    if isinstance(expr, (ast.FunctionCall, ast.WindowFunction)):
         return expr.name.lower()
+    if isinstance(expr, ast.ScalarSubquery):
+        # Mirror the Postgres convention: a bare scalar subquery is named
+        # after its inner output expression.
+        query = expr.query
+        if isinstance(query, ast.Select) and len(query.items) == 1:
+            item = query.items[0]
+            return item.alias or _default_name(item.expr)
+        return "subquery"
     text = str(expr)
     return text if len(text) <= 40 else "expr"
+
+
+def _name_lifted_items(select: ast.Select) -> ast.Select:
+    """*select* with each unaliased item that is a scalar subquery or a
+    window function named after it, not after the hidden column it is
+    lifted into."""
+    lifted = (ast.ScalarSubquery, ast.WindowFunction)
+    if not any(
+        item.alias is None and isinstance(item.expr, lifted)
+        for item in select.items
+    ):
+        return select
+    items = [
+        ast.SelectItem(item.expr, _default_name(item.expr))
+        if item.alias is None and isinstance(item.expr, lifted)
+        else item
+        for item in select.items
+    ]
+    return dataclasses.replace(select, items=items)
 
 
 def _resolve_type_name(type_name: str) -> DataType:
@@ -1595,77 +1308,6 @@ def _resolve_type_name(type_name: str) -> DataType:
         return SQL_TYPE_ALIASES[type_name.upper()]
     except KeyError:
         raise BindError(f"unknown type {type_name!r} in CAST") from None
-
-
-def _replace_exprs(
-    select: ast.Select, replacement: dict[int, ast.Expr]
-) -> ast.Select:
-    """A copy of *select* with the nodes in *replacement* (keyed by ``id``)
-    swapped for their replacement expressions (used to lift PREDICT, scalar
-    subqueries, and window functions out of the expression trees)."""
-
-    def rewrite(expr: ast.Expr | None) -> ast.Expr | None:
-        if expr is None:
-            return None
-        if id(expr) in replacement:
-            return replacement[id(expr)]
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(rewrite(expr.operand), expr.negated)
-        if isinstance(expr, ast.Between):
-            return ast.Between(
-                rewrite(expr.operand),
-                rewrite(expr.low),
-                rewrite(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                rewrite(expr.operand),
-                [rewrite(i) for i in expr.items],
-                expr.negated,
-            )
-        if isinstance(expr, ast.Like):
-            return ast.Like(
-                rewrite(expr.operand), rewrite(expr.pattern), expr.negated
-            )
-        if isinstance(expr, ast.CaseWhen):
-            return ast.CaseWhen(
-                [(rewrite(c), rewrite(v)) for c, v in expr.branches],
-                rewrite(expr.default),
-            )
-        if isinstance(expr, ast.Cast):
-            return ast.Cast(rewrite(expr.operand), expr.type_name)
-        if isinstance(expr, ast.FunctionCall):
-            return ast.FunctionCall(
-                expr.name, [rewrite(a) for a in expr.args], expr.distinct
-            )
-        if isinstance(expr, ast.InQuery):
-            return ast.InQuery(
-                rewrite(expr.operand), expr.query, expr.negated
-            )
-        return expr
-
-    return ast.Select(
-        items=[
-            ast.SelectItem(rewrite(item.expr), item.alias)
-            for item in select.items
-        ],
-        from_clause=select.from_clause,
-        where=rewrite(select.where),
-        group_by=[rewrite(g) for g in select.group_by],
-        having=rewrite(select.having),
-        order_by=[
-            ast.OrderItem(rewrite(o.expr), o.ascending) for o in select.order_by
-        ],
-        limit=select.limit,
-        offset=select.offset,
-        distinct=select.distinct,
-        ctes=select.ctes,
-    )
 
 
 # ----------------------------------------------------------------------

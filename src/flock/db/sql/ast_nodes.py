@@ -1,30 +1,130 @@
 """SQL abstract syntax tree.
 
 Plain dataclasses, produced by :mod:`flock.db.sql.parser` and consumed by the
-binder (:mod:`flock.db.binder`) and the SQL provenance module
-(:mod:`flock.provenance.sql_capture`).
+binder (:mod:`flock.db.binder`), the shard router (:mod:`flock.shard.router`)
+and the SQL provenance module (:mod:`flock.provenance.sql_capture`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
 class Expr:
-    """Base class for expression AST nodes."""
+    """Base class for expression AST nodes.
 
-    def walk(self):
+    A node's children are the expressions held in its dataclass fields, in
+    field order (see :func:`_child_fields`). The ``query`` bodies of
+    :class:`InQuery`, :class:`Exists` and :class:`ScalarSubquery` are
+    statements, not children: each SELECT lifts its own subqueries.
+    """
+
+    #: Names of the fields that hold expressions, set per class below.
+    _expr_fields: tuple[str, ...] = ()
+
+    def walk(self) -> Iterator["Expr"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        stack: list[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node._expr_fields:
+                stack.extend(reversed(node.children()))
 
     def children(self) -> list["Expr"]:
-        return []
+        out: list[Expr] = []
+        for name in self._expr_fields:
+            value = getattr(self, name)
+            if isinstance(value, Expr):
+                out.append(value)
+            elif value is not None:
+                _collect_exprs(value, out)
+        return out
+
+    def rewrite(self, fn: Callable[["Expr"], Optional["Expr"]]) -> "Expr":
+        """This tree with the nodes *fn* maps to an expression replaced.
+
+        Pre-order: where ``fn(node)`` returns an expression it takes the
+        node's place and is not descended into; where it returns None the
+        node's children are rewritten. Nothing is mutated, and a node with
+        no replaced descendant is returned as is.
+        """
+        replaced = fn(self)
+        if replaced is not None:
+            return replaced
+        return _rewrite_fields(self, self._expr_fields, fn)
+
+
+def conjuncts(expr: Expr) -> list[Expr]:
+    """The top-level AND-conjuncts of *expr*, left to right."""
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
+def conjoin(exprs: list[Expr]) -> Optional[Expr]:
+    """The left-deep AND of *exprs*, or None when there are none."""
+    if not exprs:
+        return None
+    return functools.reduce(lambda a, b: BinaryOp("AND", a, b), exprs)
+
+
+def _collect_exprs(value: Any, out: list[Expr]) -> None:
+    if isinstance(value, Expr):
+        out.append(value)
+    elif isinstance(value, _ExprItem):
+        out.append(value.expr)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _collect_exprs(item, out)
+
+
+def _rewrite_value(value: Any, fn: Callable[[Expr], Optional[Expr]]) -> Any:
+    """*value* — an expression, an item holding one, a list or tuple of
+    those, or None — rewritten; *value* itself when nothing in it changed."""
+    if isinstance(value, (list, tuple)):
+        new = [_rewrite_value(item, fn) for item in value]
+        if all(a is b for a, b in zip(new, value)):
+            return value
+        return type(value)(new)
+    return value if value is None else value.rewrite(fn)
+
+
+def _rewrite_fields(
+    node: Any, names: tuple[str, ...], fn: Callable[[Expr], Optional[Expr]]
+) -> Any:
+    """*node* with the named fields rewritten; *node* itself when none
+    changed, else a copy."""
+    changes = {}
+    for name in names:
+        value = getattr(node, name)
+        new = _rewrite_value(value, fn)
+        if new is not value:
+            changes[name] = new
+    return dataclasses.replace(node, **changes) if changes else node
+
+
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """The fields of *cls* that hold expressions, in declaration order —
+    which is walk order, and so the order lifted columns are numbered in."""
+    holds_exprs = {
+        Expr,
+        Optional[Expr],
+        list[Expr],
+        list[tuple[Expr, Expr]],
+        list[OrderItem],
+    }
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        f.name for f in dataclasses.fields(cls) if hints[f.name] in holds_exprs
+    )
 
 
 @dataclass
@@ -76,9 +176,6 @@ class UnaryOp(Expr):
     op: str  # '-', '+', 'NOT'
     operand: Expr
 
-    def children(self) -> list[Expr]:
-        return [self.operand]
-
     def __str__(self) -> str:
         return f"({self.op} {self.operand})"
 
@@ -89,9 +186,6 @@ class BinaryOp(Expr):
     left: Expr
     right: Expr
 
-    def children(self) -> list[Expr]:
-        return [self.left, self.right]
-
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
@@ -101,9 +195,6 @@ class FunctionCall(Expr):
     name: str
     args: list[Expr] = field(default_factory=list)
     distinct: bool = False
-
-    def children(self) -> list[Expr]:
-        return list(self.args)
 
     def __str__(self) -> str:
         # Special syntactic forms must render back to parseable SQL.
@@ -125,9 +216,6 @@ class IsNull(Expr):
     operand: Expr
     negated: bool = False
 
-    def children(self) -> list[Expr]:
-        return [self.operand]
-
     def __str__(self) -> str:
         op = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand} {op})"
@@ -140,9 +228,6 @@ class Between(Expr):
     high: Expr
     negated: bool = False
 
-    def children(self) -> list[Expr]:
-        return [self.operand, self.low, self.high]
-
     def __str__(self) -> str:
         neg = "NOT " if self.negated else ""
         return f"({self.operand} {neg}BETWEEN {self.low} AND {self.high})"
@@ -153,9 +238,6 @@ class InList(Expr):
     operand: Expr
     items: list[Expr] = field(default_factory=list)
     negated: bool = False
-
-    def children(self) -> list[Expr]:
-        return [self.operand] + list(self.items)
 
     def __str__(self) -> str:
         neg = "NOT " if self.negated else ""
@@ -170,9 +252,6 @@ class InQuery(Expr):
     operand: Expr
     query: "Select"
     negated: bool = False
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
 
     def __str__(self) -> str:
         neg = "NOT " if self.negated else ""
@@ -217,14 +296,7 @@ class WindowFunction(Expr):
     name: str
     args: list[Expr] = field(default_factory=list)
     partition_by: list[Expr] = field(default_factory=list)
-    order_by: list["OrderItem"] = field(default_factory=list)
-
-    def children(self) -> list[Expr]:
-        return (
-            list(self.args)
-            + list(self.partition_by)
-            + [o.expr for o in self.order_by]
-        )
+    order_by: list[OrderItem] = field(default_factory=list)
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -250,9 +322,6 @@ class Like(Expr):
     pattern: Expr
     negated: bool = False
 
-    def children(self) -> list[Expr]:
-        return [self.operand, self.pattern]
-
     def __str__(self) -> str:
         neg = "NOT " if self.negated else ""
         return f"({self.operand} {neg}LIKE {self.pattern})"
@@ -264,15 +333,6 @@ class CaseWhen(Expr):
 
     branches: list[tuple[Expr, Expr]] = field(default_factory=list)
     default: Optional[Expr] = None
-
-    def children(self) -> list[Expr]:
-        out: list[Expr] = []
-        for cond, value in self.branches:
-            out.append(cond)
-            out.append(value)
-        if self.default is not None:
-            out.append(self.default)
-        return out
 
     def __str__(self) -> str:
         parts = ["CASE"]
@@ -289,9 +349,6 @@ class Cast(Expr):
     operand: Expr
     type_name: str
 
-    def children(self) -> list[Expr]:
-        return [self.operand]
-
     def __str__(self) -> str:
         return f"CAST({self.operand} AS {self.type_name})"
 
@@ -307,9 +364,6 @@ class Predict(Expr):
     model_name: str
     args: list[Expr] = field(default_factory=list)
     output: Optional[str] = None  # which model output to project (default 1st)
-
-    def children(self) -> list[Expr]:
-        return list(self.args)
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -373,15 +427,30 @@ class CTE:
 
 
 @dataclass
-class SelectItem:
+class _ExprItem:
+    """An entry of a select list or ORDER BY: one expression plus options."""
+
     expr: Expr
+
+    def rewrite(self, fn: Callable[[Expr], Optional[Expr]]) -> "_ExprItem":
+        expr = self.expr.rewrite(fn)
+        if expr is self.expr:
+            return self
+        return dataclasses.replace(self, expr=expr)
+
+
+@dataclass
+class SelectItem(_ExprItem):
     alias: Optional[str] = None
 
 
 @dataclass
-class OrderItem:
-    expr: Expr
+class OrderItem(_ExprItem):
     ascending: bool = True
+
+
+#: The expression-holding clauses of a SELECT.
+_CLAUSES = ("items", "where", "group_by", "having", "order_by")
 
 
 @dataclass
@@ -396,6 +465,26 @@ class Select(Statement):
     offset: Optional[int] = None
     distinct: bool = False
     ctes: list[CTE] = field(default_factory=list)
+
+    def clauses(self) -> Iterator[tuple[str, Expr]]:
+        """``(clause, expr)`` for each expression of this SELECT's own
+        clauses: select list, WHERE, GROUP BY, HAVING, ORDER BY. FROM and
+        subquery bodies are not included."""
+        for item in self.items:
+            yield "items", item.expr
+        if self.where is not None:
+            yield "where", self.where
+        for expr in self.group_by:
+            yield "group_by", expr
+        if self.having is not None:
+            yield "having", self.having
+        for order in self.order_by:
+            yield "order_by", order.expr
+
+    def rewrite(self, fn: Callable[[Expr], Optional[Expr]]) -> "Select":
+        """This SELECT with :meth:`Expr.rewrite` applied to every
+        expression :meth:`clauses` yields; itself when none changed."""
+        return _rewrite_fields(self, _CLAUSES, fn)
 
     def __str__(self) -> str:
         """Render back to parseable SQL (used to persist view definitions)."""
@@ -651,3 +740,8 @@ class SetOption(Statement):
 
 
 SelectLike = Union[Select]
+
+# Each expression class's traversed fields, computed once from its
+# dataclass fields (they name classes defined above, so this runs last).
+for _cls in Expr.__subclasses__():
+    _cls._expr_fields = _child_fields(_cls)

@@ -105,12 +105,6 @@ def canonical_key_value(column: Column, value: Any) -> Any:
 # ----------------------------------------------------------------------
 # Shard-key extraction (sits next to the read/write classification)
 # ----------------------------------------------------------------------
-def _conjuncts(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
 def _constant_value(
     expr: ast.Expr, params: Sequence[Any] | None
 ) -> tuple[bool, Any]:
@@ -169,7 +163,7 @@ def pinned_keys(
     if where is None or not key_positions:
         return None
     pinned: dict[int, list[Any]] = {}
-    for conjunct in _conjuncts(where):
+    for conjunct in ast.conjuncts(where):
         position, values = _match_pin(schema, conjunct, params)
         if position is not None and position not in pinned:
             pinned[position] = values
@@ -192,24 +186,15 @@ def pinned_keys(
     return keys
 
 
-def _has_in_query(statement: ast.Select) -> bool:
+def _has_subquery(statement: ast.Select) -> bool:
+    """Whether any clause holds an IN (SELECT ...), EXISTS or scalar
+    subquery."""
     subquery_nodes = (ast.InQuery, ast.Exists, ast.ScalarSubquery)
-    for expr in _select_exprs(statement):
-        if any(isinstance(node, subquery_nodes) for node in expr.walk()):
-            return True
-    return False
-
-
-def _select_exprs(statement: ast.Select):
-    for item in statement.items:
-        yield item.expr
-    if statement.where is not None:
-        yield statement.where
-    yield from statement.group_by
-    if statement.having is not None:
-        yield statement.having
-    for order in statement.order_by:
-        yield order.expr
+    return any(
+        isinstance(node, subquery_nodes)
+        for _, expr in statement.clauses()
+        for node in expr.walk()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -651,7 +636,7 @@ class ShardedCluster:
         catalog = self.coordinator.catalog
         if catalog.has_view(name) or not catalog.has_table(name):
             return None
-        if _has_in_query(statement):
+        if _has_subquery(statement):
             return None
         schema = catalog.schema(name)
         if not schema.primary_key_indexes:
@@ -819,45 +804,27 @@ class ShardedCluster:
         broadcast statement carries plain literals every shard can
         evaluate locally.
         """
-        if isinstance(expr, ast.InQuery):
+
+        def resolve(node: ast.Expr) -> ast.Expr | None:
+            if not isinstance(node, ast.InQuery):
+                return None
             result = self._execute_read(
-                CachedPlan(str(expr.query), expr.query), None, user
+                CachedPlan(str(node.query), node.query), None, user
             )
             batch = result.batch
             if batch.num_columns != 1:
                 raise BindError("IN subquery must return exactly one column")
             values = [v for v in batch.columns[0].to_pylist() if v is not None]
-            operand = self._resolve_in_queries(expr.operand, user)
             if not values:
                 # x IN () is never true; x NOT IN () always is.
-                return ast.Literal(bool(expr.negated))
+                return ast.Literal(bool(node.negated))
             return ast.InList(
-                operand, [ast.Literal(v) for v in values], expr.negated
+                node.operand.rewrite(resolve),
+                [ast.Literal(v) for v in values],
+                node.negated,
             )
-        if isinstance(expr, ast.Expr):
-            changes = {}
-            for field in dataclasses.fields(expr):
-                value = getattr(expr, field.name)
-                if isinstance(value, ast.Expr):
-                    rewritten = self._resolve_in_queries(value, user)
-                    if rewritten is not value:
-                        changes[field.name] = rewritten
-                elif isinstance(value, list) and any(
-                    isinstance(item, ast.Expr) for item in value
-                ):
-                    rewritten_list = [
-                        self._resolve_in_queries(item, user)
-                        if isinstance(item, ast.Expr)
-                        else item
-                        for item in value
-                    ]
-                    if any(
-                        a is not b for a, b in zip(rewritten_list, value)
-                    ):
-                        changes[field.name] = rewritten_list
-            if changes:
-                return dataclasses.replace(expr, **changes)
-        return expr
+
+        return expr.rewrite(resolve)
 
     # -- DDL / security / settings -------------------------------------
     def _broadcast_ddl(self, statement, sql, params, user) -> QueryResult:

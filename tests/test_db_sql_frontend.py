@@ -238,3 +238,110 @@ class TestParserOther:
         )
         assert len(parts) == 2
         assert "a;b" in parts[0]
+
+
+# ----------------------------------------------------------------------
+# Expression tree traversal: walk() and rewrite() derive from the fields
+# ----------------------------------------------------------------------
+def _sample(cls):
+    """An instance of *cls* with a distinct column reference in every
+    expression slot, and those references in walk order."""
+    c = [ast.ColumnRef(f"c{i}") for i in range(4)]
+    body = parse_statement("SELECT hidden FROM s WHERE hidden > 0")
+    samples = {
+        ast.Literal: (ast.Literal(1), []),
+        ast.Parameter: (ast.Parameter(0), []),
+        ast.ColumnRef: (c[0], []),
+        ast.Star: (ast.Star(), []),
+        ast.UnaryOp: (ast.UnaryOp("-", c[0]), c[:1]),
+        ast.BinaryOp: (ast.BinaryOp("+", c[0], c[1]), c[:2]),
+        ast.FunctionCall: (ast.FunctionCall("F", [c[0], c[1]]), c[:2]),
+        ast.IsNull: (ast.IsNull(c[0]), c[:1]),
+        ast.Between: (ast.Between(c[0], c[1], c[2]), c[:3]),
+        ast.InList: (ast.InList(c[0], [c[1], c[2]]), c[:3]),
+        ast.InQuery: (ast.InQuery(c[0], body), c[:1]),
+        ast.Exists: (ast.Exists(body), []),
+        ast.ScalarSubquery: (ast.ScalarSubquery(body), []),
+        ast.WindowFunction: (
+            ast.WindowFunction("SUM", [c[0]], [c[1]], [ast.OrderItem(c[2])]),
+            c[:3],
+        ),
+        ast.Like: (ast.Like(c[0], c[1]), c[:2]),
+        ast.CaseWhen: (ast.CaseWhen([(c[0], c[1]), (c[2], c[3])]), c[:4]),
+        ast.Cast: (ast.Cast(c[0], "INT"), c[:1]),
+        ast.Predict: (ast.Predict("m", [c[0], c[1]]), c[:2]),
+    }
+    return samples[cls]
+
+
+_EXPR_CLASSES = ast.Expr.__subclasses__()
+
+
+@pytest.mark.parametrize(
+    "cls", _EXPR_CLASSES, ids=[c.__name__ for c in _EXPR_CLASSES]
+)
+class TestExprTraversal:
+    def test_walk_reaches_every_expression_field(self, cls):
+        node, leaves = _sample(cls)
+        walked = list(node.walk())
+        assert walked[0] is node
+        # Pre-order, field order; subquery bodies are not descended into.
+        assert len(walked) == 1 + len(leaves)
+        assert all(a is b for a, b in zip(walked[1:], leaves))
+
+    def test_identity_rewrite_returns_the_same_object(self, cls):
+        node, _ = _sample(cls)
+        assert node.rewrite(lambda n: None) is node
+
+    def test_rewrite_copies_and_leaves_the_input_untouched(self, cls):
+        node, leaves = _sample(cls)
+        before = repr(node)
+        targets = {id(leaf) for leaf in leaves}
+        out = node.rewrite(
+            lambda n: ast.Literal(n.name) if id(n) in targets else None
+        )
+        assert repr(node) == before
+        assert type(out) is cls
+        assert (out is node) == (not leaves)
+        assert [n.value for n in list(out.walk())[1:]] == [
+            leaf.name for leaf in leaves
+        ]
+
+
+def test_select_clauses_and_rewrite():
+    stmt = parse_statement(
+        "SELECT a, b FROM t WHERE c > 1 GROUP BY a, b "
+        "HAVING COUNT(*) > 1 ORDER BY a"
+    )
+    assert [(clause, str(expr)) for clause, expr in stmt.clauses()] == [
+        ("items", "a"),
+        ("items", "b"),
+        ("where", "(c > 1)"),
+        ("group_by", "a"),
+        ("group_by", "b"),
+        ("having", "(COUNT(*) > 1)"),
+        ("order_by", "a"),
+    ]
+    assert stmt.rewrite(lambda n: None) is stmt
+    before = repr(stmt)
+    out = stmt.rewrite(
+        lambda n: ast.ColumnRef("z")
+        if isinstance(n, ast.ColumnRef) and n.name == "a"
+        else None
+    )
+    assert repr(stmt) == before
+    assert str(out) == (
+        "SELECT z, b FROM t WHERE (c > 1) GROUP BY z, b "
+        "HAVING (COUNT(*) > 1) ORDER BY z ASC"
+    )
+    assert out.where is stmt.where and out.items[1] is stmt.items[1]
+
+
+def test_conjuncts_and_conjoin_round_trip():
+    where = parse_statement(
+        "SELECT a FROM t WHERE a = 1 AND (b = 2 AND c = 3)"
+    ).where
+    parts = ast.conjuncts(where)
+    assert [str(p) for p in parts] == ["(a = 1)", "(b = 2)", "(c = 3)"]
+    assert str(ast.conjoin(parts)) == "(((a = 1) AND (b = 2)) AND (c = 3))"
+    assert ast.conjoin([]) is None
