@@ -329,11 +329,12 @@ class Binder:
 
     def _bind_select_body(self, select: ast.Select) -> PlanNode:
         plan, scope = self._bind_from(select.from_clause)
-        select = _name_lifted_items(select)
         # The node types in the clauses; a lift runs only if its type does.
         present = {
             type(node) for _, expr in select.clauses() for node in expr.walk()
         }
+        if not present.isdisjoint(_LIFTED):
+            select = _name_lifted_items(select)
 
         # PREDICT lifts into PredictNode operators, so the optimizer can
         # move relational operators across the model boundary.
@@ -1272,6 +1273,8 @@ def _default_name(expr: ast.Expr) -> str:
         return expr.name
     if isinstance(expr, (ast.FunctionCall, ast.WindowFunction)):
         return expr.name.lower()
+    if isinstance(expr, ast.Predict):
+        return "predict"
     if isinstance(expr, ast.ScalarSubquery):
         # Mirror the Postgres convention: a bare scalar subquery is named
         # after its inner output expression.
@@ -1284,19 +1287,24 @@ def _default_name(expr: ast.Expr) -> str:
     return text if len(text) <= 40 else "expr"
 
 
+_LIFTED = (ast.Predict, ast.ScalarSubquery, ast.WindowFunction)
+
+
 def _name_lifted_items(select: ast.Select) -> ast.Select:
-    """*select* with each unaliased item that is a scalar subquery or a
-    window function named after it, not after the hidden column it is
-    lifted into."""
-    lifted = (ast.ScalarSubquery, ast.WindowFunction)
-    if not any(
-        item.alias is None and isinstance(item.expr, lifted)
-        for item in select.items
-    ):
+    """*select* with each unaliased item that contains a PREDICT, scalar
+    subquery or window function named after its own text, not after the
+    hidden columns those are lifted into."""
+
+    def lifted(item: ast.SelectItem) -> bool:
+        return item.alias is None and any(
+            isinstance(node, _LIFTED) for node in item.expr.walk()
+        )
+
+    if not any(lifted(item) for item in select.items):
         return select
     items = [
         ast.SelectItem(item.expr, _default_name(item.expr))
-        if item.alias is None and isinstance(item.expr, lifted)
+        if lifted(item)
         else item
         for item in select.items
     ]

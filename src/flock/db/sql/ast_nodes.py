@@ -366,9 +366,9 @@ class Predict(Expr):
     output: Optional[str] = None  # which model output to project (default 1st)
 
     def __str__(self) -> str:
-        inner = ", ".join(str(a) for a in self.args)
+        parts = [self.model_name, *(str(a) for a in self.args)]
         out = f" WITH {self.output}" if self.output else ""
-        return f"PREDICT({self.model_name}, {inner}{out})"
+        return f"PREDICT({', '.join(parts)}{out})"
 
 
 # ----------------------------------------------------------------------

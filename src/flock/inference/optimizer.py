@@ -52,10 +52,11 @@ class CrossOptimizer:
     # is the right default for governed deployments.
     monitor_hub: object | None = None
     # Compression cache: (model graph identity, observed ranges) →
-    # (compressed graph, stats). Table statistics are cached per storage
-    # version, so the key is stable until either the model or the data
-    # changes — re-deploys and writes invalidate naturally. Guarded by
-    # _cache_lock: concurrent readers share one optimizer instance.
+    # (compressed graph, stats, inline budgets the graph failed). Table
+    # statistics are cached per storage version, so the key is stable
+    # until either the model or the data changes — re-deploys and writes
+    # invalidate naturally. Guarded by _cache_lock: concurrent readers
+    # share one optimizer instance.
     _compression_cache: dict = dataclass_field(default_factory=dict)
     _cache_lock: threading.Lock = dataclass_field(
         default_factory=threading.Lock, repr=False
@@ -113,6 +114,7 @@ class CrossOptimizer:
             if not isinstance(node, PredictNode):
                 continue
             graph = context.model_artifact(node.model_name)
+            inline_rejected: set[int] = set()
             if self.enable_compression:
                 ranges = self._input_ranges(node, graph, context)
                 cache_key = (
@@ -123,14 +125,15 @@ class CrossOptimizer:
                 with self._cache_lock:
                     cached = self._compression_cache.get(cache_key)
                 if cached is None:
-                    cached = compress_graph(
-                        graph, ranges, self.weight_tolerance
+                    cached = (
+                        *compress_graph(graph, ranges, self.weight_tolerance),
+                        set(),
                     )
                     with self._cache_lock:
                         if len(self._compression_cache) > 256:
                             self._compression_cache.clear()
                         self._compression_cache[cache_key] = cached
-                graph, stats = cached
+                graph, stats, inline_rejected = cached
                 folded = stats["tree_nodes_before"] - stats["tree_nodes_after"]
                 if folded or stats["weights_zeroed"]:
                     self.last_report.append(
@@ -147,6 +150,7 @@ class CrossOptimizer:
                 )
             else:
                 prepared = PreparedModel(graph, list(graph.input_names))
+            prepared.inline_rejected = inline_rejected
             node.compiled = prepared
 
     def _input_ranges(
@@ -192,6 +196,8 @@ class CrossOptimizer:
 
         prepared = plan.compiled
         assert isinstance(prepared, PreparedModel)
+        if self.max_inline_nodes in prepared.inline_rejected:
+            return plan
         input_exprs: dict[str, object] = {}
         for input_name, column_index in zip(
             prepared.active_inputs, plan.input_indexes
@@ -207,6 +213,9 @@ class CrossOptimizer:
             prepared.graph, input_exprs, self.max_inline_nodes
         )
         if compiled is None:
+            # Whether a graph inlines depends only on the graph and the
+            # budget, so a cached compressed graph is never tried again.
+            prepared.inline_rejected.add(self.max_inline_nodes)
             return plan
 
         passthrough = [

@@ -32,13 +32,16 @@ class PreparedModel:
     ``active_inputs`` are graph input names fed from DB columns, in the same
     order as the node's ``input_indexes``; ``constant_fill`` maps pruned
     graph inputs to the constant used in their place (their value provably
-    cannot affect the outputs).
+    cannot affect the outputs). ``inline_rejected`` holds the inlining
+    budgets *graph* is known to exceed; the cross-optimizer shares one set
+    per cached compressed graph.
     """
 
     graph: Graph
     active_inputs: list[str]
     constant_fill: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    inline_rejected: set[int] = field(default_factory=set)
 
 
 class DefaultScorer:

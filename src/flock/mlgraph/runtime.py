@@ -12,13 +12,14 @@ Two execution regimes, shared op implementations:
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from flock.errors import GraphError
-from flock.mlgraph.graph import Graph
-from flock.mlgraph.ops import lookup
+from flock.mlgraph.graph import Graph, Node
+from flock.mlgraph.ops import BoundOp, bind
 
 
 @dataclass
@@ -54,31 +55,35 @@ class GraphRuntime:
     def __init__(self) -> None:
         self.stats = RuntimeStats()
         self._stats_lock = threading.Lock()
-        # Topological order per graph object: morsel-parallel PREDICT runs
-        # the same graph once per morsel, and re-deriving the topo order on
-        # every run would be pure per-morsel overhead. Keyed by id() with a
-        # weakref guard against id reuse after collection.
-        self._topo_cache: dict[int, tuple[object, list]] = {}
-        self._topo_lock = threading.Lock()
+        # Execution plan per graph object: the topological order, each node
+        # bound to its operator with compiled attributes (a tree ensemble's
+        # flat arrays). Morsel-parallel PREDICT and every served statement
+        # run the same graph again and again; re-deriving the order or
+        # re-reading the trees per run would be pure overhead. Keyed by
+        # id() with a weakref guard against id reuse after collection; the
+        # plan is built under the lock, so a graph compiles once even when
+        # threads first run it together.
+        self._plan_cache: dict[int, tuple[object, list]] = {}
+        self._plan_lock = threading.Lock()
 
-    def _toposorted(self, graph: Graph) -> list:
-        import weakref
-
+    def _plan(self, graph: Graph) -> list[tuple[Node, BoundOp]]:
         key = id(graph)
-        with self._topo_lock:
-            entry = self._topo_cache.get(key)
+        with self._plan_lock:
+            entry = self._plan_cache.get(key)
             if entry is not None and entry[0]() is graph:
                 return entry[1]
-        topo = list(graph.toposorted())
-        try:
-            ref = weakref.ref(graph)
-        except TypeError:  # graph type without weakref support
-            return topo
-        with self._topo_lock:
-            if len(self._topo_cache) > 256:  # bound a long-lived runtime
-                self._topo_cache.clear()
-            self._topo_cache[key] = (ref, topo)
-        return topo
+            plan = [
+                (node, bind(node.op_type, node.attrs))
+                for node in graph.toposorted()
+            ]
+            try:
+                ref = weakref.ref(graph)
+            except TypeError:  # graph type without weakref support
+                return plan
+            if len(self._plan_cache) > 256:  # bound a long-lived runtime
+                self._plan_cache.clear()
+            self._plan_cache[key] = (ref, plan)
+        return plan
 
     def run(
         self,
@@ -133,10 +138,8 @@ class GraphRuntime:
         tensors: dict[str, np.ndarray] = {
             name: np.asarray(feeds[name]) for name in graph.input_names
         }
-        for node in self._toposorted(graph):
-            impl = lookup(node.op_type)
-            inputs = [tensors[name] for name in node.inputs]
-            outputs = impl(node.attrs, inputs)
+        for node, run in self._plan(graph):
+            outputs = run([tensors[name] for name in node.inputs])
             if len(outputs) != len(node.outputs):
                 raise GraphError(
                     f"operator {node.op_type} produced {len(outputs)} outputs, "

@@ -18,9 +18,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flock
+from flock.ml import LinearRegression
+from flock.mlgraph import to_graph
 
 SHARDS = int(os.environ.get("FLOCK_SHARDS", "1"))
 
@@ -43,6 +46,14 @@ _FIXTURE_SQL = [
 ]
 
 
+def _model_m() -> LinearRegression:
+    """The model ``m``: score = 2 * a + 1, exactly."""
+    model = LinearRegression().fit(np.array([[0.0], [1.0]]), [1.0, 3.0])
+    model.coef_ = np.array([2.0])
+    model.intercept_ = 1.0
+    return model
+
+
 @pytest.fixture(scope="package")
 def battery_engine(tmp_path_factory):
     if SHARDS > 1:
@@ -53,6 +64,7 @@ def battery_engine(tmp_path_factory):
         client = flock.connect()
     for statement in _FIXTURE_SQL:
         client.execute(statement)
+    client.registry.deploy("m", to_graph(_model_m(), ["a"], name="m"))
     yield client
     client.close()
 

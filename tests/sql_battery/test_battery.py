@@ -3,7 +3,7 @@
 Three tiers of assertion:
 
 - every POSITIVE statement parses, binds and executes, and its result has
-  a sane shape (no leaked internal ``__``-prefixed columns, every row as
+  a sane shape (no column name containing an internal ``__``, every row as
   wide as the header);
 - every RESULT_CHECKED statement returns its pinned rows exactly;
 - both run each statement twice: the second run is a plan-cache hit, and
@@ -40,7 +40,7 @@ def _execute_twice(engine, sql):
 
 def _shape_check(result):
     names = result.batch.names
-    assert not any(name.startswith("__") for name in names), (
+    assert not any("__" in name for name in names), (
         f"internal column leaked into result: {names}"
     )
     rows = result.rows()

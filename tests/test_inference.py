@@ -141,6 +141,35 @@ class TestCrossOptimizerEquivalence:
         plan_text = database.explain("SELECT PREDICT(gbm) FROM loans")
         assert "Predict(" in plan_text
 
+    def test_rejected_inlining_is_not_retried(self, monkeypatch):
+        """A graph over the inlining budget is tried once per cached
+        compressed graph, not once per statement."""
+        from flock.inference import udf
+
+        dataset = make_loans(120, random_state=2)
+        gbm = GradientBoostingClassifier(
+            n_estimators=30, random_state=0
+        ).fit(dataset.feature_matrix(), dataset.target_vector())
+        database, registry = create_database()
+        load_dataset_into(database, dataset)
+        registry.deploy("gbm", to_graph(gbm, dataset.feature_names, name="gbm"))
+        calls = []
+        inline_tree = udf._inline_tree
+
+        def counted(*args):
+            calls.append(args)
+            return inline_tree(*args)
+
+        monkeypatch.setattr(udf, "_inline_tree", counted)
+        sql = "SELECT PREDICT(gbm) AS p FROM loans WHERE applicant_id < 10"
+        first = database.explain(sql)
+        first_report = list(database.cross_optimizer.last_report)
+        assert calls
+        calls.clear()
+        assert database.explain(sql) == first
+        assert calls == []
+        assert database.cross_optimizer.last_report == first_report
+
 
 class TestInliningAndPushup:
     def test_linear_model_disappears_from_plan(self, loan_setup):
