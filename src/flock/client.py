@@ -225,7 +225,6 @@ class Client:
         return {
             "statements": len(self.db.query_log),
             "committed": self.db.transactions.committed_count,
-            "engine_workers": self.db.workers,
         }
 
     # -- lifecycle ------------------------------------------------------

@@ -3,11 +3,10 @@
 The workload is deliberately *analytic*: parameterless aggregate queries
 that hit the prepared-plan fast path (plan cached, bind/optimize skipped)
 and spend their time in numpy kernels, which release the GIL — so with one
-serving worker and one engine worker per replica, the follower count is the
-only parallelism axis being measured. Point-query workloads do not belong
-here: their per-request cost is Python/GIL-bound and in-process replicas
-cannot scale them (the morsel-parallel and micro-batching benchmarks cover
-that axis).
+serving worker per replica, the follower count is the only parallelism axis
+being measured. Point-query workloads do not belong here: their per-request
+cost is Python/GIL-bound and in-process replicas cannot scale them (the
+micro-batching benchmark covers that axis).
 
 Data loads through the primary in blocks and reaches every follower over
 the replication stream — the loader mirrors the qdina-bench generator
@@ -182,9 +181,6 @@ def run_replica_scaling_benchmark(
                 process=use_process,
             )
             try:
-                cluster.database.set_workers(1)  # replicas, not morsels
-                for follower in cluster.followers:
-                    follower.database.set_workers(1)
                 cluster.wait_for_catchup(30.0)
                 for sql in READ_QUERIES:  # warm every plan cache
                     cluster.execute(sql)

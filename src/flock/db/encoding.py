@@ -599,9 +599,9 @@ def encode_columns(
 def concat_encoded(chunks: Sequence[ColumnVector]) -> ColumnVector | None:
     """One-shot concat of same-encoding chunks, or None for the plain path.
 
-    The parallel merge and scatter-gather paths concatenate many morsel
-    outputs; when those are slices of one dictionary/bit-packed column the
-    merge moves codes, not decoded values.
+    The spill and scatter-gather paths concatenate many chunks; when those
+    are slices of one dictionary/bit-packed column the merge moves codes,
+    not decoded values.
     """
     first = chunks[0]
     if isinstance(first, DictionaryVector):

@@ -31,7 +31,6 @@ from flock.db.binder import (
 from flock.db.catalog import Catalog
 from flock.db.encoding import EncodingSettings, env_switch
 from flock.db.exec.executor import Executor, render_analyzed_plan
-from flock.db.exec.pool import WorkerPool
 from flock.db.expr import truthy_mask
 from flock.db.optimizer.rules import Optimizer
 from flock.db.plan import PlanNode, PredictNode, ScanNode
@@ -87,21 +86,6 @@ class QueryLogEntry:
     duration_ms: float = 0.0
 
 
-def _checked_workers(value: int | str, source: str) -> int:
-    """*value* as a worker count; *source* names where it came from.
-
-    The one check for ``FLOCK_WORKERS``, ``Database(workers=...)`` and
-    ``SET flock.workers``: anything but an integer >= 1 is a BindError.
-    """
-    try:
-        workers = int(value)
-    except (TypeError, ValueError):
-        workers = 0
-    if workers < 1:
-        raise BindError(f"{source} must be an integer >= 1, got {value!r}")
-    return workers
-
-
 def _checked_memory_budget(value: int | str, source: str) -> int | None:
     """*value* as a memory budget in bytes, None meaning unbounded.
 
@@ -128,7 +112,6 @@ class Database:
         model_store: ModelStore | None = None,
         scorer: Scorer | None = None,
         optimizer: Optimizer | None = None,
-        workers: int | None = None,
         encodings: bool | None = None,
         memory_budget: int | None = None,
     ):
@@ -165,18 +148,6 @@ class Database:
         # flock.db.wal.open_database / Database.open). None means purely
         # in-memory: the whole durability path costs one None check.
         self.wal = None
-        # Morsel-driven parallel execution: the worker count comes from the
-        # constructor argument, then FLOCK_WORKERS, then the serial default
-        # (1). The pool itself is built lazily on first parallel-eligible
-        # query and is shared by every statement path (including serving).
-        if workers is not None:
-            workers = _checked_workers(workers, "Database(workers=...)")
-        else:
-            raw = os.environ.get("FLOCK_WORKERS", "").strip()
-            workers = _checked_workers(raw, "FLOCK_WORKERS") if raw else 1
-        self._workers = workers
-        self._worker_pool: WorkerPool | None = None
-        self._pool_lock = threading.Lock()
         # Index-based access paths (hash indexes + zone maps). On by
         # default; FLOCK_INDEXES=0 or `SET flock.indexes = 0` forces every
         # query down the full-scan path — the live differential oracle the
@@ -260,10 +231,6 @@ class Database:
             self.wal.close()
             self.wal = None
             self.transactions.wal = None
-        with self._pool_lock:
-            if self._worker_pool is not None:
-                self._worker_pool.shutdown()
-                self._worker_pool = None
         if self._spill_dir is not None:
             import shutil
 
@@ -288,52 +255,6 @@ class Database:
 
             self._spill_dir = tempfile.mkdtemp(prefix="flock-spill-")
         return self._spill_dir
-
-    # ------------------------------------------------------------------
-    # Morsel-parallel execution (see flock.db.exec.parallel)
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Current worker-pool size (1 = serial execution)."""
-        return self._workers
-
-    def set_workers(self, workers: int) -> None:
-        """Resize the worker pool (``SET flock.workers = N``).
-
-        Callers reach this through the exclusive side of the statement
-        lock, so no reader is mid-fan-out while the old pool is retired;
-        its threads finish any queued morsels and exit.
-        """
-        workers = _checked_workers(workers, "flock.workers")
-        with self._pool_lock:
-            self._workers = workers
-            if (
-                self._worker_pool is not None
-                and self._worker_pool.workers != workers
-            ):
-                self._worker_pool.shutdown()
-                self._worker_pool = None
-
-    def _acquire_pool(self) -> WorkerPool | None:
-        """The shared pool, created lazily; None while workers <= 1."""
-        if self._workers <= 1:
-            return None
-        with self._pool_lock:
-            pool = self._worker_pool
-            if pool is None or pool.workers != self._workers:
-                if pool is not None:
-                    pool.shutdown()
-                pool = WorkerPool(self._workers)
-                self._worker_pool = pool
-            return pool
-
-    def _executor(self, context, collect_stats: bool = False) -> Executor:
-        """An executor over *context*'s snapshot, on this engine's pool."""
-        return Executor(
-            context,
-            collect_stats=collect_stats,
-            pool=self._acquire_pool(),
-        )
 
     def _log_ddl(self, op: dict) -> None:
         """Log a catalog/security mutation that just became visible."""
@@ -797,7 +718,7 @@ class Database:
     ) -> QueryResult:
         plan = prepared.plan
         if statement.analyze:
-            executor = self._executor(context, collect_stats=True)
+            executor = Executor(context, collect_stats=True)
             start_ns = time.perf_counter_ns()
             batch = executor.run(plan)
             total_ms = (time.perf_counter_ns() - start_ns) / 1e6
@@ -819,7 +740,7 @@ class Database:
     def _execute_select(
         self, prepared: PreparedPlan, user: str, context
     ) -> QueryResult:
-        batch = self._executor(context).run(prepared.plan)
+        batch = Executor(context).run(prepared.plan)
         self._audit_reads(prepared.reads, user)
         return QueryResult("SELECT", batch=batch)
 
@@ -1084,13 +1005,12 @@ class Database:
     def _execute_set_option(
         self, statement: ast.SetOption, user: str
     ) -> QueryResult:
-        """``SET flock.workers = 4`` and friends — engine-wide knobs.
+        """``SET flock.indexes = 0`` and friends — engine-wide knobs.
 
         Settings affect every session, so only admin may change them. The
         statement runs under the exclusive statement lock (it is classed
-        with DDL in ``_mutates_shared_state``), which is what makes the
-        worker-pool swap in :meth:`set_workers` safe against in-flight
-        parallel readers.
+        with DDL in ``_mutates_shared_state``), so no reader is mid-plan
+        while a setting flips.
         """
         if user != "admin":
             raise SecurityError("only admin may change engine settings")
@@ -1098,9 +1018,7 @@ class Database:
         value = statement.value
         if not isinstance(value, int) or isinstance(value, bool):
             raise BindError(f"SET {name} expects an integer value")
-        if name == "flock.workers":
-            self.set_workers(value)
-        elif name == "flock.indexes":
+        if name == "flock.indexes":
             if value not in (0, 1):
                 raise BindError("flock.indexes must be 0 or 1")
             self._indexes_enabled = bool(value)

@@ -9,7 +9,6 @@ executor and differ only in the Predict operator's strategy).
 
 from __future__ import annotations
 
-import contextvars
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -19,11 +18,8 @@ import numpy as np
 from flock.db import index as index_module
 from flock.db.encoding import EncodedVector
 from flock.db.exec import aggregate, grouping
-from flock.db.exec import parallel as par
 from flock.db.exec import spill as spill_module
-from flock.db.exec.pool import WorkerPool, in_worker_thread
 from flock.db.expr import BoundExpr, truthy_mask
-from flock.db.optimizer.cost import choose_morsel_rows
 from flock.db.plan import (
     AggregateNode,
     DistinctNode,
@@ -43,7 +39,6 @@ from flock.db.types import DataType
 from flock.db.vector import Batch, ColumnVector, concat_columns
 from flock.errors import ExecutionError
 from flock.observability import get_tracer, metrics
-from flock.testing import faultpoints
 
 
 #: EXPLAIN ANALYZE ``spill=`` tag of each ``spill.<kind>`` counter.
@@ -112,34 +107,12 @@ class Executor:
     :attr:`node_stats` (keyed by ``id(plan_node)``) — the data source for
     ``EXPLAIN ANALYZE``. Trace spans are always emitted (one per operator
     node) unless tracing is globally disabled.
-
-    When a :class:`~flock.db.exec.pool.WorkerPool` with ``workers > 1`` is
-    supplied, eligible Scan→Filter/Project/Predict pipelines execute
-    morsel-parallel with bit-identical results (see
-    :mod:`flock.db.exec.parallel`); every other operator runs serially over
-    the pipeline's output. The snapshot is pinned in the driver thread:
-    ``context.table_batch`` is called exactly once per scan and workers
-    only see immutable slices of that batch, so MVCC isolation is
-    unaffected by the fan-out.
     """
 
-    def __init__(
-        self,
-        context: ExecutionContext,
-        collect_stats: bool = False,
-        pool: WorkerPool | None = None,
-    ):
+    def __init__(self, context: ExecutionContext, collect_stats: bool = False):
         self.context = context
         self.collect_stats = collect_stats
         self.node_stats: dict[int, NodeStats] = {}
-        self.pool = pool
-        # A morsel worker must never fan out again: nested parallelism
-        # would let pool tasks block on the very pool they run in.
-        self._parallel_enabled = (
-            pool is not None
-            and pool.workers > 1
-            and not in_worker_thread()
-        )
 
     def run(self, plan: PlanNode) -> Batch:
         batch = self._execute(plan)
@@ -168,10 +141,6 @@ class Executor:
         return batch
 
     def _execute_node(self, plan: PlanNode) -> Batch:
-        if self._parallel_enabled:
-            result = self._try_parallel(plan)
-            if result is not None:
-                return result
         if isinstance(plan, ScanNode):
             return self._scan(plan)
         if isinstance(plan, FilterNode):
@@ -197,16 +166,12 @@ class Executor:
         raise ExecutionError(f"cannot execute plan node {type(plan).__name__}")
 
     def _scan(self, node: ScanNode) -> Batch:
-        return self._source_batch(node)
-
-    def _source_batch(self, node: ScanNode) -> Batch:
         """Materialize a scan's input: index lookup, zone pruning or full.
 
-        The shared access-path entry for the serial scan and the parallel
-        morsel preparation. Both accelerations are advisory supersets — the
-        filter above re-checks the full predicate — so any fallback (a
-        context without index services, a snapshot the index cannot serve)
-        silently degrades to the plain full scan.
+        Both accelerations are advisory supersets — the filter above
+        re-checks the full predicate — so any fallback (a context without
+        index services, a snapshot the index cannot serve) silently
+        degrades to the plain full scan.
         """
         base = self.context.table_batch(node.table_name)
         extras: dict = {}
@@ -246,140 +211,22 @@ class Executor:
         return Batch([f.name for f in node.fields], selected)
 
     def _filter(self, node: FilterNode) -> Batch:
-        return self._filter_batch(node, self._execute(node.child))
-
-    def _filter_batch(self, node: FilterNode, child: Batch) -> Batch:
-        predicate = node.predicate.evaluate(child)
-        return child.filter(truthy_mask(predicate))
+        child = self._execute(node.child)
+        return child.filter(truthy_mask(node.predicate.evaluate(child)))
 
     def _project(self, node: ProjectNode) -> Batch:
-        return self._project_batch(node, self._execute(node.child))
-
-    def _project_batch(self, node: ProjectNode, child: Batch) -> Batch:
+        child = self._execute(node.child)
         columns = [e.evaluate(child) for e in node.exprs]
         return Batch([f.name for f in node.fields], columns)
 
     def _predict(self, node: PredictNode) -> Batch:
-        return self._predict_batch(node, self._execute(node.child))
-
-    def _predict_batch(self, node: PredictNode, child: Batch) -> Batch:
+        child = self._execute(node.child)
         inputs = Batch(
             [child.names[i] for i in node.input_indexes],
             [child.columns[i] for i in node.input_indexes],
         )
         outputs = self.context.score(node, inputs)
         return child.with_columns([f.name for f in node.output_fields], outputs)
-
-    def _apply_stage(self, stage: PlanNode, batch: Batch) -> Batch:
-        """Run one pipeline stage over an already-materialized input."""
-        if isinstance(stage, FilterNode):
-            return self._filter_batch(stage, batch)
-        if isinstance(stage, ProjectNode):
-            return self._project_batch(stage, batch)
-        if isinstance(stage, PredictNode):
-            return self._predict_batch(stage, batch)
-        raise ExecutionError(
-            f"{type(stage).__name__} is not a pipeline stage"
-        )
-
-    # -- morsel-driven parallel execution ---------------------------------
-    def _try_parallel(self, plan: PlanNode) -> Batch | None:
-        """Morsel-parallel execution of a pipeline *plan*, or None for serial.
-
-        The one parallel shape is a Filter/Project/Predict chain over a
-        scan; its morsel outputs concatenate in morsel order into the serial
-        batch (see :mod:`flock.db.exec.parallel`). ``context.table_batch``
-        runs here, in the driver thread, exactly once per scan: workers
-        share the returned immutable batch, so every morsel sees the same
-        MVCC snapshot.
-        """
-        segment = par.find_segment(plan)
-        if segment is None:
-            return None
-        assert self.pool is not None
-        start_ns = time.perf_counter_ns()
-        scan_batch = self._source_batch(segment.scan)
-        morsel_rows = choose_morsel_rows(
-            scan_batch.num_rows,
-            has_predict=segment.has_predict,
-            workers=self.pool.workers,
-        )
-        if morsel_rows <= 0:
-            return None
-        if self.collect_stats:
-            scan_stats = self.node_stats.setdefault(
-                id(segment.scan), NodeStats()
-            )
-            scan_stats.calls += 1
-            scan_stats.rows_out += scan_batch.num_rows
-            scan_stats.wall_ns += time.perf_counter_ns() - start_ns
-        bounds = par.morsel_bounds(scan_batch.num_rows, morsel_rows)
-        return Batch.concat_all(
-            self._run_morsels(plan, segment.stages, scan_batch, bounds)
-        )
-
-    def _run_morsels(
-        self,
-        plan: PlanNode,
-        stages: list[PlanNode],
-        scan_batch: Batch,
-        bounds: list[tuple[int, int]],
-    ) -> list[Batch]:
-        """Fan morsels out on the pool; outputs come back in morsel order.
-
-        Per-task ``contextvars`` copies keep each morsel's trace span nested
-        under the current operator span.
-        """
-
-        def run_one(index: int, start: int, stop: int):
-            faultpoints.reach("parallel.pre_morsel")
-            with get_tracer().span(
-                "exec.morsel", {"index": index, "rows": stop - start}
-            ):
-                batch = scan_batch.slice(start, stop)
-                stage_stats = []
-                for stage in stages:
-                    stage_start = time.perf_counter_ns()
-                    batch = self._apply_stage(stage, batch)
-                    stage_stats.append(
-                        (
-                            id(stage),
-                            batch.num_rows,
-                            time.perf_counter_ns() - stage_start,
-                        )
-                    )
-            faultpoints.reach("parallel.post_morsel")
-            return batch, stage_stats
-
-        tasks = []
-        for index, (start, stop) in enumerate(bounds):
-            task_context = contextvars.copy_context()
-            tasks.append(
-                lambda ctx=task_context, i=index, lo=start, hi=stop: ctx.run(
-                    run_one, i, lo, hi
-                )
-            )
-        outcomes = self.pool.run_ordered(tasks)
-
-        registry = metrics()
-        registry.counter("parallel.fragments").inc()
-        registry.counter("parallel.morsels").inc(len(bounds))
-        registry.histogram("parallel.morsels_per_fragment").observe(
-            len(bounds)
-        )
-        if self.collect_stats:
-            plan_stats = self.node_stats.setdefault(id(plan), NodeStats())
-            plan_stats.extras["workers"] = self.pool.workers
-            plan_stats.extras["morsels"] = len(bounds)
-            for _, stage_stats in outcomes:
-                for node_id, rows_out, wall_ns in stage_stats:
-                    if node_id == id(plan):
-                        continue  # _execute records the head, merged
-                    entry = self.node_stats.setdefault(node_id, NodeStats())
-                    entry.calls += 1
-                    entry.rows_out += rows_out
-                    entry.wall_ns += wall_ns
-        return [result for result, _ in outcomes]
 
     # -- joins -----------------------------------------------------------
     def _join(self, node: JoinNode) -> Batch:

@@ -1,4 +1,4 @@
-"""Hash indexes and per-morsel zone maps.
+"""Hash indexes and zone maps.
 
 Two access-path accelerators over the versioned columnar storage:
 
@@ -17,9 +17,9 @@ index lookup (the index only has to return a superset of the matching rows —
 it returns exactly the equality matches).
 
 Zone maps (:class:`ColumnZones`) are min/max/present-count summaries per
-fixed-size row range, aligned with the default morsel size of the parallel
-executor so that pruning a zone prunes a whole morsel before fan-out. They
-are computed lazily per version and cached on the version; INSERT versions
+fixed-size row range (``ZONE_ROWS``); a scan drops every zone whose
+summary rules the predicate out before the filter sees a row. They are
+computed lazily per version and cached on the version; INSERT versions
 reuse the full-zone prefix of their base version (the first ``base.row_count``
 rows are bitwise the same columns), so append-heavy workloads pay only for
 the tail.
@@ -43,8 +43,8 @@ from flock.db.vector import ColumnVector
 from flock.observability.metrics import metrics
 from flock.testing import faultpoints
 
-#: Rows per zone. Matches the parallel executor's DEFAULT_MORSEL_ROWS so a
-#: pruned zone corresponds to a whole default-size morsel.
+#: Rows per zone: coarse enough that a summary costs little to build and
+#: check, fine enough that a selective range prunes most of a table.
 ZONE_ROWS = 8192
 
 #: Comparison operators zone maps understand (plus "in" for IN-lists).

@@ -42,39 +42,6 @@ DEFAULT_SELECTIVITY = 0.5
 INDEX_MIN_ROWS = 64
 INDEX_MAX_SELECTIVITY = 0.2
 
-#: Parallel execution constants: below the floor the fan-out/merge overhead
-#: (task dispatch, context copies, result concatenation) beats any thread
-#: win, so plans stay serial. PREDICT pipelines amortize much earlier
-#: because model scoring dominates per-row cost.
-DEFAULT_MORSEL_ROWS = 8192
-PARALLEL_MIN_ROWS = 16384
-PREDICT_PARALLEL_MIN_ROWS = 2048
-
-
-def choose_morsel_rows(rows: int, *, has_predict: bool, workers: int) -> int:
-    """The morsel size to split *rows* with, or 0 to stay serial.
-
-    This is the cost model's serial-vs-parallel decision, made on *actual*
-    scan cardinality (the executor knows it before fanning out, so there is
-    no reason to guess from statistics). The target morsel shrinks — never
-    below a cache-friendly floor — until the batch spreads across every
-    worker, so a batch marginally above the threshold still splits evenly
-    instead of landing on one thread.
-    """
-    if workers <= 1 or rows <= 1:
-        return 0
-    floor = PREDICT_PARALLEL_MIN_ROWS if has_predict else PARALLEL_MIN_ROWS
-    if rows < max(floor, 2):
-        return 0
-    target = DEFAULT_MORSEL_ROWS
-    per_worker = -(-rows // workers)  # ceil division
-    chunk_floor = 256 if has_predict else 1024
-    target = min(target, max(chunk_floor, per_worker))
-    if -(-rows // target) < 2:
-        return 0
-    return target
-
-
 def index_lookup_selectivity(
     row_count: int, distinct_count: int, probe_count: int
 ) -> float:

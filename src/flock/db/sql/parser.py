@@ -362,7 +362,7 @@ class Parser:
         return column, self._expr()
 
     def _set_option(self) -> ast.SetOption:
-        """``SET flock.workers = 4`` — engine settings, integers only.
+        """``SET flock.indexes = 0`` — engine settings, integers only.
 
         A bare ``SET`` can only open this statement: ``UPDATE ... SET``
         consumes its SET inside :meth:`_update`.

@@ -243,7 +243,7 @@ class Batch:
 
         Equivalent to repeated :meth:`concat` (bitwise — concatenation only
         moves values) but linear instead of quadratic in total rows, which
-        is what the parallel merge path needs.
+        is what the spill and shard-merge paths need.
         """
         if not batches:
             raise ExecutionError("concat_all needs at least one batch")

@@ -55,9 +55,9 @@ class DefaultScorer:
     def __init__(self, monitor_hub=None) -> None:
         self.runtime = GraphRuntime()
         self.monitor_hub = monitor_hub
-        # Concurrent morsels (and concurrent serving statements) score
-        # through one shared scorer; monitor hubs keep windowed state that
-        # is not guaranteed re-entrant, so reports are serialized.
+        # Concurrent serving statements score through one shared scorer;
+        # monitor hubs keep windowed state that is not guaranteed
+        # re-entrant, so reports are serialized.
         self._monitor_lock = threading.Lock()
 
     def score(

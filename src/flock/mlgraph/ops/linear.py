@@ -18,9 +18,8 @@ def linear(attrs: dict, inputs: list[np.ndarray]) -> list[np.ndarray]:
     (and therefore different float summation orders) by matrix shape, so
     ``(X @ W)[i]`` need not bit-match ``X[i:j] @ W``. einsum reduces each
     row with one fixed-order loop, making scoring invariant under row
-    slicing — the property the morsel-parallel executor relies on for
-    bit-identical parallel PREDICT results. It also releases the GIL, so
-    concurrent morsels overlap.
+    slicing — so a key served alone, in a serving micro-batch or on one
+    shard of a scatter scores to the same bits as in a full-table PREDICT.
     """
     (matrix,) = inputs
     weights = np.asarray(attrs["weights"], dtype=np.float64)

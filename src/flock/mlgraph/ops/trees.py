@@ -32,8 +32,9 @@ one of three ways:
   the reference the other two paths are tested against.
 
 Every path writes each tree's (n, width) output into one (trees, n,
-width) stack that is summed or averaged over the tree axis in tree
-order, so a score is bit-identical whichever path produced it.
+width) stack whose trees are added one by one in tree order (``average``
+divides that sum by the tree count), so a score is bit-identical
+whichever path produced it and however many rows shared the batch.
 """
 
 from __future__ import annotations
@@ -223,10 +224,16 @@ class CompiledEnsemble:
     def __call__(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
         (matrix,) = inputs
         stacked = self.stack(np.asarray(matrix, dtype=np.float64))
+        # Tree by tree, never stacked.sum(axis=0): numpy reduces that axis
+        # pairwise for one row but in tree order for many, so a row served
+        # alone would differ in the last bit from the same row in a batch.
+        total = stacked[0].copy()
+        for out in stacked[1:]:
+            total += out
         if self.aggregation == "sum":
-            combined = self.init + self.scale * stacked.sum(axis=0)
+            combined = self.init + self.scale * total
         else:
-            combined = stacked.mean(axis=0)
+            combined = total / len(self.trees)
         if combined.shape[1] == 1:
             return [combined[:, 0]]
         return [combined]

@@ -57,8 +57,8 @@ class GraphRuntime:
         self._stats_lock = threading.Lock()
         # Execution plan per graph object: the topological order, each node
         # bound to its operator with compiled attributes (a tree ensemble's
-        # flat arrays). Morsel-parallel PREDICT and every served statement
-        # run the same graph again and again; re-deriving the order or
+        # flat arrays). Batch PREDICTs and every served statement run the
+        # same graph again and again; re-deriving the order or
         # re-reading the trees per run would be pure overhead. Keyed by
         # id() with a weakref guard against id reuse after collection; the
         # plan is built under the lock, so a graph compiles once even when

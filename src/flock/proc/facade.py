@@ -3,8 +3,8 @@
 The routers — and a decade of tests — reach *through* a shard or follower
 into ``.database`` / ``.registry`` / ``.server`` attributes: scatter
 inserts call ``shard.database.executemany``, recovery checks walk
-``shard.database.catalog`` and verify the audit hash chain, the bench
-harness calls ``follower.database.set_workers``. Every one of those paths
+``shard.database.catalog`` and verify the audit hash chain, checkpoint
+drills call ``shard.database.checkpoint``. Every one of those paths
 is a facade over the shard's or follower's handle
 (:mod:`flock.proc.supervisor`): each call is one op of the worker op
 table, dispatched directly in this process or as one framed RPC to a
@@ -142,9 +142,6 @@ class RemoteDatabaseFacade:
 
     def checkpoint(self) -> None:
         self._handle.call("db", "checkpoint")
-
-    def set_workers(self, workers: int) -> None:
-        self._handle.call("db", "set_workers", [workers])
 
 
 class RemoteRegistryFacade:

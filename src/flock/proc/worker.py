@@ -140,8 +140,6 @@ def _build_follower(state: _State, config: dict) -> None:
         **config["engine"],
     )
     database.cross_optimizer = cross
-    # Engine workers stay at the follower's own setting (default 1):
-    # replicas are the parallelism axis of this tier, one engine each.
     registry.bind_database(database)
     registry.load_from_database(database)
     state.db = database

@@ -431,13 +431,6 @@ class FlockServer:
             "latency_ms": {
                 k: latency[k] for k in ("p50", "p95", "p99", "mean")
             },
-            # Every serving worker executes through the engine, so queries
-            # share the engine's one morsel worker pool; surface its shape
-            # so operators can see the parallelism a deployment runs with.
-            "engine_workers": self.database.workers,
-            "parallel_fragments": registry.counter(
-                "parallel.fragments"
-            ).value,
         }
 
     # ------------------------------------------------------------------

@@ -5,8 +5,7 @@ column assigned by the router from one per-table monotonic counter, in the
 order rows were presented by the client. Concatenating the per-shard
 snapshots and sorting by that sequence therefore reconstructs *exactly* the
 row order a single engine would hold — after which the coordinator's own
-binder, optimizer and morsel executor (whose merge step is already exact
-serial order, see :mod:`flock.db.exec`) produce bit-identical results.
+binder, optimizer and executor produce bit-identical results.
 
 The coordinator engine is an in-memory :class:`~flock.db.Database` whose
 catalog mirrors the user-visible schema but whose tables stay empty; merged

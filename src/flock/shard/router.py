@@ -30,15 +30,12 @@ Routing:
   rolls the creates back everywhere.
 
 Out of scope, by design (raises :class:`~flock.errors.ShardError`):
-explicit transactions (statements autocommit), UPDATEs that assign to a
-primary-key column (rows would have to move between shards), and
-parameterized ``IN (SELECT ...)`` in UPDATE/DELETE (the rewrite to
-literals cannot keep placeholder positions stable).
+explicit transactions (statements autocommit) and UPDATEs that assign to
+a primary-key column (rows would have to move between shards).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import threading
@@ -56,7 +53,7 @@ from flock.db.sql import ast_nodes as ast
 from flock.db.sql.parser import parse_statement
 from flock.db.txn import ReadWriteLock
 from flock.db.types import DataType, date_to_days
-from flock.errors import BindError, FlockError, ShardError
+from flock.errors import FlockError, ShardError
 from flock.proc.facade import (
     RemoteClusterFacade,
     RemoteDatabaseFacade,
@@ -760,31 +757,16 @@ class ShardedCluster:
                         f"migrate between shards); DELETE and re-INSERT "
                         f"instead"
                     )
-        send_sql, send_params = sql, params
-        if statement.where is not None and any(
-            isinstance(node, ast.InQuery) for node in statement.where.walk()
-        ):
-            if params:
-                raise ShardError(
-                    "parameterized IN (SELECT ...) is not supported in "
-                    "sharded UPDATE/DELETE; inline the values or drop "
-                    "the parameters"
-                )
-            statement = dataclasses.replace(
-                statement,
-                where=self._resolve_in_queries(statement.where, user),
-            )
-            send_sql, send_params = str(statement), None
         if not key_positions:
             self._count_route("single")
-            return self.shards[0].execute(send_sql, send_params, user)
-        keys = pinned_keys(schema, statement.where, send_params)
+            return self.shards[0].execute(sql, params, user)
+        keys = pinned_keys(schema, statement.where, params)
         if keys is not None:
             owners = {shard_of(key, self.n_shards) for key in keys}
             if len(owners) == 1:
                 self._count_route("single")
                 return self.shards[owners.pop()].execute(
-                    send_sql, send_params, user
+                    sql, params, user
                 )
         self._count_route("broadcast")
         statement_type = (
@@ -792,39 +774,9 @@ class ShardedCluster:
         )
         affected = 0
         for shard in self.shards:
-            result = shard.execute(send_sql, send_params, user)
+            result = shard.execute(sql, params, user)
             affected += result.affected_rows
         return QueryResult(statement_type, affected_rows=affected)
-
-    def _resolve_in_queries(self, expr: ast.Expr, user: str) -> ast.Expr:
-        """Rewrite ``IN (SELECT ...)`` to a literal IN list.
-
-        The subquery runs once through the sharded read path (so it sees
-        the same globally merged snapshot a single engine would), and the
-        broadcast statement carries plain literals every shard can
-        evaluate locally.
-        """
-
-        def resolve(node: ast.Expr) -> ast.Expr | None:
-            if not isinstance(node, ast.InQuery):
-                return None
-            result = self._execute_read(
-                CachedPlan(str(node.query), node.query), None, user
-            )
-            batch = result.batch
-            if batch.num_columns != 1:
-                raise BindError("IN subquery must return exactly one column")
-            values = [v for v in batch.columns[0].to_pylist() if v is not None]
-            if not values:
-                # x IN () is never true; x NOT IN () always is.
-                return ast.Literal(bool(node.negated))
-            return ast.InList(
-                node.operand.rewrite(resolve),
-                [ast.Literal(v) for v in values],
-                node.negated,
-            )
-
-        return expr.rewrite(resolve)
 
     # -- DDL / security / settings -------------------------------------
     def _broadcast_ddl(self, statement, sql, params, user) -> QueryResult:

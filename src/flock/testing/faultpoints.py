@@ -18,10 +18,10 @@ arms ``wal.pre_fsync`` to crash on its 3rd hit and ``checkpoint.mid_write``
 to raise on its 1st.
 
 A third action, ``sleep``, delays instead of failing — the tool concurrency
-stress tests use it to stretch race windows (e.g. holding a parallel query
-inside its morsel fan-out while writers commit). The optional third field of
-the env form is the delay in milliseconds:
-``parallel.pre_morsel=sleep:1:5`` sleeps 5 ms from the 1st hit onward.
+stress tests use it to stretch race windows (e.g. holding an index rebuild
+open while writers commit). The optional third field of the env form is the
+delay in milliseconds: ``index.pre_rebuild=sleep:1:5`` sleeps 5 ms from the
+1st hit onward.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ KNOWN_POINTS = (
     "checkpoint.mid_write",
     "checkpoint.pre_swap",
     "checkpoint.post_swap",
-    "parallel.pre_morsel",
-    "parallel.post_morsel",
     "index.pre_rebuild",
     "index.post_rebuild",
     "index.pre_advance",

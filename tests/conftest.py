@@ -15,24 +15,6 @@ def db() -> Database:
 
 
 @pytest.fixture
-def tiny_morsels(monkeypatch):
-    """Let morsel-parallel execution fan out on tiny test tables.
-
-    Returns a setter: ``tiny_morsels(7)`` makes the cost model split every
-    pipeline scan into 7-row morsels and drops both serial floors to one
-    row. The constants are restored when the test ends.
-    """
-    from flock.db.optimizer import cost
-
-    def use(morsel_rows: int) -> None:
-        monkeypatch.setattr(cost, "DEFAULT_MORSEL_ROWS", morsel_rows)
-        monkeypatch.setattr(cost, "PARALLEL_MIN_ROWS", 1)
-        monkeypatch.setattr(cost, "PREDICT_PARALLEL_MIN_ROWS", 1)
-
-    return use
-
-
-@pytest.fixture
 def emp_db() -> Database:
     """A database with a small employees table."""
     database = Database()

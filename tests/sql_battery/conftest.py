@@ -2,11 +2,8 @@
 
 The battery is read-only, so one instance serves the whole module. The
 execution tier is environment-selected to match the CI matrix:
-
-- ``FLOCK_WORKERS`` is read by the engine itself and turns on the
-  morsel-parallel executor.
-- ``FLOCK_SHARDS > 1`` routes every statement through a hash-sharded
-  cluster instead of a single engine.
+``FLOCK_SHARDS > 1`` routes every statement through a hash-sharded cluster
+instead of a single engine.
 
 When ``FLOCK_BATTERY_REPORT`` names a path, a per-statement verdict report
 is written there at teardown (CI uploads it as an artifact on failure).
@@ -82,7 +79,6 @@ def battery_report():
         json.dumps(
             {
                 "shards": SHARDS,
-                "workers": os.environ.get("FLOCK_WORKERS"),
                 "total": len(verdicts),
                 "failed": len(failed),
                 "verdicts": verdicts,

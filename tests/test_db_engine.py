@@ -10,6 +10,7 @@ from flock.errors import (
     CatalogError,
     ConstraintError,
     ExecutionError,
+    ParseError,
 )
 
 
@@ -295,3 +296,28 @@ class TestResultAPI:
     def test_iteration(self, emp_db):
         rows = [r for r in emp_db.execute("SELECT id FROM emp ORDER BY id")]
         assert rows == [(1,), (2,), (3,), (4,), (5,)]
+
+
+class TestSettings:
+    def test_set_requires_admin(self, db):
+        from flock.errors import SecurityError
+
+        db.execute("CREATE USER bob")
+        with pytest.raises(SecurityError):
+            db.execute("SET flock.indexes = 0", user="bob")
+
+    def test_set_rejects_bad_values(self, db):
+        with pytest.raises(BindError, match="flock.indexes must be 0 or 1"):
+            db.execute("SET flock.indexes = 2")
+        with pytest.raises(ParseError, match="integer"):
+            db.execute("SET flock.indexes = 1.5")
+        with pytest.raises(BindError, match="unknown setting"):
+            db.execute("SET flock.unknown_thing = 1")
+
+    @pytest.mark.parametrize(
+        "name", ["flock.morsel_rows", "flock.parallel_min_rows", "flock.workers"]
+    )
+    def test_morsel_settings_are_gone(self, db, name):
+        """The morsel-parallel tier and its knobs were removed."""
+        with pytest.raises(BindError, match="unknown setting"):
+            db.execute(f"SET {name} = 2")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flock.db import Database
 from flock.db import functions as fn
 from flock.db.exec.aggregate import aggregate_columns
 from flock.db.expr import BoundColumn
@@ -149,3 +152,54 @@ class TestAggregates:
         assert fn.is_aggregate("count")
         assert fn.is_aggregate("SUM")
         assert not fn.is_aggregate("ABS")
+
+
+_row = st.tuples(
+    st.one_of(st.none(), st.integers(-100, 100)),
+    st.one_of(
+        st.none(),
+        st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: round(x, 6)),
+    ),
+    st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_row, min_size=0, max_size=40))
+def test_sql_aggregates_match_numpy(rows):
+    """Global aggregates through the engine agree with a numpy/Python
+    reference on random tables with NULLs, including empty ones."""
+    db = Database()
+    db.execute("CREATE TABLE t (i INT, f FLOAT, s TEXT)")
+    if rows:
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            "({}, {}, {})".format(
+                "NULL" if i is None else i,
+                "NULL" if f is None else repr(f),
+                "NULL" if s is None else f"'{s}'",
+            )
+            for i, f, s in rows
+        ))
+    got = db.execute(
+        "SELECT COUNT(*), COUNT(i), COUNT(DISTINCT i), SUM(i), "
+        "SUM(f), AVG(f), MIN(f), MAX(f), MIN(s), MAX(s) FROM t"
+    ).rows()[0]
+    db.close()
+    ints = [i for i, _, _ in rows if i is not None]
+    floats = [f for _, f, _ in rows if f is not None]
+    texts = [s for _, _, s in rows if s is not None]
+    assert got[:4] == (
+        len(rows), len(ints), len(set(ints)), sum(ints) if ints else None
+    )
+    if floats:
+        assert math.isclose(
+            got[4], float(np.sum(floats)), rel_tol=1e-9, abs_tol=1e-9
+        )
+        assert math.isclose(
+            got[5], float(np.mean(floats)), rel_tol=1e-9, abs_tol=1e-9
+        )
+        assert (got[6], got[7]) == (min(floats), max(floats))
+    else:
+        assert got[4:8] == (None, None, None, None)
+    assert got[8] == (min(texts) if texts else None)
+    assert got[9] == (max(texts) if texts else None)

@@ -343,222 +343,6 @@ def test_differential_wal_vs_memory(tmp_path, seed):
 
 
 # ----------------------------------------------------------------------
-# Differential parallelism fuzzing: morsel-parallel engine vs serial twin
-# ----------------------------------------------------------------------
-class _ParallelTwinDriver:
-    """Runs one random statement stream against a serial (workers=1) engine
-    and a morsel-parallel twin (workers=4; the test's tiny_morsels fixture
-    splits even this file's small tables into many fragments), asserting
-    every statement's result — including row order, float bit patterns and
-    error type — is identical, and diffing complete catalog + table state
-    periodically.
-
-    This is the executable form of the parallel executor's determinism
-    contract: parallel execution is an invisible implementation detail.
-    """
-
-    TABLES = ["t0", "t1", "t2"]
-
-    def __init__(self, seed: int):
-        import random as _random
-
-        self.rng = _random.Random(seed)
-        self.serial = Database(workers=1)
-        self.parallel = Database(workers=4)
-
-    def close(self) -> None:
-        self.serial.close()
-        self.parallel.close()
-
-    def statement(self) -> str:
-        rng = self.rng
-        table = rng.choice(self.TABLES)
-        roll = rng.random()
-        if roll < 0.06:
-            clause = "IF NOT EXISTS " if rng.random() < 0.5 else ""
-            return (
-                f"CREATE TABLE {clause}{table} "
-                "(k INT PRIMARY KEY, val INT, f FLOAT, s TEXT)"
-            )
-        if roll < 0.08:
-            clause = "IF EXISTS " if rng.random() < 0.5 else ""
-            return f"DROP TABLE {clause}{table}"
-        if roll < 0.30:
-            rows = ", ".join(
-                "({}, {}, {}, {})".format(
-                    rng.randrange(200),
-                    rng.randrange(-50, 50),
-                    "NULL" if rng.random() < 0.2
-                    else round(rng.uniform(-9, 9), 3),
-                    "NULL" if rng.random() < 0.2
-                    else f"'s{rng.randrange(6)}'",
-                )
-                for _ in range(rng.randrange(1, 25))
-            )
-            return f"INSERT INTO {table} VALUES {rows}"
-        if roll < 0.38:
-            return (
-                f"UPDATE {table} SET val = val + {rng.randrange(1, 5)} "
-                f"WHERE k < {rng.randrange(200)}"
-            )
-        if roll < 0.44:
-            return f"DELETE FROM {table} WHERE k > {rng.randrange(200)}"
-        # The read mix leans on the parallel pipeline (filter/project) and
-        # every serial operator it feeds: aggregates (global and grouped,
-        # with NULLs and DISTINCT), top-k, plain LIMIT, DISTINCT,
-        # sort-without-limit, and the decorrelated/lifted constructs (CTEs, EXISTS, scalar
-        # subqueries, window functions). Statements against dropped tables
-        # must raise the identical error on both engines.
-        other = rng.choice(self.TABLES)
-        if roll < 0.47:
-            return (
-                f"SELECT k, val * 2 + 1, f FROM {table} "
-                f"WHERE val > {rng.randrange(-50, 50)}"
-            )
-        if roll < 0.50:
-            # Encoding-sensitive shapes: dictionary fast paths evaluate
-            # these once per distinct value and gather through codes, so
-            # morsel-parallel execution must agree with serial under
-            # FLOCK_ENCODINGS=1 and =0 alike (CI runs both lanes).
-            pick = rng.randrange(4)
-            if pick == 0:
-                return (
-                    f"SELECT k, s FROM {table} "
-                    f"WHERE s = 's{rng.randrange(7)}' ORDER BY k"
-                )
-            if pick == 1:
-                items = ", ".join(
-                    f"'s{rng.randrange(8)}'"
-                    for _ in range(rng.randrange(1, 4))
-                )
-                return (
-                    f"SELECT k FROM {table} WHERE s IN ({items}) ORDER BY k"
-                )
-            if pick == 2:
-                return f"SELECT k FROM {table} WHERE s LIKE 's%' ORDER BY k"
-            return (
-                f"SELECT k FROM {table} WHERE s >= 's{rng.randrange(6)}' "
-                "ORDER BY k"
-            )
-        if roll < 0.56:
-            return (
-                f"SELECT COUNT(*), COUNT(f), SUM(val), SUM(f), AVG(f), "
-                f"MIN(k), MAX(f), STDDEV(f) FROM {table}"
-            )
-        if roll < 0.62:
-            return (
-                f"SELECT s, COUNT(*), SUM(f), AVG(val), COUNT(DISTINCT k) "
-                f"FROM {table} GROUP BY s"
-            )
-        if roll < 0.67:
-            # Top-k order keys alternate between float and (dictionary-
-            # encodable) text leads: the bounded-heap path must reproduce
-            # the full sort's tie order either way.
-            key = rng.choice(["f DESC, k", "s, k DESC", "s DESC, val, k"])
-            return (
-                f"SELECT k, f FROM {table} ORDER BY {key} "
-                f"LIMIT {rng.randrange(1, 12)} OFFSET {rng.randrange(4)}"
-            )
-        if roll < 0.71:
-            return f"SELECT k, s FROM {table} LIMIT {rng.randrange(1, 30)}"
-        if roll < 0.74:
-            return f"SELECT DISTINCT s FROM {table}"
-        if roll < 0.77:
-            return f"SELECT k, f FROM {table} ORDER BY s, k"
-        if roll < 0.80:
-            return f"SELECT val / (k - {rng.randrange(200)}) FROM {table}"
-        if roll < 0.84:
-            # One CTE consumed from two FROM positions.
-            return (
-                f"WITH c AS (SELECT k, val FROM {table} "
-                f"WHERE val > {rng.randrange(-50, 50)}) "
-                "SELECT x.k, y.val FROM c x JOIN c y ON x.k = y.k "
-                "ORDER BY x.k"
-            )
-        if roll < 0.88:
-            negate = "NOT " if rng.random() < 0.5 else ""
-            return (
-                f"SELECT a.k, a.val FROM {table} a "
-                f"WHERE {negate}EXISTS (SELECT * FROM {other} b "
-                f"WHERE b.k = a.k AND b.val > {rng.randrange(-50, 50)}) "
-                "ORDER BY a.k"
-            )
-        if roll < 0.92:
-            return (
-                f"SELECT a.k FROM {table} a "
-                f"WHERE a.val < (SELECT SUM(b.val) FROM {other} b "
-                "WHERE b.k = a.k) ORDER BY a.k"
-            )
-        if roll < 0.95:
-            return (
-                f"SELECT k, (SELECT COUNT(*) FROM {other}) FROM {table} "
-                f"ORDER BY k LIMIT {rng.randrange(1, 20)}"
-            )
-        # Window reads: order keys include the unique k so every function
-        # is deterministic regardless of sort stability.
-        window = rng.choice(
-            [
-                "ROW_NUMBER() OVER (ORDER BY val, k)",
-                "RANK() OVER (ORDER BY s)",
-                "ROW_NUMBER() OVER (PARTITION BY s ORDER BY k)",
-                "SUM(val) OVER (ORDER BY k)",
-                "SUM(f) OVER (PARTITION BY s ORDER BY k)",
-            ]
-        )
-        return f"SELECT k, {window} FROM {table} ORDER BY k"
-
-    def step(self) -> None:
-        sql = self.statement()
-        outcomes = []
-        for db in (self.serial, self.parallel):
-            try:
-                # repr() captures float bit patterns (0.0 vs -0.0, exact
-                # mantissas) that == would blur — the contract is
-                # bit-identical, not approximately-equal.
-                outcomes.append(("ok", repr(db.execute(sql).rows())))
-            except Exception as exc:
-                outcomes.append(("err", type(exc).__name__, str(exc)))
-        assert outcomes[0] == outcomes[1], (
-            f"parallel diverged from serial on {sql!r}: "
-            f"serial={outcomes[0]} parallel={outcomes[1]}"
-        )
-
-    def diff(self) -> None:
-        serial, parallel = self.serial, self.parallel
-        assert sorted(serial.catalog.table_names()) == sorted(
-            parallel.catalog.table_names()
-        )
-        for name in serial.catalog.table_names():
-            s_rows = serial.execute(f"SELECT * FROM {name}").rows()
-            p_rows = parallel.execute(f"SELECT * FROM {name}").rows()
-            assert repr(s_rows) == repr(p_rows), name
-
-
-@pytest.mark.parametrize(
-    "seed", [int(s) for s in __import__("os").environ.get(
-        "FLOCK_PARALLEL_FUZZ_SEEDS", "7,19"
-    ).split(",")]
-)
-def test_differential_parallel_vs_serial(seed, tiny_morsels):
-    """Morsel-parallel execution is observationally identical to serial:
-    same rows in the same order with the same float bit patterns, and the
-    same errors — on arbitrary statement streams."""
-    tiny_morsels(7)
-    driver = _ParallelTwinDriver(seed)
-    try:
-        ops = int(__import__("os").environ.get(
-            "FLOCK_PARALLEL_FUZZ_OPS", "120"
-        ))
-        for i in range(1, ops + 1):
-            driver.step()
-            if i % 30 == 0:
-                driver.diff()
-        driver.diff()
-    finally:
-        driver.close()
-
-
-# ----------------------------------------------------------------------
 # Differential index fuzzing: indexed engine vs forced-full-scan twin
 # ----------------------------------------------------------------------
 class _IndexTwinDriver:

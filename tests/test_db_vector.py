@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flock.db.types import DataType
-from flock.db.vector import Batch, ColumnVector
+from flock.db.vector import Batch, ColumnVector, concat_columns
 from flock.errors import ExecutionError
 
 
@@ -140,3 +140,51 @@ class TestBatch:
     def test_empty(self):
         batch = Batch.empty(["a"], [DataType.FLOAT])
         assert batch.num_rows == 0
+
+
+class TestConcat:
+    """One-allocation concatenation, used by the spill and shard-merge
+    paths, must equal repeated pairwise :meth:`concat`."""
+
+    def test_concat_columns_matches_pairwise(self):
+        rng = np.random.default_rng(0)
+        chunks = []
+        for size in (0, 3, 1, 7, 0, 4):
+            values = rng.normal(size=size)
+            nulls = rng.random(size) < 0.3
+            chunks.append(ColumnVector(DataType.FLOAT, values, nulls))
+        merged = concat_columns(DataType.FLOAT, chunks)
+        reference = chunks[0]
+        for chunk in chunks[1:]:
+            reference = reference.concat(chunk)
+        assert np.array_equal(merged.values, reference.values)
+        assert np.array_equal(merged.nulls, reference.nulls)
+
+    def test_concat_columns_empty(self):
+        merged = concat_columns(DataType.INTEGER, [])
+        assert len(merged) == 0 and merged.dtype is DataType.INTEGER
+
+    def test_batch_concat_all_matches_pairwise(self):
+        def batch(lo, hi):
+            return Batch(
+                ["x"],
+                [ColumnVector.from_values(
+                    DataType.INTEGER, list(range(lo, hi))
+                )],
+            )
+
+        pieces = [batch(0, 3), batch(3, 3), batch(3, 8), batch(8, 9)]
+        merged = Batch.concat_all(pieces)
+        assert list(merged.columns[0].values) == list(range(9))
+
+    def test_slices_are_zero_copy_views(self):
+        batch = Batch(
+            ["x"],
+            [ColumnVector.from_values(DataType.INTEGER, list(range(10)))],
+        )
+        pieces = [batch.slice(lo, hi) for lo, hi in ((0, 4), (4, 8), (8, 10))]
+        assert [p.num_rows for p in pieces] == [4, 4, 2]
+        for piece in pieces:
+            column = piece.columns[0]
+            assert np.shares_memory(column.values, batch.columns[0].values)
+            assert np.shares_memory(column.nulls, batch.columns[0].nulls)

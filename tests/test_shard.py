@@ -211,19 +211,6 @@ class TestWrites:
                 client.execute(bad)
             assert client.execute("SELECT * FROM t").rows() == before
 
-    def test_in_subquery_delete_rewrites(self, pair):
-        seed(pair)
-        sharded, single = pair
-        # The router resolves the subquery over the merged snapshot and
-        # broadcasts literals; the bare engine rejects this form, so the
-        # twin runs the equivalent literal predicate.
-        sharded.execute(
-            "DELETE FROM t WHERE k IN (SELECT k FROM t WHERE x > 20)"
-        )
-        single.execute("DELETE FROM t WHERE x > 20")
-        got, want = both(pair, "SELECT * FROM t")
-        assert repr(got.rows()) == repr(want.rows())
-
     def test_no_pk_table_pins_to_shard_zero(self, pair):
         for client in pair:
             client.execute("CREATE TABLE log (msg TEXT)")
@@ -255,14 +242,24 @@ class TestRejections:
         with pytest.raises(ShardError):
             sharded.execute("UPDATE t SET k = 99 WHERE k = 1")
 
-    def test_parameterized_in_subquery_dml(self, pair):
+    @pytest.mark.parametrize("sql, params", [
+        ("DELETE FROM t WHERE k IN (SELECT k FROM t WHERE x > 20)", None),
+        ("DELETE FROM t WHERE k IN (SELECT k FROM t WHERE x > ?)", [1.0]),
+        ("UPDATE t SET v = 'u' WHERE k IN (SELECT k FROM t WHERE x > 20)",
+         None),
+    ], ids=["delete", "parameterized", "update"])
+    def test_in_subquery_dml_rejected_like_embedded(self, pair, sql, params):
+        """Both tiers raise the embedded binder's error and change no row."""
         seed(pair)
-        sharded, _ = pair
-        with pytest.raises(ShardError):
-            sharded.execute(
-                "DELETE FROM t WHERE k IN (SELECT k FROM t WHERE x > ?)",
-                [1.0],
-            )
+        messages = []
+        for client in pair:
+            before = client.execute("SELECT * FROM t").rows()
+            with pytest.raises(BindError) as raised:
+                client.execute(sql, params)
+            messages.append(str(raised.value))
+            assert client.execute("SELECT * FROM t").rows() == before
+        assert messages[0] == messages[1]
+        assert "only supported as a top-level conjunct" in messages[0]
 
     def test_parameter_count_checked_before_routing(self, pair):
         seed(pair)

@@ -1,16 +1,13 @@
-"""Concurrency stress: morsel-parallel reads racing writers and checkpoints.
+"""Concurrency stress: snapshot reads racing writers and checkpoints.
 
-The morsel executor pins its MVCC snapshot once, in the driver thread,
-before fanning morsels out — so a parallel scan must behave exactly like a
-serial one under concurrent commits: every read sees one committed version
-of the table, never a mix (no torn reads). These tests hammer that claim:
+Every read must see one committed version of the table, never a mix (no
+torn reads), while other threads commit. These tests hammer that claim:
 
 - writer threads move value between rows in balanced transactions, so any
   consistent snapshot satisfies a global-sum invariant; reader threads run
-  aggregates over a morsel-parallel filter and assert the invariant on
-  every read;
-- ``flock.testing.faultpoints`` injects sleeps at morsel boundaries to
-  stretch the fan-out window far beyond what timing accidents would give;
+  aggregates over a filtered scan and assert the invariant on every read;
+- PREDICT readers score a table whose rows writers permute, so every
+  snapshot yields the same prediction sum;
 - a durable variant adds checkpoint races and verifies recovery.
 """
 
@@ -22,19 +19,10 @@ import pytest
 
 from flock.db import Database
 from flock.errors import TransactionError
-from flock.observability import metrics
-from flock.testing import faultpoints
 
 N_ACCOUNTS = 60
 BALANCE = 100
 TOTAL = N_ACCOUNTS * BALANCE
-
-
-@pytest.fixture(autouse=True)
-def _clean_faultpoints():
-    faultpoints.clear()
-    yield
-    faultpoints.clear()
 
 
 def _make_accounts(db: Database) -> None:
@@ -84,8 +72,7 @@ def _read_loop(db: Database, stop: threading.Event, sums: list,
                errors: list) -> None:
     try:
         while not stop.is_set():
-            # The filter keeps every row; it is the parallel pipeline the
-            # serial SUM consumes.
+            # The filter keeps every row: the SUM reads a filtered scan.
             total = db.execute(
                 "SELECT SUM(balance), COUNT(*) FROM accounts WHERE id >= 0"
             ).rows()[0]
@@ -125,32 +112,21 @@ def _run_race(db: Database, duration_s: float = 1.0,
     return sums
 
 
-def test_parallel_reads_are_snapshot_consistent_under_writes(tiny_morsels):
-    """Every SUM over a morsel-parallel scan sees one committed snapshot
-    while balanced transfers race it, with fan-out windows stretched by
-    injected sleeps."""
-    tiny_morsels(7)
-    db = Database(workers=4)
+def test_reads_are_snapshot_consistent_under_writes():
+    """Every SUM sees one committed snapshot while balanced transfers race
+    it."""
+    db = Database()
     try:
         _make_accounts(db)
-        # 2 ms per morsel, from the first hit: a 60-row table at 7-row
-        # morsels holds each scan open ~18 ms — hundreds of commit windows.
-        faultpoints.set_fault(
-            "parallel.pre_morsel", "sleep", after=1, delay_ms=2.0
-        )
-        before = metrics().counter("parallel.fragments").value
-        sums = _run_race(db, duration_s=1.0)
-        after = metrics().counter("parallel.fragments").value
-        assert after > before, "reads never took the parallel path"
-        assert faultpoints.hit_count("parallel.pre_morsel") > len(sums)
+        _run_race(db, duration_s=1.0)
     finally:
         db.close()
 
 
-def test_parallel_predict_is_snapshot_consistent_under_writes(tiny_morsels):
-    """PREDICT fans model scoring out per-morsel; racing writers that swap
-    feature values between rows keep the prediction *multiset* invariant,
-    so any consistent snapshot yields the same prediction sum."""
+def test_predict_is_snapshot_consistent_under_writes():
+    """Racing writers that swap feature values between rows keep the
+    prediction *multiset* invariant, so any consistent snapshot yields the
+    same prediction sum."""
     from flock.lifecycle import FlockSession
     from flock.ml import LogisticRegression, Pipeline, StandardScaler
     from flock.ml.datasets import make_patients
@@ -170,11 +146,6 @@ def test_parallel_predict_is_snapshot_consistent_under_writes(tiny_morsels):
         "patients", features, "readmitted",
     )
     db = session.database
-    db.set_workers(4)
-    tiny_morsels(13)
-    faultpoints.set_fault(
-        "parallel.post_morsel", "sleep", after=1, delay_ms=1.0
-    )
 
     query = "SELECT SUM(PREDICT(risk)), COUNT(*) FROM patients"
     baseline, count = db.execute(query).rows()[0]
@@ -261,19 +232,14 @@ def test_parallel_predict_is_snapshot_consistent_under_writes(tiny_morsels):
         assert total == pytest.approx(baseline, abs=1e-8)
 
 
-def test_parallel_reads_race_checkpoints_durably(tmp_path, tiny_morsels):
-    """Aggregates over parallel scans stay consistent while writers commit *and* the
-    WAL checkpointer swaps snapshots underneath them; a crash-style reopen
+def test_reads_race_checkpoints_durably(tmp_path):
+    """Aggregates stay consistent while writers commit *and* the WAL
+    checkpointer swaps snapshots underneath them; a crash-style reopen
     afterwards recovers the invariant state."""
     path = tmp_path / "stress"
     db = Database.open(path)
     try:
-        db.set_workers(4)
-        tiny_morsels(7)
         _make_accounts(db)
-        faultpoints.set_fault(
-            "parallel.pre_morsel", "sleep", after=1, delay_ms=1.0
-        )
 
         def checkpoint_loop(stop, errors):
             try:

@@ -7,7 +7,6 @@ instance — the rewrites were hand-derived to the exact join shapes the
 decorrelator emits, so any float drift or row-order divergence is a bug.
 
 The engine tier is environment-selected, matching the CI matrix:
-``FLOCK_WORKERS`` flows to the morsel-parallel executor on its own, and
 ``FLOCK_SHARDS > 1`` routes the whole battery through a hash-sharded
 cluster (scatter-gather reads over merged snapshots).
 """

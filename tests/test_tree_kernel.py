@@ -6,7 +6,8 @@ reference :func:`eval_tree_dict` (bigger trees). Whichever path runs,
 every tree's output must equal ``eval_tree_dict`` to the bit — NaN goes
 right (``x <= t`` is false for NaN), ``-0.0 <= 0.0`` goes left, a value
 equal to its threshold goes left — and the ensemble's ``sum``/``average``
-must equal the former stack-and-sum bit for bit.
+must equal the tree outputs added one by one in tree order, bit for bit,
+so a row scores the same alone as inside any batch.
 
 ``FLOCK_TREE_EXAMPLES`` raises the example count (CI runs it at depth).
 """
@@ -98,12 +99,15 @@ def _case(draw, shape=None):
 
 
 def _stack_and_sum(ensemble, matrix, aggregation, scale=0.1, init=-0.25):
-    """The former scorer: walk each dict tree, stack, reduce."""
-    stacked = np.stack([eval_tree_dict(t, matrix) for t in ensemble])
+    """The reference scorer: walk each dict tree and add the outputs in
+    tree order; ``average`` is that sum over the tree count."""
+    total = eval_tree_dict(ensemble[0], matrix)
+    for tree in ensemble[1:]:
+        total = total + eval_tree_dict(tree, matrix)
     if aggregation == "sum":
-        combined = init + scale * stacked.sum(axis=0)
+        combined = init + scale * total
     else:
-        combined = stacked.mean(axis=0)
+        combined = total / len(ensemble)
     return combined[:, 0] if combined.shape[1] == 1 else combined
 
 
@@ -215,20 +219,31 @@ def test_fitted_models_are_bit_equal_through_the_runtime(model, monkeypatch):
     batch = runtime.run(graph, feeds)
     for tensor, want in expected.items():
         _assert_identical(batch[tensor], want)
-    # Row at a time, each row is its own (1-row) reference: numpy's sum of
-    # a (trees, 1, 1) stack may round differently from a (trees, n, 1) one.
     per_row = runtime.run(
         graph, {name: values[:40] for name, values in feeds.items()},
         mode="per_row",
     )
-    rows = [
-        _reference_run(graph, {n: v[i:i + 1] for n, v in feeds.items()})
-        for i in range(40)
-    ]
-    for tensor in expected:
-        _assert_identical(
-            per_row[tensor], np.concatenate([row[tensor] for row in rows])
-        )
+    for tensor, want in expected.items():
+        _assert_identical(per_row[tensor], want[:40])
+
+
+@pytest.mark.parametrize("model", [
+    GradientBoostingClassifier(n_estimators=40, random_state=0),
+    RandomForestClassifier(n_estimators=20, random_state=0),
+], ids=["gbm", "forest"])
+def test_a_row_scores_the_same_alone_and_in_a_batch(model):
+    """A key served alone (the scalar walk) and the same key inside a
+    300-row batch (the bitvector path) get the same bits: the tree axis
+    is reduced in one fixed order whatever the row count."""
+    data = make_loans(300, random_state=11)
+    names, X = data.feature_names, data.feature_matrix()
+    graph = to_graph(model.fit(X, data.target_vector()), names, name="m")
+    feeds = {name: X[:, i] for i, name in enumerate(names)}
+    runtime = GraphRuntime()
+    batch = runtime.run(graph, feeds)
+    alone = runtime.run(graph, feeds, mode="per_row")
+    for tensor, want in batch.items():
+        _assert_identical(alone[tensor], want)
 
 
 def _assert_identical(got: np.ndarray, want: np.ndarray) -> None:
