@@ -9,8 +9,12 @@ optimizer can treat inference as relational algebra (§4.1 of the paper).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 from flock.db import functions as fn
 from flock.db.expr import (
@@ -50,7 +54,7 @@ from flock.db.types import (
     common_type,
     infer_type,
 )
-from flock.db.vector import Batch
+from flock.db.vector import Batch, ColumnVector, _zero_of, coerce_column
 from flock.errors import BindError, TypeMismatchError
 
 
@@ -1325,19 +1329,27 @@ def bind_insert_values(
     context: BinderContext,
     statement: ast.Insert,
     param_rows: Sequence[Sequence[Any] | None],
-) -> list[list[Any]]:
-    """The rows an ``INSERT ... VALUES`` writes, for every parameter row.
+) -> list[ColumnVector]:
+    """The columns an ``INSERT ... VALUES`` writes, for every parameter row.
 
     The one binder for VALUES rows: ``execute`` passes one parameter row,
     ``executemany`` N, and the shard router binds here on its coordinator
     before routing. Each template row is bound once. A slot without
-    placeholders is folded to a constant; a bare ``?`` takes its parameter
-    through :meth:`Binder._parameter_value`; any other slot (``? + 1``) is
-    re-bound per parameter row. Rows come back full width — NULL where
-    the column list leaves a column out — and coerced to the schema.
+    placeholders is folded to a constant column; a bare ``?`` takes its
+    parameter column, coerced by one vector call when its Python types fit
+    the column (:func:`~flock.db.vector.coerce_column`) and otherwise value
+    by value through :meth:`Binder._parameter_value`; any other slot
+    (``? + 1``) is re-bound per parameter row. Columns come back full width
+    — NULL where the column list leaves a column out — with one row per
+    (parameter row, template row), in that order.
+
+    Errors are those of a row-major loop: a column bound value by value
+    stops at its first failing row, and the failure earliest in
+    (parameter row, template row, slot) order is raised.
     """
     schema = context.resolve_table(statement.table)
     positions = _column_positions(statement, schema)
+    dtypes = [column.dtype for column in schema.columns]
     binder = Binder(context, None)
     templates = []
     for row in statement.rows:
@@ -1349,36 +1361,58 @@ def bind_insert_values(
         constant = [None] * len(schema)
         slots = []
         for position, expr in zip(positions, row):
-            dtype = schema.columns[position].dtype
             if isinstance(expr, ast.Parameter):
-                slots.append((position, dtype, expr.index, None))
+                slots.append((position, expr.index, None))
             elif any(isinstance(node, ast.Parameter) for node in expr.walk()):
-                slots.append((position, dtype, None, expr))
+                slots.append((position, None, expr))
             else:
                 constant[position] = coerce_value(
-                    _fold_insert_expr(binder, expr), dtype
+                    _fold_insert_expr(binder, expr), dtypes[position]
                 )
         templates.append((constant, slots))
-    rows = []
-    for params in param_rows:
-        binder.parameters = params
-        for constant, slots in templates:
-            full = constant.copy()
-            for position, dtype, index, expr in slots:
-                value = (
-                    binder._parameter_value(index)
-                    if expr is None
-                    else _fold_insert_expr(binder, expr)
-                )
-                full[position] = coerce_value(value, dtype)
-            rows.append(full)
-    return rows
+    n = len(param_rows)
+    failures = []
+    parts = []
+    for t, (constant, slots) in enumerate(templates):
+        bound = {}
+        for slot, (position, index, expr) in enumerate(slots):
+            dtype = dtypes[position]
+            if expr is None:
+                vector = _parameter_column(param_rows, index, dtype)
+                if vector is not None:
+                    bound[position] = vector
+                    continue
+                evaluate = functools.partial(binder._parameter_value, index)
+            else:
+                evaluate = functools.partial(_fold_insert_expr, binder, expr)
+            vector, failure = _column_by_value(
+                dtype, _per_parameter_row(binder, param_rows, evaluate)
+            )
+            if failure is not None:
+                failures.append(((failure[0], t, slot), failure[1]))
+            bound[position] = vector
+        parts.append([
+            bound[position] if position in bound
+            else ColumnVector.constant(dtype, value, n).copy()
+            for position, (dtype, value) in enumerate(zip(dtypes, constant))
+        ])
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [
+        _interleave(dtype, [columns[position] for columns in parts])
+        for position, dtype in enumerate(dtypes)
+    ]
 
 
-def insert_select_rows(
+def insert_select_columns(
     context: BinderContext, statement: ast.Insert, source: Batch
-) -> list[list[Any]]:
-    """The full-width, coerced rows ``INSERT ... SELECT`` writes."""
+) -> list[ColumnVector]:
+    """The full-width columns ``INSERT ... SELECT`` writes.
+
+    The SELECT's own vectors where the column type matches, INTEGER into
+    FLOAT as one numeric cast, any other pair coerced value by value (the
+    first failure in row-major order is raised).
+    """
     schema = context.resolve_table(statement.table)
     positions = _column_positions(statement, schema)
     if source.num_columns != len(positions):
@@ -1386,14 +1420,89 @@ def insert_select_rows(
             f"INSERT column count {len(positions)} does not match "
             f"SELECT column count {source.num_columns}"
         )
-    dtypes = [schema.columns[p].dtype for p in positions]
-    rows = []
-    for values in source.rows():
-        full = [None] * len(schema)
-        for position, dtype, value in zip(positions, dtypes, values):
-            full[position] = coerce_value(value, dtype)
-        rows.append(full)
-    return rows
+    n = source.num_rows
+    columns = [
+        ColumnVector.constant(column.dtype, None, n).copy()
+        for column in schema.columns
+    ]
+    failures = []
+    for slot, (position, vector) in enumerate(zip(positions, source.columns)):
+        dtype = columns[position].dtype
+        if vector.dtype is dtype or (
+            vector.dtype is DataType.INTEGER and dtype is DataType.FLOAT
+        ):
+            columns[position] = _cast_column(vector, dtype)
+            continue
+        columns[position], failure = _column_by_value(
+            dtype, iter(vector.to_pylist())
+        )
+        if failure is not None:
+            failures.append(((failure[0], slot), failure[1]))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return columns
+
+
+def _parameter_column(
+    param_rows: Sequence[Sequence[Any] | None], index: int, dtype: DataType
+) -> ColumnVector | None:
+    """Parameter *index* of every row as one vector, or None when some row
+    lacks it or the column's types leave it to the per-value path."""
+    try:
+        items = list(map(operator.itemgetter(index), param_rows))
+    except (LookupError, TypeError):
+        return None
+    return coerce_column(dtype, items)
+
+
+def _per_parameter_row(
+    binder: Binder,
+    param_rows: Sequence[Sequence[Any] | None],
+    evaluate: Callable[[], Any],
+) -> Iterator[Any]:
+    for params in param_rows:
+        binder.parameters = params
+        yield evaluate()
+
+
+def _column_by_value(
+    dtype: DataType, values: Iterator[Any]
+) -> tuple[ColumnVector | None, tuple[int, Exception] | None]:
+    """Coerce *values* one by one: the column, or the first failing row and
+    its error. Any error counts, as it would in a row-major loop (an
+    invalid DATE string raises ``ValueError``)."""
+    coerced = []
+    try:
+        for value in values:
+            coerced.append(coerce_value(value, dtype))
+    except Exception as exc:
+        return None, (len(coerced), exc)
+    return ColumnVector.from_values(dtype, coerced), None
+
+
+def _cast_column(vector: ColumnVector, dtype: DataType) -> ColumnVector:
+    """*vector* as *dtype* storage, NULL slots holding the placeholder."""
+    values, nulls = vector.values, vector.nulls
+    if vector.dtype is not dtype:
+        values = values.astype(dtype.numpy_dtype)
+    if nulls.any():
+        values = values.copy()
+        values[nulls] = _zero_of(dtype)
+    return ColumnVector(dtype, values, nulls)
+
+
+def _interleave(dtype: DataType, parts: list[ColumnVector]) -> ColumnVector:
+    """Row i of part t becomes row ``i * len(parts) + t``."""
+    if len(parts) == 1:
+        return parts[0]
+    step = len(parts)
+    n = len(parts[0]) * step
+    values = np.empty(n, dtype=dtype.numpy_dtype)
+    nulls = np.empty(n, dtype=bool)
+    for t, part in enumerate(parts):
+        values[t::step] = part.values
+        nulls[t::step] = part.nulls
+    return ColumnVector(dtype, values, nulls)
 
 
 def _column_positions(statement: ast.Insert, schema: TableSchema) -> list[int]:

@@ -441,44 +441,52 @@ class BitPackedVector(EncodedVector):
 # Encoders + selection
 # ----------------------------------------------------------------------
 def encode_dictionary(vector: ColumnVector) -> DictionaryVector | None:
-    """Dictionary-encode a TEXT vector, or None when not worthwhile."""
-    values = vector.values
+    """Dictionary-encode a TEXT vector, or None when not worthwhile.
+
+    The distinct values are found by hashing, so a column past the
+    cardinality cap is turned down before anything is sorted; only the
+    k distinct values are sorted (the same dictionary ``np.unique`` gives).
+    """
     nulls = vector.nulls
-    present = values[~nulls]
-    if len(present) == 0:
+    present = vector.values[~nulls].tolist()
+    if not present:
         return None
     try:
-        dictionary = np.unique(present)
-    except TypeError:  # unorderable payloads — leave plain
+        distinct = dict.fromkeys(present)
+    except TypeError:  # unhashable payloads — leave plain
         return None
-    k = len(dictionary)
+    k = len(distinct)
     if k > DICT_MAX_CARDINALITY or k > len(vector) // 2:
         return None
-    index = {v: i for i, v in enumerate(dictionary.tolist())}
-    codes = np.full(len(vector), -1, dtype=np.int32)
-    present_pos = np.nonzero(~nulls)[0]
-    codes[present_pos] = np.fromiter(
-        (index[v] for v in present.tolist()),
-        dtype=np.int32,
-        count=len(present_pos),
+    try:
+        ordered = sorted(distinct)
+    except TypeError:  # unorderable payloads — leave plain
+        return None
+    dictionary = np.fromiter(ordered, dtype=object, count=k)
+    return DictionaryVector(
+        vector.dtype, _codes_of(ordered, nulls, present), dictionary
     )
-    return DictionaryVector(vector.dtype, codes, dictionary)
 
 
 def _codes_against(dictionary: np.ndarray, vector: ColumnVector) -> np.ndarray | None:
     """Codes of *vector* against an existing dictionary, or None if any
     present value is missing from it (caller re-encodes from scratch)."""
-    index = {v: i for i, v in enumerate(dictionary.tolist())}
-    values = vector.values
     nulls = vector.nulls
-    codes = np.full(len(vector), -1, dtype=np.int32)
-    for i, value in enumerate(values.tolist()):
-        if nulls[i]:
-            continue
-        code = index.get(value)
-        if code is None:
-            return None
-        codes[i] = code
+    try:
+        return _codes_of(
+            dictionary.tolist(), nulls, vector.values[~nulls].tolist()
+        )
+    except KeyError:
+        return None
+
+
+def _codes_of(ordered: list, nulls: np.ndarray, present: list) -> np.ndarray:
+    """int32 codes into *ordered* for the *present* values, -1 at NULLs."""
+    index = {v: i for i, v in enumerate(ordered)}
+    codes = np.full(len(nulls), -1, dtype=np.int32)
+    codes[~nulls] = np.fromiter(
+        map(index.__getitem__, present), dtype=np.int32, count=len(present)
+    )
     return codes
 
 

@@ -26,7 +26,7 @@ from flock.db.binder import (
     Scope,
     ScopeEntry,
     bind_insert_values,
-    insert_select_rows,
+    insert_select_columns,
 )
 from flock.db.catalog import Catalog
 from flock.db.encoding import EncodingSettings, env_switch
@@ -34,7 +34,12 @@ from flock.db.exec.executor import Executor, render_analyzed_plan
 from flock.db.expr import truthy_mask
 from flock.db.optimizer.rules import Optimizer
 from flock.db.plan import PlanNode, PredictNode, ScanNode
-from flock.db.plancache import CachedPlan, PlanCache, PreparedPlan
+from flock.db.plancache import (
+    CachedPlan,
+    PlanCache,
+    PreparedPlan,
+    parameter_rows,
+)
 from flock.db.result import QueryResult, QueryStats
 from flock.db.schema import Column, TableSchema
 from flock.db.security import SecurityManager, model_object
@@ -561,13 +566,12 @@ class Database:
         """
         entry = self.plan_cache.lookup(sql)
         statement = entry.statement
-        rows_params = [list(p) for p in seq_of_params]
+        rows_params = parameter_rows(seq_of_params)
         if not rows_params:
             return QueryResult("INSERT", affected_rows=0)
         connection = self.connect(user)
         if isinstance(statement, ast.Insert) and statement.select is None:
-            for params in rows_params:
-                entry.check_params(params)
+            entry.check_param_rows(rows_params)
             return connection._autocommit_write(entry, None, rows_params)
         total = 0
         last: QueryResult | None = None
@@ -770,16 +774,19 @@ class Database:
                 user,
                 _EngineExecutionContext(self, txn),
             )
-            full_rows = insert_select_rows(self, statement, select_result.batch)
+            columns = insert_select_columns(
+                self, statement, select_result.batch
+            )
         else:
-            full_rows = bind_insert_values(self, statement, param_rows)
+            columns = bind_insert_values(self, statement, param_rows)
         base = txn.visible_version(statement.table)
-        staged = table.build_insert(full_rows, base=base)
+        staged = table.build_append(columns, base=base)
         txn.stage(statement.table, staged)
+        rows = len(columns[0])
         self.audit.log.record(
-            user, "INSERT", statement.table, detail=f"{len(full_rows)} rows"
+            user, "INSERT", statement.table, detail=f"{rows} rows"
         )
-        return QueryResult("INSERT", affected_rows=len(full_rows))
+        return QueryResult("INSERT", affected_rows=rows)
 
     # -- UPDATE -----------------------------------------------------------
     def _execute_update(

@@ -21,6 +21,8 @@ import os
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from flock.db.audit import AuditRecord
 from flock.db.engine import Database, QueryLogEntry
 from flock.db.schema import Column, TableSchema
@@ -118,25 +120,33 @@ def _fsync_dir(path: Path) -> None:
 
 
 def dump_values(vector: ColumnVector) -> list:
-    """One column's values as JSON-safe Python objects (NULL as None)."""
-    values = []
-    # Hoist once: on encoded vectors each property access decodes the
-    # whole column, which would make this loop quadratic.
-    physical = vector.values
+    """One column's values as JSON-safe Python objects (NULL as None).
+
+    Built from one ``tolist()``; NULLs and the non-finite float markers
+    are patched in by position afterwards.
+    """
+    physical = vector.values  # decodes an encoded vector once
     nulls = vector.nulls
-    for i in range(len(vector)):
-        if nulls[i]:
-            values.append(None)
-        else:
-            value = physical[i]
-            if isinstance(value, float) and not math.isfinite(value):
-                # float() first: repr(np.float64(nan)) spells the type out.
-                values.append({"__float__": repr(float(value))})
-            elif hasattr(value, "item"):
-                values.append(value.item())
-            else:
-                values.append(value)
+    values = physical.tolist()
+    if physical.dtype == object:
+        # Opaque payloads may hold numpy scalars or non-finite floats.
+        values = [v if type(v) is str else _dump_object(v) for v in values]
+    elif physical.dtype.kind == "f" and not np.isfinite(physical).all():
+        for i in np.flatnonzero(~np.isfinite(physical) & ~nulls).tolist():
+            values[i] = {"__float__": repr(values[i])}
+    if nulls.any():
+        for i in np.flatnonzero(nulls).tolist():
+            values[i] = None
     return values
+
+
+def _dump_object(value: Any) -> Any:
+    if isinstance(value, float) and not math.isfinite(value):
+        # float() first: repr(np.float64(nan)) spells the type out.
+        return {"__float__": repr(float(value))}
+    if hasattr(value, "item"):
+        return value.item()
+    return value
 
 
 def load_values(values: list) -> list:
@@ -294,13 +304,10 @@ def load_database(
 def _load_version(schema: TableSchema, payload: dict) -> TableVersion:
     vectors = []
     for column, values in zip(schema.columns, payload["columns"]):
-        decoded = load_values(values)
-        if column.dtype is DataType.DATE:
-            # Stored physically as day numbers; from_values expects that.
-            vector = ColumnVector.from_values(DataType.DATE, decoded)
-        else:
-            vector = ColumnVector.from_values(column.dtype, decoded)
-        vectors.append(vector)
+        # DATE columns hold day numbers, which from_values takes as they are.
+        vectors.append(
+            ColumnVector.from_values(column.dtype, load_values(values))
+        )
     return TableVersion(
         payload["version_id"], schema, vectors, payload["operation"]
     )

@@ -82,11 +82,28 @@ class CachedPlan:
                 f"but {len(params)} parameter value(s) were supplied"
             )
 
+    def check_param_rows(self, rows: list) -> None:
+        """:meth:`check_params` for every row of an ``executemany`` batch:
+        one length pass, and the first bad row's error if any is bad."""
+        if set(map(len, rows)) != {self.parameter_count}:
+            for params in rows:
+                self.check_params(params)
+
     @property
     def preparable(self) -> bool:
         return self.parameter_count == 0 and isinstance(
             self.statement, (ast.Select, ast.SetOperation)
         )
+
+
+def parameter_rows(seq_of_params) -> list:
+    """``executemany``'s parameter rows as a list, each row as it came when
+    it is a list or tuple, else copied to a list (as ``execute`` copies
+    its parameters)."""
+    rows = seq_of_params if isinstance(seq_of_params, list) else list(seq_of_params)
+    if set(map(type, rows)) <= {list, tuple}:
+        return rows
+    return [p if type(p) in (list, tuple) else list(p) for p in rows]
 
 
 class PlanCache:

@@ -22,6 +22,10 @@ from flock.errors import TypeMismatchError
 
 _EPOCH = datetime.date(1970, 1, 1)
 
+#: The range INTEGER and DATE storage (int64) holds.
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
+
 
 class DataType(enum.Enum):
     """Logical column types supported by the engine."""
@@ -123,12 +127,19 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
         return None
     if dtype is _INTEGER:
         if type(value) is int:
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            number = value
+        elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             if isinstance(value, (float, np.floating)) and float(value).is_integer():
-                return int(value)
+                number = int(value)
+            else:
+                raise TypeMismatchError(
+                    f"cannot store {value!r} in INTEGER column"
+                )
+        else:
+            number = int(value)
+        if not INT64_MIN <= number <= INT64_MAX:
             raise TypeMismatchError(f"cannot store {value!r} in INTEGER column")
-        return int(value)
+        return number
     if dtype is _FLOAT:
         if type(value) is float:
             return value
@@ -136,7 +147,12 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
             value, (int, float, np.integer, np.floating)
         ):
             raise TypeMismatchError(f"cannot store {value!r} in FLOAT column")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise TypeMismatchError(
+                f"cannot store {value!r} in FLOAT column"
+            ) from None
     if dtype is _TEXT:
         if not isinstance(value, str):
             raise TypeMismatchError(f"cannot store {value!r} in TEXT column")
@@ -147,6 +163,8 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
         return bool(value)
     if dtype is _DATE:
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise TypeMismatchError(f"cannot store {value!r} in DATE column")
             return int(value)
         if isinstance(value, (str, datetime.date)):
             return date_to_days(value)

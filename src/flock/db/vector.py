@@ -43,7 +43,15 @@ class ColumnVector:
     # ------------------------------------------------------------------
     @classmethod
     def from_values(cls, dtype: DataType, items: Sequence[Any]) -> "ColumnVector":
-        """Build a vector from Python values, coercing each to *dtype*."""
+        """Build a vector from Python values, coercing each to *dtype*.
+
+        A column whose Python types fit *dtype* (see :func:`coerce_column`)
+        is converted by one vector call; any other column is coerced value
+        by value, raising the first row's error.
+        """
+        vector = coerce_column(dtype, items)
+        if vector is not None:
+            return vector
         n = len(items)
         nulls = np.zeros(n, dtype=bool)
         storage = np.empty(n, dtype=dtype.numpy_dtype)
@@ -167,6 +175,81 @@ def concat_columns(
         np.concatenate([c.values for c in chunks]),
         np.concatenate([c.nulls for c in chunks]),
     )
+
+
+#: Per type, the Python types a column may hold to take one vector call,
+#: and the value standing in for NULL while it does (the NULL placeholder
+#: itself, so the filled slots need no second pass). Exact types only:
+#: ``bool`` is not ``int`` here, and numpy scalars, ``datetime.date`` and
+#: subclasses go value by value through ``coerce_value``.
+_VECTOR_TYPES = {
+    DataType.INTEGER: ({int}, 0),
+    DataType.FLOAT: ({float, int}, 0.0),
+    DataType.TEXT: ({str}, None),
+    DataType.BOOLEAN: ({bool}, False),
+    DataType.DATE: ({int}, 0),
+}
+_NONE = type(None)
+#: DATE text the vector path parses: ``YYYY-MM-DD`` exactly. Anything else
+#: ``date.fromisoformat`` accepts ('20240101', '2024-W01-1') is coerced
+#: value by value, as are invalid dates, so every error is the same one.
+_DATE_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])
+_FIRST_DATE_DAY = -719162  # 0001-01-01; numpy would also parse year 0
+
+
+def coerce_column(dtype: DataType, items: Sequence[Any]) -> "ColumnVector | None":
+    """*items* coerced to *dtype* by one vector call, or None.
+
+    None unless the column's set of Python types fits *dtype*: FLOAT takes
+    ``float`` and ``int``, INTEGER ``int`` inside int64, TEXT ``str``,
+    BOOLEAN ``bool``, DATE ``int`` or canonical ``YYYY-MM-DD`` strings;
+    ``None`` anywhere becomes the null mask. The result is bit-identical
+    to coercing each value with :func:`coerce_value`; a column it declines
+    (or one that overflows) is the caller's to coerce value by value.
+    """
+    types = set(map(type, items))
+    has_nulls = _NONE in types
+    types.discard(_NONE)
+    text_dates = dtype is DataType.DATE and types == {str}
+    fast = _VECTOR_TYPES.get(dtype)
+    if not text_dates and (fast is None or not types <= fast[0]):
+        return None
+    nulls = np.zeros(len(items), dtype=bool)
+    if has_nulls:
+        items = np.array(items, dtype=object)
+        nulls = np.equal(items, None)
+        # 1970-01-01 is day 0, the DATE placeholder.
+        items[nulls] = "1970-01-01" if text_dates else fast[1]
+    try:
+        values = (
+            _parse_dates(items) if text_dates
+            else np.array(items, dtype=dtype.numpy_dtype)
+        )
+    except OverflowError:
+        return None
+    return None if values is None else ColumnVector(dtype, values, nulls)
+
+
+def _parse_dates(items: Sequence[str]) -> np.ndarray | None:
+    """Day numbers of canonical ``YYYY-MM-DD`` strings, or None."""
+    text = np.array(items, dtype=str)
+    if text.dtype != np.dtype("<U10"):
+        return None
+    chars = text.view(np.uint32).reshape(-1, 10)
+    digits = chars[:, _DATE_DIGITS] - ord("0")  # wraps below '0'
+    if not (
+        (digits <= 9).all()
+        and (chars[:, 4] == ord("-")).all()
+        and (chars[:, 7] == ord("-")).all()
+    ):
+        return None
+    try:
+        days = text.astype("datetime64[D]").astype(np.int64)
+    except ValueError:  # 2024-02-30
+        return None
+    if days.min() < _FIRST_DATE_DAY:
+        return None
+    return days
 
 
 def _zero_of(dtype: DataType) -> Any:

@@ -43,16 +43,19 @@ import zlib
 from pathlib import Path
 from typing import Any, Sequence
 
-from flock.db.binder import bind_insert_values, insert_select_rows
+import numpy as np
+
+from flock.db.binder import bind_insert_values, insert_select_columns
 from flock.db.engine import is_read_only
 from flock.db.persist import load_principals
-from flock.db.plancache import CachedPlan
+from flock.db.plancache import CachedPlan, parameter_rows
 from flock.db.result import QueryResult
 from flock.db.schema import Column, TableSchema
 from flock.db.sql import ast_nodes as ast
 from flock.db.sql.parser import parse_statement
 from flock.db.txn import ReadWriteLock
 from flock.db.types import DataType, date_to_days
+from flock.db.vector import ColumnVector
 from flock.errors import FlockError, ShardError
 from flock.proc.facade import (
     RemoteClusterFacade,
@@ -80,9 +83,10 @@ def canonical_key_value(column: Column, value: Any) -> Any:
     """One key value in canonical Python form, so equal keys hash equal.
 
     DATE strings become day numbers, exactly as storage holds them, and
-    numeric spellings collapse — ``5``, ``5.0`` and ``numpy.int64(5)``
-    must land on the same shard whether they arrive in an INSERT row or a
-    WHERE literal.
+    numeric spellings collapse — ``5``, ``5.0`` and ``numpy.int64(5)`` in
+    a WHERE literal must land on the shard an INSERT stored the key on
+    (INSERT keys come from the bound columns' ``tolist()``, which is
+    already this form).
     """
     if column.dtype is DataType.DATE and isinstance(value, str):
         value = date_to_days(value)
@@ -586,12 +590,11 @@ class ShardedCluster:
         self._check_open()
         entry = self.coordinator.plan_cache.lookup(sql)
         statement = entry.statement
-        rows_params = [list(p) for p in seq_of_params]
+        rows_params = parameter_rows(seq_of_params)
         if not rows_params:
             return QueryResult("INSERT", affected_rows=0)
         if isinstance(statement, ast.Insert) and statement.select is None:
-            for row_params in rows_params:
-                entry.check_params(row_params)
+            entry.check_param_rows(rows_params)
             with self._ops.write_locked():
                 return self._execute_insert(statement, rows_params, user)
         total = 0
@@ -661,42 +664,54 @@ class ShardedCluster:
                 param_rows[0],
                 user,
             )
-            rows = insert_select_rows(
+            columns = insert_select_columns(
                 self.coordinator, statement, select_result.batch
             )
         else:
-            rows = bind_insert_values(self.coordinator, statement, param_rows)
-        return self._scatter_rows(statement.table, rows, user)
+            columns = bind_insert_values(
+                self.coordinator, statement, param_rows
+            )
+        return self._scatter_rows(statement.table, columns, user)
 
-    def _scatter_rows(self, name, rows, user) -> QueryResult:
-        """Route full-width rows by key hash and insert shard-by-shard."""
-        if not rows:
+    def _scatter_rows(self, name, columns, user) -> QueryResult:
+        """Route bound full-width columns by key hash and insert the rows
+        shard by shard."""
+        n = len(columns[0])
+        if not n:
             return QueryResult("INSERT", affected_rows=0)
         schema = self.coordinator.catalog.schema(name)
         column_names = [c.name for c in schema.columns]
         key_positions = schema.primary_key_indexes
         if not key_positions:
             self.shards[0].database.executemany(
-                _insert_sql(name, column_names), rows, user=user
+                _insert_sql(name, column_names), _rows_of(columns), user=user
             )
-            return QueryResult("INSERT", affected_rows=len(rows))
+            return QueryResult("INSERT", affected_rows=n)
 
-        start = self._take_sequences(name, len(rows))
-        groups: dict[int, list[list[Any]]] = {}
-        for offset, row in enumerate(rows):
-            key = tuple(
-                canonical_key_value(schema.columns[p], row[p])
-                for p in key_positions
-            )
-            owner = shard_of(key, self.n_shards)
-            groups.setdefault(owner, []).append(row + [start + offset])
+        start = self._take_sequences(name, n)
+        # Stored values are already canonical (DATE as day numbers, every
+        # number in its column's Python type), so the key tuples are the
+        # ones canonical_key_value gives a WHERE literal.
+        keys = zip(*(_pylist(columns[p]) for p in key_positions))
+        owners = np.fromiter(
+            (shard_of(key, self.n_shards) for key in keys),
+            dtype=np.int64, count=n,
+        )
+        groups: dict[int, np.ndarray] = {
+            int(owner): np.flatnonzero(owners == owner)
+            for owner in np.unique(owners)
+        }
 
         insert_sql = _insert_sql(name, column_names + [SEQ_COLUMN])
         applied: list[tuple[int, list[int]]] = []
         applied_lock = threading.Lock()
         failures: list[FlockError] = []
 
-        def _apply(owner: int, shard_rows: list[list[Any]]) -> None:
+        def _apply(owner: int, picks: np.ndarray) -> None:
+            sequences = (picks + start).tolist()
+            shard_rows = _rows_of(
+                [column.take(picks) for column in columns], sequences
+            )
             try:
                 self.shards[owner].database.executemany(
                     insert_sql, shard_rows, user=user
@@ -705,11 +720,11 @@ class ShardedCluster:
                 failures.append(exc)
                 return
             with applied_lock:
-                applied.append((owner, [r[-1] for r in shard_rows]))
+                applied.append((owner, sequences))
 
         if len(groups) == 1:
-            owner, shard_rows = next(iter(groups.items()))
-            _apply(owner, shard_rows)
+            owner, picks = next(iter(groups.items()))
+            _apply(owner, picks)
         else:
             # Per-shard appends run concurrently: the router's exclusive
             # ops lock already serializes whole statements, each worker
@@ -736,7 +751,7 @@ class ShardedCluster:
                     user="admin",
                 )
             raise failures[0]
-        return QueryResult("INSERT", affected_rows=len(rows))
+        return QueryResult("INSERT", affected_rows=n)
 
     # -- UPDATE / DELETE -----------------------------------------------
     def _execute_update_delete(
@@ -917,6 +932,19 @@ class ShardedCluster:
             f"<flock.shard.ShardedCluster path={self.path} "
             f"shards={self.n_shards} replicas={self.replicas}>"
         )
+
+
+def _pylist(vector: ColumnVector) -> list[Any]:
+    """A bound column's stored values as Python objects, NULL as None."""
+    values = vector.values.tolist()
+    for i in np.flatnonzero(vector.nulls).tolist():
+        values[i] = None
+    return values
+
+
+def _rows_of(columns: Sequence[ColumnVector], *extra: list) -> list[tuple]:
+    """Rows of stored values a shard re-binds (DATE as day numbers)."""
+    return list(zip(*(_pylist(c) for c in columns), *extra))
 
 
 def _insert_sql(table: str, column_names: list[str]) -> str:

@@ -15,16 +15,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flock
 from flock.db import Database
 from flock.db.encoding import (
+    DICT_MAX_CARDINALITY,
     BitPackedVector,
     DictionaryVector,
     EncodedVector,
     RunLengthVector,
     concat_encoded,
     encode_columns,
+    encode_dictionary,
     encode_vector,
     encoding_of,
     vector_nbytes,
@@ -186,6 +190,99 @@ def test_short_and_highcard_vectors_stay_plain():
         DataType.TEXT, [f"v{i}" for i in range(N)]
     )
     assert not isinstance(encode_vector(unique), EncodedVector)
+
+
+# ----------------------------------------------------------------------
+# Dictionary encoding by hashing, against the np.unique encoder
+# ----------------------------------------------------------------------
+def _reference_encode_dictionary(vector):
+    """The ``np.unique`` encoder hashing replaced: (dictionary, codes),
+    or None where it declined (too many distinct values, unorderable)."""
+    present = vector.values[~vector.nulls]
+    if len(present) == 0:
+        return None
+    try:
+        dictionary = np.unique(present)
+    except TypeError:
+        return None
+    k = len(dictionary)
+    if k > DICT_MAX_CARDINALITY or k > len(vector) // 2:
+        return None
+    index = {v: i for i, v in enumerate(dictionary.tolist())}
+    codes = np.full(len(vector), -1, dtype=np.int32)
+    codes[~vector.nulls] = [index[v] for v in present.tolist()]
+    return dictionary, codes
+
+
+def _assert_encodes_like_reference(vector):
+    got = encode_dictionary(vector)
+    want = _reference_encode_dictionary(vector)
+    if want is None:
+        assert got is None
+        return
+    dictionary, codes = want
+    assert got.dictionary.dtype == dictionary.dtype
+    assert got.dictionary.tolist() == dictionary.tolist()
+    assert got.codes.dtype == codes.dtype
+    assert np.array_equal(got.codes, codes)
+    _assert_identical(got, vector)
+
+
+#: Few distinct values (so the encoder accepts) beside free text.
+_TEXT = st.one_of(
+    st.none(),
+    st.sampled_from(["", "a", "b", "é", "Z", "日本", "a\x00", "\U0001F600"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(_TEXT, min_size=1, max_size=200))
+def test_encode_dictionary_matches_np_unique(items):
+    _assert_encodes_like_reference(
+        ColumnVector.from_values(DataType.TEXT, items)
+    )
+
+
+@pytest.mark.parametrize("k", [
+    DICT_MAX_CARDINALITY - 1, DICT_MAX_CARDINALITY, DICT_MAX_CARDINALITY + 1,
+])
+def test_encode_dictionary_cardinality_boundary(k):
+    items = [f"v{i:05d}" for i in range(k)] * 2 + [None]
+    _assert_encodes_like_reference(
+        ColumnVector.from_values(DataType.TEXT, items)
+    )
+
+
+@pytest.mark.parametrize("distinct", [49, 50, 51])
+def test_encode_dictionary_half_length_boundary(distinct):
+    items = [f"v{i}" for i in range(distinct)] + ["v0"] * (100 - distinct)
+    _assert_encodes_like_reference(
+        ColumnVector.from_values(DataType.TEXT, items)
+    )
+
+
+def test_encode_dictionary_declines_unorderable_payloads():
+    values = np.array(["a", 1, "a", 1] * 20, dtype=object)
+    vector = ColumnVector(DataType.TEXT, values, np.zeros(80, dtype=bool))
+    assert _reference_encode_dictionary(vector) is None
+    assert encode_dictionary(vector) is None
+
+
+def test_codes_against_an_existing_dictionary():
+    base = encode_dictionary(
+        ColumnVector.from_values(DataType.TEXT, ["a", "b", None] * 20)
+    )
+    covered = ColumnVector.from_values(DataType.TEXT, ["b", None, "a"])
+    appended = base.concat(covered)
+    assert isinstance(appended, DictionaryVector)
+    assert appended.dictionary is base.dictionary
+    assert appended.codes[-3:].tolist() == [1, -1, 0]
+    fresh = base.concat(ColumnVector.from_values(DataType.TEXT, ["c"]))
+    _assert_identical(
+        fresh,
+        ColumnVector.from_values(DataType.TEXT, ["a", "b", None] * 20 + ["c"]),
+    )
 
 
 # ----------------------------------------------------------------------

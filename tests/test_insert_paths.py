@@ -4,8 +4,10 @@ Every shape below runs through {embedded, sharded} x {``execute``,
 ``executemany``} and must leave repr-identical rows — or raise the same
 error class with the same message — on all four. ``execute`` runs the
 statement once per parameter row; ``executemany`` sends them all at once.
-Error shapes carry one parameter row, so "nothing staged" is the same
-outcome whether the batch commits once or once per row.
+Error shapes fail in their first parameter row, so "nothing staged" is
+the same outcome whether the batch commits once or once per row; a
+multi-row error shape pins which error a batch raises — the one a
+row-major loop meets first, whatever its slot.
 
 The sharded side reads ``FLOCK_SHARDS`` (default 2) and follows
 ``FLOCK_PROC`` for its transport.
@@ -32,10 +34,14 @@ SHARDS = int(os.environ.get("FLOCK_SHARDS", "2"))
 SCHEMA = [
     "CREATE TABLE t (k INT PRIMARY KEY, v TEXT, d DATE)",
     "CREATE TABLE u (a INT, b TEXT)",
+    "CREATE TABLE w (k INT PRIMARY KEY, x FLOAT)",
 ]
+TABLES = ("t", "u", "w")
 SEED_ROW = "INSERT INTO t VALUES (0, 'seed', '2023-12-31')"
 #: What ``SELECT * FROM t`` / ``FROM u`` return when an INSERT left nothing.
-SEED_ONLY = (repr([(0, "seed", datetime.date(2023, 12, 31))]), repr([]))
+SEED_ONLY = (
+    repr([(0, "seed", datetime.date(2023, 12, 31))]), repr([]), repr([])
+)
 
 # name -> (sql, parameter rows, affected rows or the error class)
 CASES = {
@@ -129,6 +135,34 @@ CASES = {
         [[6, "a", 6]],
         ConstraintError,
     ),
+    "integer_overflow": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[2**63, "a", None]],
+        TypeMismatchError,
+    ),
+    "float_overflow": (
+        "INSERT INTO w VALUES (?, ?)",
+        [[1, 10**400]],
+        TypeMismatchError,
+    ),
+    # Row 1 fails in slot 2, row 2 in slot 3: row 1's error.
+    "first_error_in_earlier_slot": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, 5, None], [2, "b", 1.5]],
+        TypeMismatchError,
+    ),
+    # Row 1 fails in slot 3, row 2 in slot 2: still row 1's error.
+    "first_error_in_later_slot": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, "a", 1.5], [2, 5, None]],
+        TypeMismatchError,
+    ),
+    # Row 1 fails in a bare slot, row 2 in an expression slot before it.
+    "first_error_behind_expression_slot": (
+        "INSERT INTO t VALUES (? + 1, ?, ?)",
+        [[1, "a", 1.5], ["x", "b", None]],
+        TypeMismatchError,
+    ),
 }
 
 METHODS = ("execute", "executemany")
@@ -145,7 +179,7 @@ def tiers(tmp_path_factory):
 
 
 def _reset(client) -> None:
-    for name in ("t", "u"):
+    for name in TABLES:
         client.execute(f"DROP TABLE IF EXISTS {name}")
     for ddl in SCHEMA:
         client.execute(ddl)
@@ -168,7 +202,7 @@ def _outcome(client, method: str, sql: str, param_rows: list) -> tuple:
         result = (type(exc), str(exc))
     left = tuple(
         repr(client.execute(f"SELECT * FROM {name}").rows())
-        for name in ("t", "u")
+        for name in TABLES
     )
     return result, left
 
@@ -207,3 +241,20 @@ def test_multi_row_template_commits_once(tiers):
     ]
     assert [r.detail for r in inserts] == [f"{expected} rows"]
     assert len(db.query_log) == log_before + 1
+
+
+#: The exact error of the cases whose message pins the behaviour.
+FIRST_ERRORS = {
+    "integer_overflow": "cannot store 9223372036854775808 in INTEGER column",
+    "float_overflow": f"cannot store {10**400} in FLOAT column",
+    "first_error_in_earlier_slot": "cannot store 5 in TEXT column",
+    "first_error_in_later_slot": "cannot store 1.5 in DATE column",
+    "first_error_behind_expression_slot": "cannot store 1.5 in DATE column",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ERRORS))
+def test_batch_raises_its_first_rows_error(tiers, case):
+    sql, param_rows, expected = CASES[case]
+    result, _ = _outcome(tiers["embedded"], "executemany", sql, param_rows)
+    assert result == (expected, FIRST_ERRORS[case])
