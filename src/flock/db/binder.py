@@ -54,7 +54,7 @@ from flock.db.types import (
     common_type,
     infer_type,
 )
-from flock.db.vector import Batch, ColumnVector, _zero_of, coerce_column
+from flock.db.vector import Batch, ColumnVector, coerce_column
 from flock.errors import BindError, TypeMismatchError
 
 
@@ -1409,9 +1409,8 @@ def insert_select_columns(
 ) -> list[ColumnVector]:
     """The full-width columns ``INSERT ... SELECT`` writes.
 
-    The SELECT's own vectors where the column type matches, INTEGER into
-    FLOAT as one numeric cast, any other pair coerced value by value (the
-    first failure in row-major order is raised).
+    Each SELECT column is coerced value by value to its target type; the
+    first failure in row-major order is raised.
     """
     schema = context.resolve_table(statement.table)
     positions = _column_positions(statement, schema)
@@ -1427,14 +1426,8 @@ def insert_select_columns(
     ]
     failures = []
     for slot, (position, vector) in enumerate(zip(positions, source.columns)):
-        dtype = columns[position].dtype
-        if vector.dtype is dtype or (
-            vector.dtype is DataType.INTEGER and dtype is DataType.FLOAT
-        ):
-            columns[position] = _cast_column(vector, dtype)
-            continue
         columns[position], failure = _column_by_value(
-            dtype, iter(vector.to_pylist())
+            columns[position].dtype, iter(vector.to_pylist())
         )
         if failure is not None:
             failures.append(((failure[0], slot), failure[1]))
@@ -1478,17 +1471,6 @@ def _column_by_value(
     except Exception as exc:
         return None, (len(coerced), exc)
     return ColumnVector.from_values(dtype, coerced), None
-
-
-def _cast_column(vector: ColumnVector, dtype: DataType) -> ColumnVector:
-    """*vector* as *dtype* storage, NULL slots holding the placeholder."""
-    values, nulls = vector.values, vector.nulls
-    if vector.dtype is not dtype:
-        values = values.astype(dtype.numpy_dtype)
-    if nulls.any():
-        values = values.copy()
-        values[nulls] = _zero_of(dtype)
-    return ColumnVector(dtype, values, nulls)
 
 
 def _interleave(dtype: DataType, parts: list[ColumnVector]) -> ColumnVector:

@@ -122,21 +122,19 @@ def _fsync_dir(path: Path) -> None:
 def dump_values(vector: ColumnVector) -> list:
     """One column's values as JSON-safe Python objects (NULL as None).
 
-    Built from one ``tolist()``; NULLs and the non-finite float markers
-    are patched in by position afterwards.
+    Built from :meth:`ColumnVector.stored_values`; the non-finite float
+    markers are patched in by position afterwards.
     """
-    physical = vector.values  # decodes an encoded vector once
-    nulls = vector.nulls
-    values = physical.tolist()
+    # One decode of an encoded vector, shared by both passes below.
+    plain = ColumnVector(vector.dtype, vector.values, vector.nulls)
+    values = plain.stored_values()
+    physical = plain.values
     if physical.dtype == object:
         # Opaque payloads may hold numpy scalars or non-finite floats.
         values = [v if type(v) is str else _dump_object(v) for v in values]
     elif physical.dtype.kind == "f" and not np.isfinite(physical).all():
-        for i in np.flatnonzero(~np.isfinite(physical) & ~nulls).tolist():
+        for i in np.flatnonzero(~np.isfinite(physical) & ~plain.nulls).tolist():
             values[i] = {"__float__": repr(values[i])}
-    if nulls.any():
-        for i in np.flatnonzero(nulls).tolist():
-            values[i] = None
     return values
 
 

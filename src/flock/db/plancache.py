@@ -100,10 +100,7 @@ def parameter_rows(seq_of_params) -> list:
     """``executemany``'s parameter rows as a list, each row as it came when
     it is a list or tuple, else copied to a list (as ``execute`` copies
     its parameters)."""
-    rows = seq_of_params if isinstance(seq_of_params, list) else list(seq_of_params)
-    if set(map(type, rows)) <= {list, tuple}:
-        return rows
-    return [p if type(p) in (list, tuple) else list(p) for p in rows]
+    return [p if type(p) in (list, tuple) else list(p) for p in seq_of_params]
 
 
 class PlanCache:

@@ -119,6 +119,14 @@ class ColumnVector:
         """All values as user-facing Python objects."""
         return [self[i] for i in range(len(self))]
 
+    def stored_values(self) -> list[Any]:
+        """The physical values as Python objects, NULL as None (DATE stays
+        day numbers): one ``tolist()``, NULL slots patched by position."""
+        values = self.values.tolist()
+        for i in np.flatnonzero(self.nulls).tolist():
+            values[i] = None
+        return values
+
     def has_nulls(self) -> bool:
         return bool(self.nulls.any())
 
@@ -193,7 +201,10 @@ _NONE = type(None)
 #: DATE text the vector path parses: ``YYYY-MM-DD`` exactly. Anything else
 #: ``date.fromisoformat`` accepts ('20240101', '2024-W01-1') is coerced
 #: value by value, as are invalid dates, so every error is the same one.
-_DATE_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])
+#: Its code points as ranges: a digit is at most 9 above '0', a dash is '-'.
+_DATE_LOW = np.array([ord(c) for c in "0000-00-00"], dtype=np.uint32)
+_DATE_SPAN = np.array([0 if c == "-" else 9 for c in "0000-00-00"],
+                      dtype=np.uint32)
 _FIRST_DATE_DAY = -719162  # 0001-01-01; numpy would also parse year 0
 
 
@@ -236,12 +247,7 @@ def _parse_dates(items: Sequence[str]) -> np.ndarray | None:
     if text.dtype != np.dtype("<U10"):
         return None
     chars = text.view(np.uint32).reshape(-1, 10)
-    digits = chars[:, _DATE_DIGITS] - ord("0")  # wraps below '0'
-    if not (
-        (digits <= 9).all()
-        and (chars[:, 4] == ord("-")).all()
-        and (chars[:, 7] == ord("-")).all()
-    ):
+    if not ((chars - _DATE_LOW) <= _DATE_SPAN).all():  # wraps below LOW
         return None
     try:
         days = text.astype("datetime64[D]").astype(np.int64)

@@ -85,8 +85,8 @@ def canonical_key_value(column: Column, value: Any) -> Any:
     DATE strings become day numbers, exactly as storage holds them, and
     numeric spellings collapse — ``5``, ``5.0`` and ``numpy.int64(5)`` in
     a WHERE literal must land on the shard an INSERT stored the key on
-    (INSERT keys come from the bound columns' ``tolist()``, which is
-    already this form).
+    (INSERT keys come from the bound columns' ``stored_values()``, which
+    is already this form).
     """
     if column.dtype is DataType.DATE and isinstance(value, str):
         value = date_to_days(value)
@@ -692,7 +692,7 @@ class ShardedCluster:
         # Stored values are already canonical (DATE as day numbers, every
         # number in its column's Python type), so the key tuples are the
         # ones canonical_key_value gives a WHERE literal.
-        keys = zip(*(_pylist(columns[p]) for p in key_positions))
+        keys = zip(*(columns[p].stored_values() for p in key_positions))
         owners = np.fromiter(
             (shard_of(key, self.n_shards) for key in keys),
             dtype=np.int64, count=n,
@@ -934,17 +934,9 @@ class ShardedCluster:
         )
 
 
-def _pylist(vector: ColumnVector) -> list[Any]:
-    """A bound column's stored values as Python objects, NULL as None."""
-    values = vector.values.tolist()
-    for i in np.flatnonzero(vector.nulls).tolist():
-        values[i] = None
-    return values
-
-
 def _rows_of(columns: Sequence[ColumnVector], *extra: list) -> list[tuple]:
     """Rows of stored values a shard re-binds (DATE as day numbers)."""
-    return list(zip(*(_pylist(c) for c in columns), *extra))
+    return list(zip(*(c.stored_values() for c in columns), *extra))
 
 
 def _insert_sql(table: str, column_names: list[str]) -> str:

@@ -2,9 +2,12 @@
 
 ``binder.bind_insert_values`` builds each INSERT column with one vector
 call when its Python types fit the column type, and value by value
-otherwise. The reference here is the row-major loop it replaced: per
+otherwise, and ``binder.insert_select_columns`` coerces each SELECT
+column value by value. The reference here is the row-major loop each
+replaced: per
 parameter row, per template row, per slot, ``Binder._parameter_value`` then
-``coerce_value``, and the rows then stored by the per-value
+``coerce_value`` (for INSERT ... SELECT, per SELECT row and slot), and
+the rows then stored by the per-value
 ``ColumnVector.from_values`` loop. Over columns of mixed Python types the
 two must agree bit for bit on values and nulls, or raise the same error
 (class and message) — the one the row-major loop meets first.
@@ -23,11 +26,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flock.db import Database
-from flock.db.binder import Binder, _fold_insert_expr, bind_insert_values
+from flock.db.binder import (
+    Binder,
+    _fold_insert_expr,
+    bind_insert_values,
+    insert_select_columns,
+)
 from flock.db.sql import ast_nodes as ast
 from flock.db.sql.parser import parse_statement
 from flock.db.types import DataType, coerce_value
-from flock.db.vector import ColumnVector, _zero_of
+from flock.db.vector import Batch, ColumnVector, _zero_of
 
 EXAMPLES = int(os.environ.get("FLOCK_BIND_EXAMPLES", "100"))
 
@@ -255,4 +263,63 @@ def test_date_text_beside_canonical_dates(text):
     items = ["2024-01-01", None, text]
     got = _outcome(lambda: [ColumnVector.from_values(DataType.DATE, items)])
     want = _outcome(lambda: [reference_from_values(DataType.DATE, items)])
+    _assert_same(got, want)
+
+
+#: Values a SELECT column of each type can hold (TEXT includes strings a
+#: DATE or FLOAT target must refuse or parse).
+SELECT_VALUES = {
+    DataType.INTEGER: st.one_of(
+        st.sampled_from([0, -1, 2**53 + 1, 2**63 - 1, -(2**63)]),
+        st.integers(-(2**63), 2**63 - 1),
+    ),
+    DataType.FLOAT: KINDS["float"],
+    DataType.TEXT: st.one_of(KINDS["text"], KINDS["date_text"]),
+    DataType.BOOLEAN: st.booleans(),
+    DataType.DATE: st.dates(),
+}
+
+
+@st.composite
+def select_sources(draw):
+    """An ``INSERT INTO t (...)`` column list and a SELECT batch for it."""
+    targets = draw(st.permutations(["i", "f", "s", "b", "d"]))
+    targets = targets[:draw(st.integers(1, 5))]
+    n = draw(st.integers(0, 12))
+    columns = []
+    for _ in targets:
+        dtype = draw(st.sampled_from(TYPES))
+        values = draw(st.lists(st.one_of(st.none(), SELECT_VALUES[dtype]),
+                               min_size=n, max_size=n))
+        columns.append(ColumnVector.from_values(dtype, values))
+    return targets, Batch([f"c{i}" for i in range(len(targets))], columns)
+
+
+def reference_insert_select(db, statement, source):
+    """The per-row loop: full-width rows coerced slot by slot, then
+    per-value columns."""
+    schema = db.resolve_table(statement.table)
+    positions = [schema.index_of(c) for c in statement.columns]
+    rows = []
+    for values in source.rows():
+        full = [None] * len(schema)
+        for position, value in zip(positions, values):
+            full[position] = coerce_value(value, schema.columns[position].dtype)
+        rows.append(full)
+    return [
+        reference_from_values(col.dtype, [row[i] for row in rows])
+        for i, col in enumerate(schema.columns)
+    ]
+
+
+@settings(max_examples=EXAMPLES, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=select_sources())
+def test_insert_select_matches_row_major_reference(db, source):
+    targets, batch = source
+    statement = parse_statement(
+        f"INSERT INTO t ({', '.join(targets)}) SELECT 1"
+    )
+    got = _outcome(lambda: insert_select_columns(db, statement, batch))
+    want = _outcome(lambda: reference_insert_select(db, statement, batch))
     _assert_same(got, want)

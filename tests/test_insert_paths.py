@@ -258,3 +258,83 @@ def test_batch_raises_its_first_rows_error(tiers, case):
     sql, param_rows, expected = CASES[case]
     result, _ = _outcome(tiers["embedded"], "executemany", sql, param_rows)
     assert result == (expected, FIRST_ERRORS[case])
+
+
+# INSERT ... SELECT across column types, on both tiers. The source keeps
+# one row per shape of value; each case reads a column into a target of
+# another type.
+SELECT_SCHEMA = (
+    "CREATE TABLE src (n INT, i INT, f FLOAT, s TEXT, e DATE)",
+    "CREATE TABLE dst (n INT, i INT, f FLOAT, d DATE)",
+)
+SELECT_SOURCE = [
+    [1, 7, 2.0, "2024-01-01", "2024-03-01"],
+    [2, None, None, None, None],
+    [3, -4, 2.5, "x", "1969-12-31"],
+]
+_MAR_1 = datetime.date(2024, 3, 1)
+# name -> (statement, rows left in dst, or the error class and message)
+SELECT_CASES = {
+    "integer_into_float_with_nulls": (
+        "INSERT INTO dst (n, f) SELECT n, i FROM src",
+        [(1, None, 7.0, None), (2, None, None, None), (3, None, -4.0, None)],
+    ),
+    "text_into_date": (
+        "INSERT INTO dst (d, n) SELECT s, n FROM src WHERE n < 3",
+        [(1, None, None, datetime.date(2024, 1, 1)), (2, None, None, None)],
+    ),
+    "integral_float_into_integer": (
+        "INSERT INTO dst (n, i) SELECT n, f FROM src WHERE n < 3",
+        [(1, 2, None, None), (2, None, None, None)],
+    ),
+    "date_into_date": (
+        "INSERT INTO dst (n, d) SELECT n, e FROM src",
+        [(1, None, None, _MAR_1), (2, None, None, None),
+         (3, None, None, datetime.date(1969, 12, 31))],
+    ),
+    "integer_into_date": (
+        "INSERT INTO dst (n, d) SELECT n, i FROM src",
+        [(1, None, None, datetime.date(1970, 1, 8)), (2, None, None, None),
+         (3, None, None, datetime.date(1969, 12, 28))],
+    ),
+    "non_integral_float_into_integer": (
+        "INSERT INTO dst (n, i) SELECT n, f FROM src",
+        (TypeMismatchError, "cannot store 2.5 in INTEGER column"),
+    ),
+    "date_into_integer": (
+        "INSERT INTO dst (n, i) SELECT n, e FROM src",
+        (TypeMismatchError,
+         f"cannot store {_MAR_1!r} in INTEGER column"),
+    ),
+    # Slot 2 fails in row 3; slot 3 fails in row 1, which wins.
+    "later_slot_fails_in_earlier_row": (
+        "INSERT INTO dst (n, i, f) SELECT n, f, s FROM src",
+        (TypeMismatchError, "cannot store '2024-01-01' in FLOAT column"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECT_CASES))
+def test_insert_select_coerces_each_type_pair(tiers, case):
+    sql, expected = SELECT_CASES[case]
+    outcomes = {}
+    for tier, client in tiers.items():
+        for name in ("src", "dst"):
+            client.execute(f"DROP TABLE IF EXISTS {name}")
+        for ddl in SELECT_SCHEMA:
+            client.execute(ddl)
+        client.executemany(
+            "INSERT INTO src VALUES (?, ?, ?, ?, ?)", SELECT_SOURCE
+        )
+        try:
+            result = client.execute(sql).affected_rows
+        except FlockError as exc:
+            result = (type(exc), str(exc))
+        outcomes[tier] = (
+            result, client.execute("SELECT * FROM dst ORDER BY n").rows()
+        )
+    if isinstance(expected, tuple):
+        want = (expected, [])
+    else:
+        want = (len(expected), expected)
+    assert outcomes == {"embedded": want, "sharded": want}
