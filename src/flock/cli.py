@@ -480,6 +480,7 @@ def serve_main(argv: list[str]) -> int:
 
     if args.shards:
         routes = stats["routes"]
+        gather = stats["gather"]
         rows = sum(
             sum(shard["rows"].values()) for shard in stats["per_shard"]
         )
@@ -487,7 +488,9 @@ def serve_main(argv: list[str]) -> int:
             f"routed {routes['single']} single-shard + "
             f"{routes['scatter']} scattered + {routes['broadcast']} "
             f"broadcast + {routes['ddl']} DDL statement(s) across "
-            f"{stats['shards']} shard(s); {rows} shard row(s)"
+            f"{stats['shards']} shard(s); {rows} shard row(s); scattered "
+            f"reads shipped {gather['tables_shipped']} table(s) and "
+            f"reused {gather['tables_reused']} cached"
         )
     elif args.replicas:
         primary = stats["primary"]

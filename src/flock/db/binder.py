@@ -1462,8 +1462,7 @@ def _column_by_value(
     dtype: DataType, values: Iterator[Any]
 ) -> tuple[ColumnVector | None, tuple[int, Exception] | None]:
     """Coerce *values* one by one: the column, or the first failing row and
-    its error. Any error counts, as it would in a row-major loop (an
-    invalid DATE string raises ``ValueError``)."""
+    its error. Any error counts, as it would in a row-major loop."""
     coerced = []
     try:
         for value in values:

@@ -512,12 +512,15 @@ def encode_rle(vector: ColumnVector) -> RunLengthVector | None:
         return None
     values = vector.values
     nulls = vector.nulls
+    # FLOAT runs compare bit patterns: 0.0 == -0.0, yet a run holds one
+    # value, and decoding must give back the sign each row was stored with.
+    same = values.view(np.int64) if vector.dtype is DataType.FLOAT else values
     change = np.empty(n, dtype=bool)
     change[0] = True
     if n > 1:
         null_flip = nulls[1:] != nulls[:-1]
         both_present = ~(nulls[1:] | nulls[:-1])
-        value_change = np.asarray(values[1:] != values[:-1], dtype=bool)
+        value_change = np.asarray(same[1:] != same[:-1], dtype=bool)
         change[1:] = null_flip | (both_present & value_change)
     starts = np.nonzero(change)[0]
     if len(starts) > n // RLE_MAX_RUN_FRACTION:

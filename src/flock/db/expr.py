@@ -21,7 +21,7 @@ import numpy as np
 from flock.db.encoding import DictionaryVector, RunLengthVector
 from flock.db.types import DataType, coerce_value
 from flock.db.vector import Batch, ColumnVector
-from flock.errors import ExecutionError
+from flock.errors import ExecutionError, TypeMismatchError
 
 #: Sentinel distinguishing "not a constant vector" from a NULL constant.
 _NO_CONST = object()
@@ -624,7 +624,7 @@ class BoundCast(BoundExpr):
                 if not nulls[i]:
                     try:
                         out[i] = date_to_days(source_values[i])
-                    except (TypeError, ValueError):
+                    except (TypeError, TypeMismatchError):
                         raise ExecutionError(
                             f"cannot cast {source_values[i]!r} to DATE"
                         ) from None

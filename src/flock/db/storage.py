@@ -13,6 +13,8 @@ version and feed both the cost-based optimizer and the inference layer's
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -117,12 +119,18 @@ class TableStats:
         return self.columns.get(name.lower())
 
 
+#: Version stamps: a random per-process token in the high bits plus a
+#: counter in the low ones, so no two versions share one — across
+#: processes, DROP/CREATE and recovery, where ``version_id``\s repeat.
+_STAMPS = itertools.count(int.from_bytes(os.urandom(8), "big") << 64)
+
+
 class TableVersion:
     """An immutable snapshot of a table's contents."""
 
     __slots__ = (
         "version_id", "columns", "operation", "_stats", "schema", "delta",
-        "zone_cache", "zone_base",
+        "zone_cache", "zone_base", "stamp",
     )
 
     def __init__(
@@ -146,6 +154,9 @@ class TableVersion:
         # reused (the first base.row_count rows are the same arrays).
         self.zone_cache: dict | None = None
         self.zone_base: "TableVersion | None" = None
+        # Identity for caches outside this process: the scatter gather
+        # asks a shard whether a table's head is still the one it merged.
+        self.stamp = next(_STAMPS)
 
     @property
     def row_count(self) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import enum
+import re
 from typing import Any
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from flock.errors import TypeMismatchError
 
 _EPOCH = datetime.date(1970, 1, 1)
+_CANONICAL_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 #: The range INTEGER and DATE storage (int64) holds.
 INT64_MIN = -(2**63)
@@ -86,9 +88,22 @@ SQL_TYPE_ALIASES = {
 
 
 def date_to_days(value: datetime.date | str) -> int:
-    """Convert a date (or ISO ``YYYY-MM-DD`` string) to days since the epoch."""
+    """Convert a date (or ``YYYY-MM-DD`` string) to days since the epoch.
+
+    Text must be canonical ``YYYY-MM-DD`` naming a real day; anything else
+    (``'2024-02-30'``, or the other ISO 8601 spellings only some Python
+    versions accept, like ``'20240101'``) raises
+    :class:`TypeMismatchError`.
+    """
     if isinstance(value, str):
-        value = datetime.date.fromisoformat(value)
+        try:
+            if not _CANONICAL_DATE.fullmatch(value):
+                raise ValueError
+            value = datetime.date.fromisoformat(value)
+        except ValueError:
+            raise TypeMismatchError(
+                f"invalid DATE {value!r}: expected a real YYYY-MM-DD day"
+            ) from None
     return (value - _EPOCH).days
 
 

@@ -199,8 +199,8 @@ _VECTOR_TYPES = {
 }
 _NONE = type(None)
 #: DATE text the vector path parses: ``YYYY-MM-DD`` exactly. Anything else
-#: ``date.fromisoformat`` accepts ('20240101', '2024-W01-1') is coerced
-#: value by value, as are invalid dates, so every error is the same one.
+#: ('20240101', '2024-W01-1', '2024-02-30') is coerced value by value,
+#: which refuses it with the same TypeMismatchError on every path.
 #: Its code points as ranges: a digit is at most 9 above '0', a dash is '-'.
 _DATE_LOW = np.array([ord(c) for c in "0000-00-00"], dtype=np.uint32)
 _DATE_SPAN = np.array([0 if c == "-" else 9 for c in "0000-00-00"],

@@ -52,7 +52,8 @@ class RemoteTable:
     @property
     def head_version(self):
         shipped = self._handle.request("head_versions", names=[self.name])
-        return rebuild_version(shipped[self.name.lower()])
+        _stamp, payload = shipped[self.name.lower()]
+        return rebuild_version(payload)
 
 
 class RemoteCatalog:

@@ -7,7 +7,8 @@ shard or follower operation is implemented:
 - ``shard`` — a durable engine over one shard directory (or, when the
   shard composes with replicas, a full :class:`~flock.cluster.FlockCluster`),
   serving routed statements, scatter ``executemany`` batches, head-version
-  snapshots and the ``catalog_summary`` a sharded router's bring-up reads;
+  snapshots (shipped only where the caller's stamp is stale) and the
+  ``catalog_summary`` a sharded router's bring-up reads;
 - ``replica`` — a follower stack booted from the primary's snapshot
   directory, applying the WAL records its parent-side forwarder ships as
   ``apply`` ops and serving reads through a read-only server.
@@ -230,6 +231,30 @@ def _catalog_summary(state: _State, model_rows: bool) -> dict:
     return summary
 
 
+def _head_versions(state: _State, names, known: dict) -> dict:
+    """``{name: (stamp, payload)}`` for each head in *names*.
+
+    One acquisition of the statement read lock for all names: one
+    internally consistent per-shard snapshot (the merge path's gather
+    contract; see :mod:`flock.shard.merge`). The payload —
+    ``(version_id, schema, columns, operation)`` — is None where the head's
+    stamp equals ``known[name]``: the caller already holds that version.
+    """
+    shipped = {}
+    with state.db.statement_lock.read_locked():
+        for name in names:
+            head = state.db.catalog.table(name).head_version
+            key = name.lower()
+            payload = None
+            if known.get(key) != head.stamp:
+                payload = (
+                    head.version_id, head.schema, head.columns,
+                    head.operation,
+                )
+            shipped[key] = (head.stamp, payload)
+    return shipped
+
+
 def _close(state: _State) -> None:
     if state.cluster is not None:
         state.cluster.close()
@@ -295,18 +320,7 @@ def _dispatch(state: _State, op: str, msg: dict):
             timeout=msg.get("timeout"),
         ))
     if op == "head_versions":
-        # One acquisition of the statement read lock for all names: one
-        # internally consistent per-shard snapshot (the merge path's
-        # gather contract; see flock.shard.merge).
-        shipped = {}
-        with state.db.statement_lock.read_locked():
-            for name in msg["names"]:
-                head = state.db.catalog.table(name).head_version
-                shipped[name.lower()] = (
-                    head.version_id, head.schema, head.columns,
-                    head.operation,
-                )
-        return shipped
+        return _head_versions(state, msg["names"], msg.get("known") or {})
     if op == "apply":
         _apply_replicated(state, msg["record"])
         return None

@@ -16,6 +16,8 @@ reads never contend on coordinator storage.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from flock.db.result import QueryResult
@@ -28,6 +30,43 @@ from flock.db.vector import Batch
 SEQ_COLUMN = "_flock_seq"
 
 
+class GatherCache:
+    """The coordinator's merged snapshot of each sharded table a scatter
+    has read, keyed by the per-shard head stamps it was merged from.
+
+    One merged copy per table and no per-shard parts: that is the whole
+    memory bound. Concurrent scattered reads share it; each matches its
+    replies against the entries its requests were built from, so a refill
+    by another read can never pair one gather's stamps with another's
+    data. Every DDL broadcast, shard restart and close drops it whole.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: dict[str, tuple[tuple, TableVersion]] = {}
+        self._counts = {"tables_shipped": 0, "tables_reused": 0}
+
+    def entries(self, names) -> dict:
+        """``{name: (stamps, merged) or None}`` for *names*."""
+        with self._lock:
+            return {name: self._entries.get(name) for name in names}
+
+    def record(self, fresh: dict, reused: int) -> None:
+        """Store one gather's newly merged entries and count its tables."""
+        with self._lock:
+            self._entries.update(fresh)
+            self._counts["tables_shipped"] += len(fresh)
+            self._counts["tables_reused"] += reused
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def stats(self) -> dict:
+        with self._lock:
+            return dict(self._counts)
+
+
 def gather_versions(cluster, names) -> dict:
     """One merged :class:`TableVersion` per table in *names*.
 
@@ -36,20 +75,64 @@ def gather_versions(cluster, names) -> dict:
     consistent snapshot; cross-shard consistency comes from the cluster's
     operation lock held by the caller (writes are excluded while any
     scattered read is gathering).
+
+    Each request carries the stamps of the cached merge, and a shard ships
+    a table only when its head stamp differs. A table no shard shipped is
+    served from the cache; a table some shard shipped is merged afresh,
+    after its parts are fetched from the shards that answered "unchanged".
     """
-    wanted = [n.lower() for n in names]
-    snapshots: dict[str, list[TableVersion]] = {n: [] for n in wanted}
-    for shard in cluster.shards:
-        # The shard's op table ships (version_id, schema, columns,
-        # operation) snapshots — across the wire from a worker, by
-        # reference in process — rebuilt as TableVersions on this side.
-        heads = shard.head_versions(wanted)
-        for name in wanted:
-            snapshots[name].append(heads[name])
-    return {
-        name: _merge(cluster, name, parts)
-        for name, parts in snapshots.items()
+    wanted = list(dict.fromkeys(n.lower() for n in names))
+    cache = cluster.gather_cache
+    cached = cache.entries(wanted)
+    replies = [
+        shard.head_versions(wanted, {
+            name: entry[0][index]
+            for name, entry in cached.items()
+            if entry is not None
+        })
+        for index, shard in enumerate(cluster.shards)
+    ]
+    stale = [
+        name for name in wanted
+        if any(reply[name][1] is not None for reply in replies)
+    ]
+    if stale and not _refetch(cluster, stale, replies):
+        # A shard moved between the two rounds, so it was written outside
+        # the cluster's lock: take every head again in one round.
+        replies = [shard.head_versions(wanted) for shard in cluster.shards]
+        stale = wanted
+    fresh = {
+        name: (
+            tuple(reply[name][0] for reply in replies),
+            _merge(cluster, name, [reply[name][1] for reply in replies]),
+        )
+        for name in stale
     }
+    cache.record(fresh, len(wanted) - len(fresh))
+    return {
+        name: (fresh.get(name) or cached[name])[1] for name in wanted
+    }
+
+
+def _refetch(cluster, stale: list[str], replies: list[dict]) -> bool:
+    """Fill in the parts of *stale* tables that shards answered
+    "unchanged" for, in *replies*; False when a shard's stamp is no longer
+    the one its first reply gave.
+
+    The caller holds the cluster's operation lock, so no routed write can
+    land between the two rounds; the stamp check catches one that did not
+    go through the router.
+    """
+    for shard, reply in zip(cluster.shards, replies):
+        missing = [name for name in stale if reply[name][1] is None]
+        if not missing:
+            continue
+        again = shard.head_versions(missing)
+        for name in missing:
+            if again[name][0] != reply[name][0]:
+                return False
+            reply[name] = again[name]
+    return True
 
 
 def _merge(cluster, name: str, parts: list[TableVersion]) -> TableVersion:

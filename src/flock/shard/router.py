@@ -64,7 +64,7 @@ from flock.proc.facade import (
     rebuild_version,
 )
 from flock.proc.supervisor import open_handle
-from flock.shard.merge import SEQ_COLUMN, run_scatter
+from flock.shard.merge import SEQ_COLUMN, GatherCache, run_scatter
 
 #: Cartesian-product cap for multi-valued pinned keys (IN lists): beyond
 #: this a scatter is cheaper than routing per key.
@@ -240,13 +240,17 @@ class _Shard:
             params=None if params is None else list(params), user=user,
         )
 
-    def head_versions(self, names) -> dict:
-        """Head snapshots for *names*, taken under one acquisition of the
-        shard's statement read lock (the merge path's gather contract)."""
-        shipped = self.handle.request("head_versions", names=list(names))
+    def head_versions(self, names, known=None) -> dict:
+        """``{name: (stamp, version)}`` for *names*, taken under one
+        acquisition of the shard's statement read lock (the merge path's
+        gather contract). ``version`` is None where the stamp equals
+        ``known[name]``: that head was not shipped."""
+        shipped = self.handle.request(
+            "head_versions", names=list(names), known=known or {}
+        )
         return {
-            name: rebuild_version(payload)
-            for name, payload in shipped.items()
+            name: (stamp, rebuild_version(payload) if payload else None)
+            for name, (stamp, payload) in shipped.items()
         }
 
     def set_fault(self, name: str, action: str = "error", after: int = 1,
@@ -362,6 +366,8 @@ class ShardedCluster:
         self._next_seq: dict[str, int] = {}
         self._routes_lock = threading.Lock()
         self._routes = {"single": 0, "scatter": 0, "broadcast": 0, "ddl": 0}
+        #: Merged snapshots scattered reads reuse until a shard's head moves.
+        self.gather_cache = GatherCache()
         self._closed = False
 
         self.registry = ShardRegistry(self)
@@ -807,6 +813,7 @@ class ShardedCluster:
         inverse so no two shards disagree about the schema.
         """
         self._count_route("ddl")
+        self.gather_cache.clear()
         result = self.coordinator.execute(sql, params, user=user)
         shard_sql = sql
         if isinstance(statement, ast.CreateTable):
@@ -872,6 +879,7 @@ class ShardedCluster:
         tolerated) and a fresh one re-opens the directory, running the
         same recovery wherever the shard is hosted."""
         with self._ops.write_locked():
+            self.gather_cache.clear()
             self.shards[index].close()
             self.shards[index] = self._open_shard(index)
 
@@ -905,6 +913,7 @@ class ShardedCluster:
             "replicas": self.replicas,
             "backend": self.backend,
             "routes": routes,
+            "gather": self.gather_cache.stats(),
             "next_sequence": dict(self._next_seq),
             "per_shard": per_shard,
         }
@@ -913,6 +922,7 @@ class ShardedCluster:
         if self._closed:
             return
         self._closed = True
+        self.gather_cache.clear()
         for shard in self.shards:
             shard.close()
         self.coordinator.close()

@@ -89,6 +89,18 @@ class TestDates:
         for iso in ("1992-02-29", "1998-12-01", "2026-07-07"):
             assert days_to_date(date_to_days(iso)).isoformat() == iso
 
+    @pytest.mark.parametrize("text", [
+        "2024-02-30", "2023-02-29", "2024-13-01", "0000-01-01",
+        # ISO 8601 spellings Python 3.11+ parses and 3.10 does not.
+        "20240101", "2024-W01-1", "2024-01-01T00:00",
+        "2024-1-01", " 2024-01-01", "２０２４-01-01", "",
+    ])
+    def test_non_canonical_or_impossible_text_is_typed(self, text):
+        with pytest.raises(TypeMismatchError, match="invalid DATE"):
+            date_to_days(text)
+        with pytest.raises(TypeMismatchError, match="invalid DATE"):
+            coerce_value(text, DataType.DATE)
+
 
 class TestCommonType:
     def test_same(self):

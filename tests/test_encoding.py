@@ -11,6 +11,7 @@ ORDER BY + LIMIT path (``topk=heap``).
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -71,6 +72,11 @@ def _float_runs(rng):
     return [float(i // 16) * 0.5 for i in range(N)]
 
 
+def _float_signed_zero_runs(rng):
+    # 0.0 == -0.0, so only a bitwise run boundary keeps each row's sign.
+    return [0.0 if (i // 24) % 2 == 0 else -0.0 for i in range(N)]
+
+
 def _bool_runs(rng):
     return [(i // 10) % 2 == 0 for i in range(N)]
 
@@ -82,6 +88,10 @@ SHAPES = [
     ("int-offset", DataType.INTEGER, _int_offset, BitPackedVector),
     ("date-runs", DataType.DATE, _date_runs, RunLengthVector),
     ("float-runs", DataType.FLOAT, _float_runs, RunLengthVector),
+    (
+        "float-signed-zero", DataType.FLOAT, _float_signed_zero_runs,
+        RunLengthVector,
+    ),
     ("bool-runs", DataType.BOOLEAN, _bool_runs, RunLengthVector),
 ]
 
@@ -112,6 +122,9 @@ def _assert_identical(left: ColumnVector, right: ColumnVector) -> None:
     if lv.dtype == np.dtype(object):
         mask = ~np.asarray(left.nulls)
         assert lv[mask].tolist() == rv[mask].tolist()
+    elif lv.dtype.kind == "f":
+        # Bit patterns, not ==: 0.0 == -0.0 would hide a lost sign.
+        assert np.array_equal(lv.view(np.int64), rv.view(np.int64)), (lv, rv)
     else:
         assert np.array_equal(lv, rv), (lv, rv)
     assert left.to_pylist() == right.to_pylist()
@@ -339,6 +352,18 @@ def test_encoded_head_version_and_kill_switch(tmp_path):
     assert _head_encodings(db, "enc")[1] == "dict"
     db.close()
     plain.close()
+
+
+def test_signed_zero_survives_run_length_storage():
+    db = Database(encodings=True)
+    db.execute("CREATE TABLE z (x FLOAT)")
+    db.executemany("INSERT INTO z VALUES (?)", [[0.0]] * 20 + [[-0.0]] * 20)
+    assert _head_encodings(db, "z") == ["rle"]
+    signs = [
+        math.copysign(1.0, x) for (x,) in db.execute("SELECT x FROM z").rows()
+    ]
+    assert signs == [1.0] * 20 + [-1.0] * 20
+    db.close()
 
 
 def test_encoded_table_survives_wal_replay(tmp_path):

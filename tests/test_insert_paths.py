@@ -157,6 +157,27 @@ CASES = {
         [[1, "a", 1.5], [2, 5, None]],
         TypeMismatchError,
     ),
+    # DATE text must be canonical YYYY-MM-DD naming a real day.
+    "impossible_date_literal": (
+        "INSERT INTO t VALUES (?, 'a', '2024-02-30')",
+        [[1]],
+        TypeMismatchError,
+    ),
+    "impossible_date_param": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, "a", "2024-02-30"]],
+        TypeMismatchError,
+    ),
+    "compact_date_param": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, "a", "20240101"]],
+        TypeMismatchError,
+    ),
+    "week_date_param": (
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [[1, "a", "2024-W01-1"]],
+        TypeMismatchError,
+    ),
     # Row 1 fails in a bare slot, row 2 in an expression slot before it.
     "first_error_behind_expression_slot": (
         "INSERT INTO t VALUES (? + 1, ?, ?)",
@@ -250,6 +271,10 @@ FIRST_ERRORS = {
     "first_error_in_earlier_slot": "cannot store 5 in TEXT column",
     "first_error_in_later_slot": "cannot store 1.5 in DATE column",
     "first_error_behind_expression_slot": "cannot store 1.5 in DATE column",
+    "impossible_date_literal":
+        "invalid DATE '2024-02-30': expected a real YYYY-MM-DD day",
+    "compact_date_param":
+        "invalid DATE '20240101': expected a real YYYY-MM-DD day",
 }
 
 

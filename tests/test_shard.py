@@ -4,6 +4,7 @@ composition — always judged against a single-engine twin."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from flock.errors import (
     ShardError,
 )
 from flock.shard import ShardedCluster, canonical_key_value, shard_of
+from flock.shard.router import _Shard
 from flock.db.schema import Column
 from flock.db.types import DataType
 
@@ -154,6 +156,234 @@ class TestReadParity:
         for t in threads:
             t.join()
         assert not errors
+
+
+# ----------------------------------------------------------------------
+# The gather cache: a table ships only when a shard's head moved
+# ----------------------------------------------------------------------
+@pytest.fixture
+def shipped(monkeypatch):
+    """Every head-version reply a shard gives: (shard, names shipped)."""
+    log: list[tuple[int, list[str]]] = []
+    real = _Shard.head_versions
+
+    def spy(self, names, known=None):
+        reply = real(self, names, known)
+        log.append((self.index, sorted(
+            name for name, (_, version) in reply.items()
+            if version is not None
+        )))
+        return reply
+
+    monkeypatch.setattr(_Shard, "head_versions", spy)
+    return log
+
+
+def gather_counts(sharded) -> dict:
+    return sharded.cluster.stats()["gather"]
+
+
+def owner(sharded, key: int) -> int:
+    return shard_of((key,), sharded.cluster.n_shards)
+
+
+class TestGatherCache:
+    def test_second_identical_scatter_ships_nothing(self, pair, shipped):
+        seed(pair)
+        sharded, single = pair
+        want = repr(single.execute("SELECT * FROM t").rows())
+        assert repr(sharded.execute("SELECT * FROM t").rows()) == want
+        assert gather_counts(sharded) == {
+            "tables_shipped": 1, "tables_reused": 0,
+        }
+        shipped.clear()
+        assert repr(sharded.execute("SELECT * FROM t").rows()) == want
+        assert shipped == [(0, []), (1, []), (2, [])]
+        assert gather_counts(sharded) == {
+            "tables_shipped": 1, "tables_reused": 1,
+        }
+
+    def test_write_to_one_shard_regathers_only_that_table(
+        self, pair, shipped
+    ):
+        seed(pair)
+        for client in pair:
+            client.execute("CREATE TABLE s (k INT PRIMARY KEY, w INT)")
+            client.executemany(
+                "INSERT INTO s VALUES (?, ?)", [[i, i * i] for i in range(9)]
+            )
+        sharded, single = pair
+        join = "SELECT t.k, t.v, s.w FROM t JOIN s ON t.k = s.k ORDER BY t.k"
+        both(pair, join)
+        shipped.clear()
+        both(pair, "INSERT INTO t (k, v, x) VALUES (3000, 'new', 1.0)")
+        got, want = both(pair, join)
+        assert repr(got.rows()) == repr(want.rows())
+        got, want = both(pair, "SELECT * FROM t")
+        assert repr(got.rows()) == repr(want.rows())
+        # First round: only the written shard ships t. Second round: the
+        # others send their unchanged parts of t, and s never moves.
+        written = owner(sharded, 3000)
+        others = [i for i in range(3) if i != written]
+        first, refetch = shipped[:3], shipped[3:5]
+        assert first == [
+            (i, ["t"] if i == written else []) for i in range(3)
+        ]
+        assert refetch == [(i, ["t"]) for i in others]
+        assert shipped[5:] == [(0, []), (1, []), (2, [])]
+        assert gather_counts(sharded) == {
+            "tables_shipped": 3, "tables_reused": 2,
+        }
+
+    def test_drop_and_recreate_with_colliding_version_ids(self, pair):
+        sharded, single = pair
+        heads = []
+        for rows in ([[1, "a", 1.0]], [[1, "b", 2.0]]):
+            for client in pair:
+                client.execute("DROP TABLE IF EXISTS t")
+                client.execute(
+                    "CREATE TABLE t (k INT PRIMARY KEY, v TEXT, x FLOAT)"
+                )
+                client.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+            got, want = both(pair, "SELECT * FROM t")
+            assert repr(got.rows()) == repr(want.rows())
+            heads.append([
+                shard.database.catalog.table("t").head_version
+                for shard in sharded.cluster.shards
+            ])
+        # Same commit count, so every shard's version_id repeats; only the
+        # stamp tells the two tables apart.
+        first, second = heads
+        assert [v.version_id for v in first] == [
+            v.version_id for v in second
+        ]
+        assert gather_counts(sharded)["tables_shipped"] == 2
+
+    def test_write_around_the_router_is_still_seen(self, pair):
+        """A stamp names the head itself, so a write the router never saw
+        (straight into one shard's engine) still re-ships the table."""
+        seed(pair)
+        sharded, single = pair
+        sharded.execute("SELECT * FROM t")
+        victim = owner(sharded, 5)
+        sharded.cluster.shards[victim].database.execute(
+            "DELETE FROM t WHERE k = 5"
+        )
+        single.execute("DELETE FROM t WHERE k = 5")
+        got, want = both(pair, "SELECT * FROM t")
+        assert repr(got.rows()) == repr(want.rows())
+
+    def test_shard_moving_between_rounds_forces_a_full_round(
+        self, pair, shipped, monkeypatch
+    ):
+        """A stamp that changes between the first round and the refetch
+        means a write slipped past the cluster lock: every head is taken
+        again in one round instead of mixing two snapshots."""
+        seed(pair)
+        sharded, single = pair
+        sharded.execute("SELECT * FROM t")
+        written = owner(sharded, 2000)
+        moved = next(i for i in range(3) if i != written)
+        moved_key = next(k for k in range(24) if owner(sharded, k) == moved)
+        both(pair, "INSERT INTO t (k, v, x) VALUES (2000, 'w', 0.5)")
+        real = _Shard.head_versions
+        fired = []
+
+        def write_before_refetch(self, names, known=None):
+            if self.index == moved and known is None and not fired:
+                fired.append(True)
+                self.database.execute(f"DELETE FROM t WHERE k = {moved_key}")
+            return real(self, names, known)
+
+        monkeypatch.setattr(_Shard, "head_versions", write_before_refetch)
+        single.execute(f"DELETE FROM t WHERE k = {moved_key}")
+        shipped.clear()
+        got, want = both(pair, "SELECT * FROM t")
+        assert fired
+        assert repr(got.rows()) == repr(want.rows())
+        assert shipped[-3:] == [(0, ["t"]), (1, ["t"]), (2, ["t"])]
+        got, want = both(pair, "SELECT * FROM t")
+        assert repr(got.rows()) == repr(want.rows())
+
+    def test_restart_between_reads(self, pair):
+        seed(pair)
+        sharded, single = pair
+        both(pair, "SELECT * FROM t")
+        sharded.cluster.restart_shard(1)
+        both(pair, "INSERT INTO t (k, v, x) VALUES (500, 'after', 5.0)")
+        got, want = both(pair, "SELECT * FROM t")
+        assert repr(got.rows()) == repr(want.rows())
+        # The restart dropped the cache: the second read merged afresh.
+        assert gather_counts(sharded) == {
+            "tables_shipped": 2, "tables_reused": 0,
+        }
+
+    def test_concurrent_reads_race_scatter_writes(self, pair):
+        seed(pair, n=0)
+        sharded, single = pair
+        batches = [
+            [[b * 10 + i, f"b{b}", float(i)] for i in range(10)]
+            for b in range(8)
+        ]
+        # Every state a reader may see: the table after each batch.
+        states = {repr(single.execute("SELECT * FROM t").rows())}
+        for batch in batches:
+            single.executemany("INSERT INTO t VALUES (?, ?, ?)", batch)
+            states.add(repr(single.execute("SELECT * FROM t").rows()))
+        stop = threading.Event()
+        torn: list = []
+        reads: list[int] = []
+        errors: list[Exception] = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    got = repr(sharded.execute("SELECT * FROM t").rows())
+                    reads.append(1)
+                    if got not in states:
+                        torn.append(got)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for batch in batches:
+                sharded.executemany("INSERT INTO t VALUES (?, ?, ?)", batch)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not torn
+        got, want = both(pair, "SELECT * FROM t")
+        assert repr(got.rows()) == repr(want.rows())
+        # One gathered table per read: a lost count update would show.
+        counts = gather_counts(sharded)
+        assert counts["tables_shipped"] + counts["tables_reused"] == (
+            len(reads) + 1
+        )
+
+    def test_remote_head_version_is_the_full_version(self, pair):
+        seed(pair)
+        sharded, _ = pair
+        sharded.execute("SELECT * FROM t")
+        sharded.execute("SELECT * FROM t")
+        rows = 0
+        for shard in sharded.cluster.shards:
+            table = shard.database.catalog.table("t")
+            head = table.head_version
+            assert head.row_count == table.row_count
+            assert head.schema.column_names == ["k", "v", "x", "_flock_seq"]
+            assert [len(column) for column in head.columns] == [
+                head.row_count
+            ] * 4
+            rows += head.row_count
+        assert rows == 24
 
 
 # ----------------------------------------------------------------------
@@ -463,6 +693,7 @@ class TestClientSurface:
         assert set(stats["routes"]) == {
             "single", "scatter", "broadcast", "ddl",
         }
+        assert set(stats["gather"]) == {"tables_shipped", "tables_reused"}
         assert len(stats["per_shard"]) == 3
         # Every shard reports where it runs, whatever the transport.
         for shard_stats in stats["per_shard"]:

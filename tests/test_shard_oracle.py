@@ -1,8 +1,9 @@
 """Shard oracle: the sharded cluster must be repr-identical to one engine.
 
 Each round drives the *same* seeded random workload — scattered and
-single-row inserts, point and broadcast updates/deletes, DDL, model
-deploys, concurrent reads, per-shard crash-reopens — through a sharded
+single-row inserts, point and broadcast updates/deletes, DDL (including a
+DROP and re-CREATE of a read table), model deploys, concurrent reads,
+per-shard crash-reopens — through a sharded
 cluster AND through a plain single-engine twin, asserting after every
 operation that both sides agreed (same result or same error class), and
 after every round that the full logical state is identical *in row order*:
@@ -199,6 +200,14 @@ def run_round(sharded, single, rng: random.Random, ops: int) -> None:
                     sharded, single,
                     "INSERT INTO side VALUES (?, ?)",
                     [marker, rng.random()],
+                )
+            elif roll < 0.75:
+                # The re-created side numbers its versions from 0 again,
+                # so they collide with the dropped table's: the gather
+                # must not serve the old table's cached merge.
+                apply_both(sharded, single, "DROP TABLE side")
+                apply_both(
+                    sharded, single, "CREATE TABLE side (k INT, w FLOAT)"
                 )
             elif roll < 0.80:
                 tables += 1
