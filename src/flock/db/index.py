@@ -107,6 +107,18 @@ class HashIndex:
             return hits[0]
         return np.unique(np.concatenate(hits))
 
+    def excludes(self, version, keys: set) -> bool:
+        """True when the index reflects exactly *version* and none of the
+        physical *keys* is a bucket key; never rebuilds. Python set
+        semantics match the key kernel's: ``0.0 == -0.0``, every NaN
+        distinct."""
+        with self._lock:
+            return (
+                self.version_id == version.version_id
+                and self._row_count == version.row_count
+                and self._buckets.keys().isdisjoint(keys)
+            )
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------

@@ -628,7 +628,7 @@ def _choose_index(
         return None
     row_count = context.table_row_count(scan.table_name)
     stats_fn = getattr(context, "table_stats", None)
-    stats = stats_fn(scan.table_name) if stats_fn is not None else None
+    stats = None
     best: tuple[int, str, str, list] | None = None
     for conjunct in conjuncts:
         candidate = _equality_candidate(conjunct)
@@ -640,6 +640,8 @@ def _choose_index(
             continue
         column = scan.fields[local].name
         distinct = 0
+        if stats is None and stats_fn is not None:
+            stats = stats_fn(scan.table_name)
         if stats is not None:
             column_stats = stats.column(column)
             if column_stats is not None:

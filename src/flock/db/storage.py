@@ -6,9 +6,19 @@ the paper's temporal provenance model (§4.2 C1: "an INSERT to a table results
 in a new version of the table in the provenance data model") and is what the
 SQL provenance module records against.
 
-Statistics (:class:`ColumnStats`, :class:`TableStats`) are computed per
-version and feed both the cost-based optimizer and the inference layer's
-"model compression exploiting input data statistics" (§4.1).
+Statistics (:class:`ColumnStats`, :class:`TableStats`) feed both the
+cost-based optimizer and the inference layer's "model compression exploiting
+input data statistics" (§4.1). They are per column and on demand: a
+version's :class:`TableStats` summarises a column on its first request and
+caches it, so a statement pays only for the columns it asks about. A
+single-column primary key is distinct by definition, so its summary needs
+no sort or hash — only null/min/max.
+
+An INSERT's primary-key check runs over the appended keys alone when the
+automatic key index reflects exactly the base version (the visible head):
+no NULL, no repeat among the fresh keys, none already a bucket key. Every
+other case, and every rejection, runs the full pass over the whole version,
+which also words the errors.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from flock.db.index import HashIndex, IndexDef
 from flock.db.schema import TableSchema
 from flock.db.types import DataType
 from flock.db.vector import Batch, ColumnVector
-from flock.errors import ConstraintError, ExecutionError
+from flock.errors import CatalogError, ConstraintError, ExecutionError
+from flock.observability.metrics import metrics
 
 
 def _pow2_crossed(before: int, after: int) -> bool:
@@ -53,21 +64,30 @@ class ColumnStats:
     max_value: Any = None
 
     @classmethod
-    def from_vector(cls, vector: ColumnVector) -> "ColumnStats":
+    def from_vector(
+        cls, vector: ColumnVector, unique: bool = False
+    ) -> "ColumnStats":
+        """Summarise one column.
+
+        ``unique=True`` promises the present values are pairwise distinct (a
+        single-column primary key): the distinct count is then the present
+        count, and no branch sorts or hashes. FLOAT keys holding NaN take
+        the exact count, which folds every NaN into one.
+        """
         # Encoded fast paths: the dictionary / packed payload already *is*
         # the distinct/min/max summary (modulo codes orphaned by deletes,
         # hence the np.unique over used codes, not the dictionary length).
         if isinstance(vector, DictionaryVector):
             codes = vector.codes
             null_count = int((codes < 0).sum())
-            used = np.unique(codes[codes >= 0])
-            if len(used) == 0:
+            present = codes[codes >= 0]
+            if len(present) == 0:
                 return cls(null_count=null_count, distinct_count=0)
             return cls(
                 null_count,
-                len(used),
-                vector.dictionary[used[0]],
-                vector.dictionary[used[-1]],
+                len(present) if unique else len(np.unique(present)),
+                vector.dictionary[present.min()],
+                vector.dictionary[present.max()],
             )
         if isinstance(vector, BitPackedVector):
             null_mask = vector.null_mask
@@ -75,12 +95,11 @@ class ColumnStats:
             present = vector.packed[~null_mask]
             if len(present) == 0:
                 return cls(null_count=null_count, distinct_count=0)
-            uniq = np.unique(present)
             return cls(
                 null_count,
-                len(uniq),
-                int(uniq[0]) + vector.offset,
-                int(uniq[-1]) + vector.offset,
+                len(present) if unique else len(np.unique(present)),
+                int(present.min()) + vector.offset,
+                int(present.max()) + vector.offset,
             )
         if isinstance(vector, EncodedVector):
             vector = vector.materialize()
@@ -89,34 +108,55 @@ class ColumnStats:
         if len(present) == 0:
             return cls(null_count=null_count, distinct_count=0)
         if vector.dtype.numpy_dtype == np.dtype(object):
+            values = present.tolist()
             try:
-                distinct = len(set(present.tolist()))
+                distinct = len(values) if unique else len(set(values))
             except TypeError:
                 # Unhashable payloads (MODEL columns hold dict artifacts):
                 # treat every present value as distinct.
-                distinct = len(present)
+                distinct = len(values)
             if vector.dtype is DataType.TEXT:
-                ordered = sorted(present.tolist())
-                return cls(null_count, distinct, ordered[0], ordered[-1])
+                return cls(null_count, distinct, min(values), max(values))
             return cls(null_count, distinct)
-        distinct = len(np.unique(present))
-        return cls(
-            null_count,
-            distinct,
-            present.min().item(),
-            present.max().item(),
-        )
+        lo, hi = present.min(), present.max()
+        if unique and not (vector.dtype is DataType.FLOAT and np.isnan(lo)):
+            distinct = len(present)
+        else:
+            distinct = len(np.unique(present))
+        return cls(null_count, distinct, lo.item(), hi.item())
 
 
-@dataclass(frozen=True)
 class TableStats:
-    """Row count plus per-column statistics for one table version."""
+    """Row count plus per-column statistics for one table version.
 
-    row_count: int
-    columns: dict[str, ColumnStats]
+    Each column is summarised on its first :meth:`column` request and
+    cached here. Threads may race to fill one column; both compute the same
+    value and the first one stored is kept.
+    """
+
+    __slots__ = ("row_count", "_schema", "_vectors", "_columns")
+
+    def __init__(self, schema: TableSchema, vectors: Sequence[ColumnVector]):
+        self.row_count = len(vectors[0]) if vectors else 0
+        self._schema = schema
+        self._vectors = vectors
+        self._columns: dict[str, ColumnStats] = {}
 
     def column(self, name: str) -> ColumnStats | None:
-        return self.columns.get(name.lower())
+        key = name.lower()
+        found = self._columns.get(key)
+        if found is not None:
+            return found
+        try:
+            position = self._schema.index_of(name)
+        except CatalogError:
+            return None
+        computed = ColumnStats.from_vector(
+            self._vectors[position],
+            unique=self._schema.primary_key_indexes == [position],
+        )
+        metrics().counter("stats.columns_computed").inc()
+        return self._columns.setdefault(key, computed)
 
 
 #: Version stamps: a random per-process token in the high bits plus a
@@ -166,14 +206,11 @@ class TableVersion:
         return Batch(self.schema.column_names, list(self.columns))
 
     def stats(self) -> TableStats:
-        """Per-version statistics, computed lazily and cached."""
-        if self._stats is None:
-            per_column = {
-                col.name.lower(): ColumnStats.from_vector(vec)
-                for col, vec in zip(self.schema.columns, self.columns)
-            }
-            self._stats = TableStats(self.row_count, per_column)
-        return self._stats
+        """Per-version statistics; each column is computed on first use."""
+        stats = self._stats
+        if stats is None:
+            stats = self._stats = TableStats(self.schema, self.columns)
+        return stats
 
 
 class Table:
@@ -297,7 +334,8 @@ class Table:
                     f"NULL in NOT NULL column {col.name!r} of {self.name!r}"
                 )
             new_columns.append(base.columns[i].concat(fresh[i]))
-        self._check_primary_key(new_columns)
+        if not self._fresh_keys_clear(fresh, base):
+            self._check_primary_key(new_columns)
         staged = self._staged(new_columns, "INSERT", base)
         staged.delta = ("INSERT", tuple(fresh))
         staged.zone_base = base
@@ -456,6 +494,40 @@ class Table:
                 out.append(column)
         return out
 
+    def _fresh_keys_clear(
+        self, fresh: Sequence[ColumnVector], base: TableVersion
+    ) -> bool:
+        """The primary-key check over the appended rows alone.
+
+        True when the single-column key of *fresh* holds no NULL, no repeat
+        and no key of *base*, judged against the automatic key index, which
+        must reflect exactly *base* and *base* be the visible head. False
+        means "not shown" and the caller runs the full check, which also
+        words every error. The index is never rebuilt here, and WAL replay
+        never builds it, so recovery keeps the full check.
+        """
+        pk = self.schema.primary_key_indexes
+        if len(pk) != 1 or base is not self.head_version:
+            return False
+        index = self.index(f"{self.schema.name.lower()}_pkey")
+        # An unbuilt or stale index fails here before the keys are copied
+        # out; excludes() checks the version again under the index lock.
+        if (
+            index is None
+            or not index.defn.auto
+            or index.version_id != base.version_id
+        ):
+            return False
+        keys = fresh[pk[0]]
+        if keys.has_nulls():
+            return False
+        values = keys.values.tolist()
+        distinct = set(values)
+        if len(distinct) != len(values) or not index.excludes(base, distinct):
+            return False
+        metrics().counter("pkey.delta_checks").inc()
+        return True
+
     def _check_primary_key(self, columns: Sequence[ColumnVector]) -> None:
         """Reject NULL or duplicate keys in a whole version with one
         :func:`~flock.db.exec.grouping.key_codes` pass: a duplicate exists
@@ -464,6 +536,7 @@ class Table:
         keys = [columns[i] for i in self.schema.primary_key_indexes]
         if not keys:
             return
+        metrics().counter("pkey.full_checks").inc()
         keyed = grouping.key_codes(keys)
         n = len(keyed.codes)
         if len(keyed.first_rows) == n and not any(k.has_nulls() for k in keys):

@@ -681,7 +681,9 @@ class ShardedCluster:
 
     def _scatter_rows(self, name, columns, user) -> QueryResult:
         """Route bound full-width columns by key hash and insert the rows
-        shard by shard."""
+        shard by shard. The INSERT counts as a ``single`` route when every
+        row lands on one shard (a keyless table's always do), else as a
+        ``scatter``."""
         n = len(columns[0])
         if not n:
             return QueryResult("INSERT", affected_rows=0)
@@ -689,6 +691,7 @@ class ShardedCluster:
         column_names = [c.name for c in schema.columns]
         key_positions = schema.primary_key_indexes
         if not key_positions:
+            self._count_route("single")
             self.shards[0].database.executemany(
                 _insert_sql(name, column_names), _rows_of(columns), user=user
             )
@@ -707,6 +710,7 @@ class ShardedCluster:
             int(owner): np.flatnonzero(owners == owner)
             for owner in np.unique(owners)
         }
+        self._count_route("single" if len(groups) == 1 else "scatter")
 
         insert_sql = _insert_sql(name, column_names + [SEQ_COLUMN])
         applied: list[tuple[int, list[int]]] = []

@@ -7,6 +7,11 @@ tuples of user-facing values in a set, so Python ``==`` decides (``0.0 ==
 NULL or repeat — names the error. The kernel must agree on accept/reject
 and on the exact message, over every key type and encoding a table holds.
 
+An INSERT first tries the delta check (``Table._fresh_keys_clear``): the
+fresh keys alone against the automatic key index, when that index reflects
+exactly the base version. It must agree with the same reference over base
+plus fresh rows, and fall back to the full pass whenever it cannot tell.
+
 ``FLOCK_PKEY_EXAMPLES`` raises the example count (CI runs it at depth).
 """
 
@@ -17,7 +22,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flock.db import Database
@@ -27,6 +32,7 @@ from flock.db.storage import Table
 from flock.db.types import DataType
 from flock.db.vector import ColumnVector
 from flock.errors import ConstraintError
+from flock.observability.metrics import metrics
 
 EXAMPLES = int(os.environ.get("FLOCK_PKEY_EXAMPLES", "200"))
 
@@ -200,4 +206,164 @@ def test_valid_key_update_survives_wal_replay(tmp_path):
     assert reopened.execute("SELECT v FROM t WHERE a = 125").rows() == [(25,)]
     with pytest.raises(ConstraintError):
         reopened.execute("INSERT INTO t VALUES (125, 'b1', 0)")
+    reopened.close()
+
+
+# ----------------------------------------------------------------------
+# The delta check: fresh keys probed against the key index
+# ----------------------------------------------------------------------
+#: How the base version relates to the key index when fresh rows arrive.
+#: Only "current" and "indexes_off" leave the index reflecting the base.
+_BASE_MODES = (
+    "current", "indexes_off", "stale_delete", "staged_base", "never_built",
+)
+
+
+@st.composite
+def delta_cases(draw):
+    """One key kind, distinct committed keys split into a base load and a
+    later append, fresh keys mixing new values, repeats of committed keys,
+    repeats among themselves and NULLs, and a base mode."""
+    dtype, encode = draw(st.sampled_from(_COLUMN_KINDS))
+    pool = draw(st.lists(_VALUES[dtype], max_size=20, unique=True))
+    split = draw(st.integers(0, len(pool)))
+    fresh: list = []
+    for _ in range(draw(st.integers(0, 6))):
+        roll = draw(st.integers(0, 9))
+        if roll == 0:
+            fresh.append(None)
+        elif roll <= 2 and pool:
+            fresh.append(draw(st.sampled_from(pool)))
+        elif roll == 3 and fresh:
+            fresh.append(draw(st.sampled_from(fresh)))
+        else:
+            fresh.append(draw(_VALUES[dtype]))
+    mode = draw(st.sampled_from(_BASE_MODES))
+    return dtype, encode, pool[:split], pool[split:], fresh, mode
+
+
+def _key_vector(dtype, encode, values) -> ColumnVector:
+    vector = ColumnVector.from_values(dtype, values)
+    return _dictionary_encode(vector) if encode else vector
+
+
+def _commit(database, stage) -> None:
+    txn = database.transactions.begin()
+    txn.stage("t", stage(txn.visible_version("t")))
+    database.transactions.commit(txn)
+
+
+def _checks() -> tuple[float, float]:
+    registry = metrics()
+    return (
+        registry.counter("pkey.delta_checks").value,
+        registry.counter("pkey.full_checks").value,
+    )
+
+
+@settings(deadline=None, max_examples=EXAMPLES)
+@given(delta_cases())
+def test_delta_check_matches_reference(case):
+    dtype, encode, base, later, fresh, mode = case
+    # Python equality decides uniqueness: the committed keys must pass.
+    assume(_outcome(reference_check, "t", [
+        ColumnVector.from_values(dtype, base + later)
+    ]) is None)
+    database = Database()
+    if mode == "indexes_off":
+        database.execute("SET flock.indexes = 0")
+    table = database.catalog.create_table(
+        TableSchema.of("t", [Column("k", dtype, primary_key=True)])
+    )
+    _commit(database, lambda v: table.build_append(
+        [_key_vector(dtype, encode, base)], v
+    ))
+    index = table.index("t_pkey")
+    if mode != "never_built":
+        index.lookup(table.head_version, [])
+    committed = base + later
+    if mode == "staged_base":
+        # A transaction's own staged version: never the head.
+        txn = database.transactions.begin()
+        target = table.build_append(
+            [_key_vector(dtype, encode, later)], txn.visible_version("t")
+        )
+        txn.stage("t", target)
+    else:
+        # A real commit advances the index across the INSERT.
+        _commit(database, lambda v: table.build_append(
+            [_key_vector(dtype, encode, later)], v
+        ))
+        if mode == "stale_delete":
+            keep = np.ones(len(committed), dtype=bool)
+            keep[:1] = False
+            _commit(database, lambda v: table.build_delete(keep, v))
+            committed = committed[1:]
+        target = table.head_version
+    if mode in ("current", "indexes_off"):
+        assert index.version_id == target.version_id
+    else:
+        assert index.version_id != target.version_id
+
+    before = _checks()
+    outcome = _outcome(
+        table.build_append, [_key_vector(dtype, encode, fresh)], target
+    )
+    after = _checks()
+    assert outcome == _outcome(reference_check, "t", [
+        ColumnVector.from_values(dtype, committed + fresh)
+    ])
+    fast = mode in ("current", "indexes_off") and outcome is None
+    assert (after[0] - before[0], after[1] - before[1]) == (
+        (1, 0) if fast else (0, 1)
+    )
+
+
+def _sql_keyed(database: Database) -> None:
+    database.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+    database.executemany(
+        "INSERT INTO t VALUES (?, ?)", [(i, f"v{i}") for i in range(200)]
+    )
+
+
+def test_sql_inserts_take_the_delta_check_while_the_index_is_current():
+    database = Database()
+    _sql_keyed(database)
+    index = database.catalog.table("t").index("t_pkey")
+    # The bulk load ran before any lookup built the index: full pass.
+    assert index.version_id == -1
+    index.lookup(database.catalog.table("t").head_version, [])
+    before = _checks()
+    database.execute("INSERT INTO t VALUES (?, ?)", [500, "new"])
+    database.executemany("INSERT INTO t VALUES (?, ?)", [(501, "a"), (502, "b")])
+    assert _checks() == (before[0] + 2, before[1])
+    # Rejections fall through to the full pass and its exact wording.
+    with pytest.raises(ConstraintError) as dup:
+        database.execute("INSERT INTO t VALUES (?, ?)", [7, "again"])
+    assert str(dup.value) == "duplicate primary key (7,) in table 't'"
+    assert _checks() == (before[0] + 2, before[1] + 1)
+    # A DELETE leaves the index stale; the INSERT after it pays the full
+    # pass and does not rebuild the index.
+    database.execute("DELETE FROM t WHERE k = 3")
+    stale = index.version_id
+    database.execute("INSERT INTO t VALUES (3, 'back')")
+    assert index.version_id == stale
+    assert _checks() == (before[0] + 2, before[1] + 2)
+    assert database.execute("SELECT v FROM t WHERE k = 3").rows() == [
+        ("back",)
+    ]
+
+
+def test_wal_replay_keeps_the_full_check(tmp_path):
+    durable = Database.open(tmp_path / "db")
+    _sql_keyed(durable)
+    durable.execute("SELECT v FROM t WHERE k = 5")
+    durable.execute("INSERT INTO t VALUES (900, 'x')")
+    durable.close()
+    before = _checks()
+    reopened = Database.open(tmp_path / "db")
+    delta, full = _checks()
+    assert delta == before[0] and full > before[1]
+    with pytest.raises(ConstraintError, match=r"duplicate primary key \(900,\)"):
+        reopened.execute("INSERT INTO t VALUES (900, 'y')")
     reopened.close()

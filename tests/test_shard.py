@@ -685,6 +685,32 @@ class TestClientSurface:
         with pytest.raises(FlockError):
             failed.result()
 
+    @pytest.mark.parametrize("process", [False, True])
+    def test_inserts_are_counted_as_routes(self, tmp_path, process):
+        client = flock.connect(tmp_path / "db", shards=2, process=process)
+        try:
+            zero = [k for k in range(40) if shard_of((k,), 2) == 0]
+            one = [k for k in range(40) if shard_of((k,), 2) == 1]
+            client.execute("CREATE TABLE t (k INT PRIMARY KEY, v TEXT)")
+            client.execute("INSERT INTO t VALUES (?, 'a')", [zero[0]])
+            client.execute(
+                "INSERT INTO t VALUES (?, 'b'), (?, 'c')", [zero[1], one[0]]
+            )
+            client.executemany(
+                "INSERT INTO t VALUES (?, ?)", [[zero[2], "d"], [zero[3], "e"]]
+            )
+            assert client.stats()["routes"] == {
+                "single": 2, "scatter": 1, "broadcast": 0, "ddl": 1,
+            }
+            # A keyless table pins every row to shard 0: one shard.
+            client.execute("CREATE TABLE loose (v TEXT)")
+            client.executemany("INSERT INTO loose VALUES (?)", [["x"], ["y"]])
+            assert client.stats()["routes"] == {
+                "single": 3, "scatter": 1, "broadcast": 0, "ddl": 2,
+            }
+        finally:
+            client.close()
+
     def test_stats_shape(self, pair):
         seed(pair)
         sharded, _ = pair
