@@ -12,13 +12,9 @@ input data statistics" (§4.1). They are per column and on demand: a
 version's :class:`TableStats` summarises a column on its first request and
 caches it, so a statement pays only for the columns it asks about. A
 single-column primary key is distinct by definition, so its summary needs
-no sort or hash — only null/min/max.
-
-An INSERT's primary-key check runs over the appended keys alone when the
-automatic key index reflects exactly the base version (the visible head):
-no NULL, no repeat among the fresh keys, none already a bucket key. Every
-other case, and every rejection, runs the full pass over the whole version,
-which also words the errors.
+no sort or hash — only null/min/max. Likewise an INSERT whose key index
+reflects its base checks only the fresh keys
+(:meth:`Table._fresh_keys_clear`), not the whole version.
 """
 
 from __future__ import annotations
