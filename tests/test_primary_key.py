@@ -335,7 +335,9 @@ def test_sql_inserts_take_the_delta_check_while_the_index_is_current():
     index.lookup(database.catalog.table("t").head_version, [])
     before = _checks()
     database.execute("INSERT INTO t VALUES (?, ?)", [500, "new"])
-    database.executemany("INSERT INTO t VALUES (?, ?)", [(501, "a"), (502, "b")])
+    database.executemany(
+        "INSERT INTO t VALUES (?, ?)", [(501, "a"), (502, "b")]
+    )
     assert _checks() == (before[0] + 2, before[1])
     # Rejections fall through to the full pass and its exact wording.
     with pytest.raises(ConstraintError) as dup:
@@ -364,6 +366,7 @@ def test_wal_replay_keeps_the_full_check(tmp_path):
     reopened = Database.open(tmp_path / "db")
     delta, full = _checks()
     assert delta == before[0] and full > before[1]
-    with pytest.raises(ConstraintError, match=r"duplicate primary key \(900,\)"):
+    duplicate = r"duplicate primary key \(900,\)"
+    with pytest.raises(ConstraintError, match=duplicate):
         reopened.execute("INSERT INTO t VALUES (900, 'y')")
     reopened.close()
