@@ -6,11 +6,10 @@ snapshot, or ``--data-dir <dir>`` to open a durable database (write-ahead
 logged, crash-recovered on open). ``python -m flock stats`` runs queries
 non-interactively and reports the observability counters and the last
 statement's trace. ``python -m flock serve`` runs statements through the
-concurrent serving layer (:mod:`flock.serving`) and reports its stats;
-``python -m flock bench-serve`` benchmarks served vs sequential
-throughput. ``python -m flock recover <dir>`` recovers a durable
-directory and reports what the write-ahead log replayed. Inside the
-shell, SQL statements execute directly; dot-commands manage the session:
+concurrent serving layer (:mod:`flock.serving`) and reports its stats.
+``python -m flock recover <dir>`` recovers a durable directory and
+reports what the write-ahead log replayed. Inside the shell, SQL
+statements execute directly; dot-commands manage the session:
 
     .help             this text
     .tables           list tables
@@ -511,93 +510,6 @@ def serve_main(argv: list[str]) -> int:
     return status
 
 
-def bench_serve_main(argv: list[str]) -> int:
-    """``flock bench-serve``: serving-layer throughput benchmarks.
-
-    Default mode compares sequential vs served point-query throughput on a
-    single node. ``--replicas 1,2,4`` switches to the replica-scaling
-    benchmark: analytic read QPS through the cluster router at each
-    follower count (see :mod:`flock.cluster.bench`).
-    """
-    parser = argparse.ArgumentParser(
-        prog="flock bench-serve",
-        description="Benchmark flock.serving against sequential execution",
-    )
-    parser.add_argument("--requests", type=int, default=None)
-    parser.add_argument("--concurrency", type=int, default=None)
-    parser.add_argument("--rows", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=8)
-    parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--batch-wait-ms", type=float, default=2.0)
-    parser.add_argument(
-        "--replicas", default=None,
-        help="comma-separated follower counts (e.g. 1,2,4): benchmark "
-        "read scaling through the replicated tier instead",
-    )
-    parser.add_argument(
-        "--process", dest="process", action="store_true", default=None,
-        help="with --replicas: host each follower in its own worker "
-        "process (flock.proc); default uses processes where available",
-    )
-    parser.add_argument(
-        "--no-process", dest="process", action="store_false",
-        help="with --replicas: force the in-process thread backend",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the benchmark report as machine-readable JSON",
-    )
-    args = parser.parse_args(argv)
-
-    if args.replicas:
-        from flock.cluster.bench import (
-            render_replica_benchmark,
-            run_replica_scaling_benchmark,
-        )
-
-        try:
-            counts = [int(c) for c in args.replicas.split(",") if c.strip()]
-        except ValueError:
-            print(f"error: bad --replicas list: {args.replicas!r}",
-                  file=sys.stderr)
-            return 1
-        if not counts or any(c < 1 for c in counts):
-            print("error: --replicas counts must be >= 1", file=sys.stderr)
-            return 1
-        report = run_replica_scaling_benchmark(
-            replica_counts=counts,
-            requests=args.requests or 240,
-            concurrency=args.concurrency or 8,
-            n_rows=args.rows or 40_000,
-            process=args.process,
-        )
-        render = render_replica_benchmark
-    else:
-        from flock.serving.bench import (
-            render_benchmark,
-            run_serving_benchmark,
-        )
-
-        report = run_serving_benchmark(
-            requests=args.requests or 800,
-            concurrency=args.concurrency or 16,
-            n_rows=args.rows or 5_000,
-            workers=args.workers,
-            max_batch_size=args.max_batch_size,
-            batch_wait_ms=args.batch_wait_ms,
-        )
-        render = render_benchmark
-
-    if args.json:
-        import json
-
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
-    else:
-        for line in render(report):
-            print(line)
-    return 0
-
-
 def recover_main(argv: list[str]) -> int:
     """``flock recover``: open a durable directory and report the recovery.
 
@@ -834,8 +746,6 @@ def main(argv: list[str] | None = None) -> int:
         return stats_main(argv[1:])
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
-    if argv and argv[0] == "bench-serve":
-        return bench_serve_main(argv[1:])
     if argv and argv[0] == "bench-tpch":
         return bench_tpch_main(argv[1:])
     if argv and argv[0] == "recover":

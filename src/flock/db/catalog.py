@@ -103,7 +103,9 @@ class Catalog:
         """Register and attach a hash index over ``table_name(column)``.
 
         Validates the table and column exist (the Table raises CatalogError
-        for unknown columns) and that the name is free database-wide.
+        for unknown columns) and that the name is free database-wide and
+        is not the table's own automatic primary-key index (``<table>_pkey``),
+        which a user index of that name would otherwise replace.
         """
         key = name.lower()
         with self._lock:
@@ -112,6 +114,14 @@ class Catalog:
                 if if_not_exists:
                     return self._indexes[key]
                 raise CatalogError(f"index {name!r} already exists")
+            auto = table.index(key)
+            if auto is not None and auto.defn.auto:
+                if if_not_exists:
+                    return auto.defn
+                raise CatalogError(
+                    f"index {name!r} is the primary-key index of table "
+                    f"{table.name!r}"
+                )
             defn = IndexDef(
                 name=key, table=table.name.lower(), column=column
             )

@@ -1,13 +1,13 @@
-"""Shared serving-benchmark harness.
+"""Serving-benchmark harness.
 
-Both ``flock bench-serve`` (CLI) and ``benchmarks/bench_serving_throughput``
-drive the same workload through this module: a loans table with a deployed
-logistic-regression model, hammered with parameterized point predictions —
-``SELECT applicant_id, PREDICT(loan_model) AS p FROM loans WHERE
-applicant_id = ?`` — first sequentially through the plain engine, then
-concurrently through :class:`flock.serving.FlockServer`. The comparison
-isolates exactly what the serving layer adds: plan caching, micro-batching,
-and concurrent snapshot reads.
+``benchmarks/bench_serving_throughput.py`` drives its workload through
+this module: a loans table with a deployed logistic-regression model,
+hammered with parameterized point predictions — ``SELECT applicant_id,
+PREDICT(loan_model) AS p FROM loans WHERE applicant_id = ?`` — first
+sequentially through the plain engine, then concurrently through
+:class:`flock.serving.FlockServer`. The comparison isolates exactly what
+the serving layer adds: plan caching, micro-batching, and concurrent
+snapshot reads.
 """
 
 from __future__ import annotations

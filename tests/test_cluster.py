@@ -117,13 +117,21 @@ class TestReplication:
 # ----------------------------------------------------------------------
 class TestRouter:
     def test_reads_fan_to_followers_writes_stay_primary(self, cluster):
-        cluster.execute("CREATE TABLE r (k INT)")
+        cluster.execute("CREATE TABLE r (k INT, g TEXT, x FLOAT)")
         for k in range(4):
-            cluster.execute(f"INSERT INTO r VALUES ({k})")
+            cluster.execute(f"INSERT INTO r VALUES ({k}, 'g{k % 2}', {k}.5)")
         assert cluster.wait_for_catchup(10.0)
         served_before = [f.server._served for f in cluster.followers]
         for _ in range(6):
             assert cluster.execute("SELECT COUNT(*) FROM r").scalar() == 4
+        # Routed analytic reads answer what the primary's engine answers.
+        for sql in (
+            "SELECT g, COUNT(*) AS n, AVG(x) AS a FROM r GROUP BY g",
+            "SELECT MIN(x), MAX(x), SUM(k) FROM r WHERE x > 1",
+        ):
+            assert repr(sorted(cluster.execute(sql).rows())) == repr(
+                sorted(cluster.database.execute(sql).rows())
+            ), sql
         served_after = [f.server._served for f in cluster.followers]
         # Round-robin: with 6 reads over 2 followers, both served some.
         assert all(b > a for a, b in zip(served_before, served_after))

@@ -72,6 +72,23 @@ class TestIndexDDL:
         # Auto indexes live on the table only, outside the DDL namespace.
         assert not db.catalog.has_index("items_pkey")
 
+    def test_key_index_name_is_reserved(self, db):
+        # A user index named items_pkey would replace the automatic key
+        # index, and point reads on id would fall back to a scan.
+        with pytest.raises(CatalogError, match="primary-key index"):
+            db.execute("CREATE INDEX items_pkey ON items (cat)")
+        db.catalog.create_index(
+            "items_pkey", "items", "cat", if_not_exists=True
+        )
+        assert not db.catalog.has_index("items_pkey")
+        plan = db.explain("SELECT * FROM items WHERE id = 5")
+        assert "IndexLookup" in plan and "index=items_pkey key=id" in plan
+        # The name is only reserved on its own table.
+        db.execute("CREATE TABLE other (c INTEGER)")
+        db.execute("CREATE INDEX items_pkey ON other (c)")
+        assert db.catalog.has_index("items_pkey")
+        assert db.explain("SELECT * FROM items WHERE id = 5") == plan
+
     def test_index_ddl_bumps_invalidation_epoch(self, db):
         before = db.invalidation_epoch
         db.execute("CREATE INDEX items_cat ON items (cat)")
@@ -427,6 +444,38 @@ class TestIndexDurability:
         assert "IndexLookup" in reopened.explain(
             "SELECT v FROM t WHERE k = 42"
         )
+        reopened.close()
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_logged_key_index_shadow_is_dropped_on_open(
+        self, tmp_path, checkpoint
+    ):
+        # Directories written before the pkey name was reserved may log
+        # (or checkpoint) a user index t_pkey that replaced t's key index.
+        from flock.db.index import IndexDef
+
+        durable = Database.open(tmp_path / "db")
+        durable.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+        durable.executemany(
+            "INSERT INTO t VALUES (?, ?)", [(i, i * 2) for i in range(500)]
+        )
+        shadow = IndexDef(name="t_pkey", table="t", column="v")
+        durable.catalog.table("t").create_index(shadow)
+        durable.catalog._indexes["t_pkey"] = shadow
+        durable._log_ddl(
+            {"kind": "create_index", "name": "t_pkey", "table": "t",
+             "column": "v"}
+        )
+        if checkpoint:
+            durable.checkpoint()
+        reopened = Database.open(tmp_path / "db")
+        assert not reopened.catalog.has_index("t_pkey")
+        assert "index=t_pkey key=k" in reopened.explain(
+            "SELECT v FROM t WHERE k = 42"
+        )
+        assert reopened.execute(
+            "SELECT v FROM t WHERE k = 42"
+        ).rows() == [(84,)]
         reopened.close()
 
     def test_checkpoint_then_replay_is_idempotent(self, tmp_path):
