@@ -586,168 +586,12 @@ def recover_main(argv: list[str]) -> int:
     return 0
 
 
-def bench_tpch_main(argv: list[str]) -> int:
-    """``flock bench-tpch``: the 22 TPC-H queries on a generated instance.
-
-    ``--scale`` sizes the instance (streamed, seeded generation), and
-    ``--faithful`` switches from the pre-decorrelation rewrites to the
-    spec-shaped templates (correlated subqueries, EXISTS, CTEs, scalar
-    subqueries). ``--check`` runs *both* forms and fails on any row-level
-    divergence — the decorrelation oracle from the command line.
-    """
-    import json
-    import time
-
-    import numpy as np
-
-    import flock
-    from flock.workloads import (
-        TPCH_FAITHFUL,
-        TPCH_REWRITTEN,
-        create_tpch_schema,
-        generate_tpch_data,
-        tpch_params,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="flock bench-tpch",
-        description="Run the TPC-H query set against a generated instance",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.002,
-        help="TPC-H scale factor (default 0.002, ~12k lineitems)",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--queries", default=None,
-        help="comma-separated template ids (default: all 22)",
-    )
-    parser.add_argument(
-        "--faithful", action="store_true",
-        help="run the spec-shaped templates instead of the rewrites",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="run both template forms and fail on any row divergence",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the benchmark report as machine-readable JSON",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        query_ids = (
-            sorted(int(q) for q in args.queries.split(",") if q.strip())
-            if args.queries
-            else list(range(1, 23))
-        )
-    except ValueError:
-        print(f"error: bad --queries list: {args.queries!r}", file=sys.stderr)
-        return 2
-
-    client = flock.connect()
-    try:
-        create_tpch_schema(client)
-        t0 = time.perf_counter()
-        counts = generate_tpch_data(client, scale=args.scale, seed=args.seed)
-        load_ms = (time.perf_counter() - t0) * 1000.0
-        templates = TPCH_FAITHFUL if args.faithful else TPCH_REWRITTEN
-        others = TPCH_REWRITTEN if args.faithful else TPCH_FAITHFUL
-        report: list[dict] = []
-        status = 0
-        for qid in query_ids:
-            params = tpch_params(np.random.default_rng(args.seed + qid))
-            if qid in (11, 22):
-                # The rewritten forms take these data-dependent scalars as
-                # literal parameters; deriving them from the instance keeps
-                # the two template forms on the same predicate.
-                threshold = client.execute(
-                    "SELECT SUM(ps2.ps_supplycost * ps2.ps_availqty) * 0.0001"
-                    " FROM partsupp ps2"
-                    " JOIN supplier s2 ON ps2.ps_suppkey = s2.s_suppkey"
-                    " JOIN nation n2 ON s2.s_nationkey = n2.n_nationkey"
-                    f" WHERE n2.n_name = '{params['nation1']}'"
-                ).scalar()
-                params["threshold"] = (
-                    repr(threshold) if threshold is not None else "0.0"
-                )
-                codes = ", ".join(
-                    f"'{params[f'cc{i}']}'" for i in range(1, 8)
-                )
-                balance = client.execute(
-                    "SELECT AVG(c2.c_acctbal) FROM customer c2"
-                    " WHERE c2.c_acctbal > 0.00"
-                    f" AND SUBSTR(c2.c_phone, 1, 2) IN ({codes})"
-                ).scalar()
-                params["balance"] = (
-                    repr(balance) if balance is not None else "0.0"
-                )
-            sql = templates[qid].format(**params).strip()
-            t0 = time.perf_counter()
-            try:
-                rows = client.execute(sql).rows()
-            except FlockError as exc:
-                report.append({"query": qid, "error": str(exc)})
-                status = 1
-                continue
-            entry = {
-                "query": qid,
-                "rows": len(rows),
-                "ms": round((time.perf_counter() - t0) * 1000.0, 2),
-            }
-            if args.check:
-                other = others[qid].format(**params).strip()
-                entry["check"] = (
-                    "ok"
-                    if repr(client.execute(other).rows()) == repr(rows)
-                    else "DIVERGED"
-                )
-                if entry["check"] != "ok":
-                    status = 1
-            report.append(entry)
-    finally:
-        client.close()
-
-    if args.json:
-        print(json.dumps(
-            {
-                "scale": args.scale,
-                "seed": args.seed,
-                "faithful": args.faithful,
-                "load_ms": round(load_ms, 1),
-                "tables": counts,
-                "queries": report,
-            },
-            indent=2,
-        ))
-        return status
-
-    form = "faithful" if args.faithful else "rewritten"
-    print(
-        f"TPC-H scale {args.scale} ({counts['lineitem']} lineitems, "
-        f"loaded in {load_ms:.0f} ms), {form} templates"
-    )
-    for entry in report:
-        if "error" in entry:
-            print(f"  Q{entry['query']:>2}: ERROR {entry['error']}")
-            continue
-        check = f"  check={entry['check']}" if "check" in entry else ""
-        print(
-            f"  Q{entry['query']:>2}: {entry['rows']:>5} row(s) "
-            f"in {entry['ms']:>8.2f} ms{check}"
-        )
-    return status
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "stats":
         return stats_main(argv[1:])
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
-    if argv and argv[0] == "bench-tpch":
-        return bench_tpch_main(argv[1:])
     if argv and argv[0] == "recover":
         return recover_main(argv[1:])
     parser = argparse.ArgumentParser(

@@ -5,16 +5,23 @@ interface, so every operator keeps working unchanged while storage shrinks
 and the hot paths skip decoding entirely:
 
 - :class:`DictionaryVector` — low-cardinality TEXT columns as ``int32``
-  codes into a sorted dictionary. Equality/IN/LIKE/range predicates are
-  evaluated once per *dictionary entry* and gathered through the codes;
-  GROUP BY groups by code (see :mod:`flock.db.exec.grouping`); PREDICT
-  featurization scores one row per distinct code and gathers.
+  codes into a sorted dictionary. GROUP BY groups by code (see
+  :mod:`flock.db.exec.grouping`); PREDICT featurization scores one row
+  per distinct code and gathers.
 - :class:`RunLengthVector` — runs of repeated values (clustered or mostly
-  constant columns). Predicates evaluate per *run* and expand.
+  constant columns).
 - :class:`BitPackedVector` — frame-of-reference integers: ``value - min``
   stored in the narrowest unsigned width that fits the range (INTEGER and
   DATE columns shrink 2–8x). ``take``/``filter``/``slice``/``concat`` all
   operate on the packed array directly.
+
+Value-wise predicates (comparison against a literal, IN, LIKE) late-decode
+through one mechanism, :meth:`~flock.db.vector.ColumnVector.map_present`:
+a dictionary runs the kernel once per *entry* and gathers through the
+codes, a run-length vector once per *run* and repeats. Only total kernels
+may map over a dictionary, which keeps entries no row references after a
+filter; CAST from TEXT can raise, so it stays row-ordered and its error
+names the first bad row's value.
 
 Encoded execution is **bit-identical** to plain execution by construction:
 decoding an encoded vector reproduces the exact physical arrays a plain
@@ -219,16 +226,10 @@ class DictionaryVector(EncodedVector):
             other.materialize() if isinstance(other, EncodedVector) else other
         )
 
-    def predicate_mask(self, dict_mask: np.ndarray) -> np.ndarray:
-        """Expand a per-dictionary-entry boolean mask through the codes.
-
-        NULL rows come out False (every consumer masks them via ``nulls``
-        anyway, matching the generic object comparison path).
-        """
-        codes = self.codes
-        values = dict_mask[np.clip(codes, 0, None)]
-        values = values & (codes >= 0)
-        return values
+    def map_present(self, kernel) -> np.ndarray:
+        # Once per dictionary entry, gathered through the codes; code -1
+        # (NULL) picks the appended False.
+        return np.append(kernel(self.dictionary), False)[self.codes]
 
     def storage_nbytes(self) -> int:
         return self.codes.nbytes + _object_payload_bytes(self.dictionary)
@@ -282,9 +283,10 @@ class RunLengthVector(EncodedVector):
     def _decode_nulls(self) -> np.ndarray:
         return np.repeat(self.run_nulls, self.run_lengths)
 
-    def expand(self, per_run: np.ndarray) -> np.ndarray:
-        """Expand a per-run result array back to row granularity."""
-        return np.repeat(per_run, self.run_lengths)
+    def map_present(self, kernel) -> np.ndarray:
+        # Once per run, repeated back to rows.
+        runs = ColumnVector(self.dtype, self.run_values, self.run_nulls)
+        return np.repeat(runs.map_present(kernel), self.run_lengths)
 
     def take(self, indices: np.ndarray) -> ColumnVector:
         return self.materialize().take(indices)

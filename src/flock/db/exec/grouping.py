@@ -221,7 +221,9 @@ def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
     Dictionary-encoded TEXT sorts on its int32 codes without decoding: the
     dictionary is sorted, so code order is value order, and lexsort only
     needs order-isomorphic codes per column — the dense re-ranking of the
-    generic path is unnecessary for an identical permutation.
+    generic path is unnecessary for an identical permutation. Every other
+    column is ranked densely by ``np.unique``, whose sort orders TEXT
+    object arrays by Python ``<``.
     """
     if isinstance(vector, DictionaryVector):
         codes = vector.codes.astype(np.int64)
@@ -233,27 +235,17 @@ def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
         else:
             codes[null_mask] = distinct  # NULL last on ASC
         return codes
-    present_mask = ~vector.nulls
-    values = vector.values
-    if vector.dtype.numpy_dtype == np.dtype(object):
-        present = sorted(set(values[present_mask].tolist()))
-        rank = {v: i for i, v in enumerate(present)}
-        codes = np.zeros(len(vector), dtype=np.int64)
-        for i in range(len(vector)):
-            if present_mask[i]:
-                codes[i] = rank[values[i]]
-        distinct = len(present)
-    else:
-        present_values = values[present_mask]
-        unique = np.unique(present_values)
-        codes = np.zeros(len(vector), dtype=np.int64)
-        codes[present_mask] = np.searchsorted(unique, present_values)
-        distinct = len(unique)
+    nulls = vector.nulls
+    present_values = vector.values[~nulls]
+    unique = np.unique(present_values)
+    codes = np.zeros(len(vector), dtype=np.int64)
+    codes[~nulls] = np.searchsorted(unique, present_values)
+    distinct = len(unique)
     if not ascending:
         codes = distinct - 1 - codes
-        codes[vector.nulls] = -1  # NULL first on DESC
+        codes[nulls] = -1  # NULL first on DESC
     else:
-        codes[vector.nulls] = distinct  # NULL last on ASC
+        codes[nulls] = distinct  # NULL last on ASC
     return codes
 
 

@@ -18,32 +18,25 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from flock.db.encoding import DictionaryVector, RunLengthVector
 from flock.db.types import DataType, coerce_value
-from flock.db.vector import Batch, ColumnVector
+from flock.db.vector import Batch, ColumnVector, map_rows
 from flock.errors import ExecutionError, TypeMismatchError
 
-#: Sentinel distinguishing "not a constant vector" from a NULL constant.
-_NO_CONST = object()
 
-
-def _const_scalar(vector: ColumnVector) -> Any:
-    """The scalar behind a broadcast literal vector, else ``_NO_CONST``.
+def _is_literal(vector: ColumnVector) -> bool:
+    """Whether *vector* is a broadcast non-NULL literal.
 
     Literal operands evaluate to zero-copy ``np.broadcast_to`` vectors
-    (stride 0), which is what the late-decode fast paths key on: a
-    predicate against a constant evaluates once per dictionary entry or
-    run instead of once per row.
+    (stride 0). A predicate against one runs through the other operand's
+    :meth:`~flock.db.vector.ColumnVector.map_present`, so it evaluates
+    once per dictionary entry or run instead of once per row.
     """
-    if type(vector) is not ColumnVector or len(vector) == 0:
-        return _NO_CONST
-    values = vector.values
-    if values.strides != (0,):
-        return _NO_CONST
-    if vector.nulls[0]:
-        return None
-    value = values[0]
-    return value.item() if isinstance(value, np.generic) else value
+    return (
+        type(vector) is ColumnVector
+        and len(vector) > 0
+        and vector.values.strides == (0,)
+        and not vector.nulls[0]
+    )
 
 
 class BoundExpr:
@@ -221,25 +214,18 @@ class BoundBinary(BoundExpr):
     def _compare(
         self, lhs: ColumnVector, rhs: ColumnVector, nulls: np.ndarray
     ) -> ColumnVector:
-        fast = _encoded_compare(self.op, lhs, rhs, nulls)
-        if fast is not None:
-            return fast
-        if lhs.dtype.numpy_dtype == np.dtype(object) or (
-            rhs.dtype.numpy_dtype == np.dtype(object)
-        ):
-            lv, rv = lhs.values, rhs.values
-            out = np.zeros(len(lv), dtype=bool)
-            comparator = _PY_COMPARE[self.op]
-            for i in range(len(lv)):
-                if not nulls[i]:
-                    out[i] = comparator(lv[i], rv[i])
-            return ColumnVector(DataType.BOOLEAN, out, nulls)
-        left_values = lhs.values
-        right_values = rhs.values
-        if left_values.dtype != right_values.dtype:
-            left_values = left_values.astype(np.float64)
-            right_values = right_values.astype(np.float64)
-        values = _COMPARE[self.op](left_values, right_values)
+        ufunc = _COMPARE[self.op]
+        if _is_literal(rhs):
+            const = rhs.values[:1]
+            values = lhs.map_present(lambda v: _compare_kernel(ufunc, v, const))
+        elif _is_literal(lhs):
+            const = lhs.values[:1]
+            values = rhs.map_present(lambda v: _compare_kernel(ufunc, const, v))
+        else:
+            values = map_rows(
+                lambda lv, rv: _compare_kernel(ufunc, lv, rv),
+                nulls, lhs.values, rhs.values,
+            )
         return ColumnVector(DataType.BOOLEAN, values, nulls)
 
     def _concat(
@@ -279,107 +265,19 @@ class BoundBinary(BoundExpr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-_PY_COMPARE = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+def _compare_kernel(
+    ufunc: Callable, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """The comparison *ufunc* over two arrays of stored values.
 
-
-def _encoded_compare(
-    op: str, lhs: ColumnVector, rhs: ColumnVector, nulls: np.ndarray
-) -> ColumnVector | None:
-    """Late-decode comparison against a constant, or None for the slow path.
-
-    Dictionary operands compare once per dictionary entry and gather
-    through the codes; run-length operands compare once per run and
-    expand. Both reproduce exactly what the generic paths compute at
-    non-null rows (null rows are masked by *nulls* either way).
+    Mixed INTEGER/FLOAT operands compare as float64. TEXT object arrays
+    take numpy's object loop, which calls Python's operators; the binder
+    only lets TEXT meet TEXT.
     """
-    if isinstance(lhs, DictionaryVector):
-        const = _const_scalar(rhs)
-        if const is not _NO_CONST:
-            return _dict_compare(op, lhs, const, nulls, flipped=False)
-    if isinstance(rhs, DictionaryVector):
-        const = _const_scalar(lhs)
-        if const is not _NO_CONST:
-            return _dict_compare(op, rhs, const, nulls, flipped=True)
-    if isinstance(lhs, RunLengthVector):
-        const = _const_scalar(rhs)
-        if const is not _NO_CONST:
-            return _rle_compare(op, lhs, rhs, nulls, flipped=False)
-    if isinstance(rhs, RunLengthVector):
-        const = _const_scalar(lhs)
-        if const is not _NO_CONST:
-            return _rle_compare(op, rhs, lhs, nulls, flipped=True)
-    return None
-
-
-def _dict_compare(
-    op: str,
-    operand: DictionaryVector,
-    const: Any,
-    nulls: np.ndarray,
-    flipped: bool,
-) -> ColumnVector:
-    comparator = _PY_COMPARE[op]
-    k = len(operand.dictionary)
-    if const is None:
-        dict_mask = np.zeros(k, dtype=bool)
-    elif flipped:
-        dict_mask = np.fromiter(
-            (comparator(const, d) for d in operand.dictionary.tolist()),
-            dtype=bool,
-            count=k,
-        )
-    else:
-        dict_mask = np.fromiter(
-            (comparator(d, const) for d in operand.dictionary.tolist()),
-            dtype=bool,
-            count=k,
-        )
-    return ColumnVector(
-        DataType.BOOLEAN, operand.predicate_mask(dict_mask), nulls
-    )
-
-
-def _rle_compare(
-    op: str,
-    operand: RunLengthVector,
-    other: ColumnVector,
-    nulls: np.ndarray,
-    flipped: bool,
-) -> ColumnVector:
-    # Per-run replica of the generic comparison (object loop or numpy
-    # ufunc, matching the generic path's dtype handling), expanded back.
-    run_values = operand.run_values
-    other_run = np.broadcast_to(other.values[:1], run_values.shape)
-    if flipped:
-        left_values, right_values = other_run, run_values
-        left_nulls = np.broadcast_to(other.nulls[:1], run_values.shape)
-        right_nulls = operand.run_nulls
-    else:
-        left_values, right_values = run_values, other_run
-        left_nulls = operand.run_nulls
-        right_nulls = np.broadcast_to(other.nulls[:1], run_values.shape)
-    if operand.dtype.numpy_dtype == np.dtype(object) or (
-        other.dtype.numpy_dtype == np.dtype(object)
-    ):
-        run_nulls = left_nulls | right_nulls
-        comparator = _PY_COMPARE[op]
-        out = np.zeros(len(run_values), dtype=bool)
-        for i in range(len(run_values)):
-            if not run_nulls[i]:
-                out[i] = comparator(left_values[i], right_values[i])
-        return ColumnVector(DataType.BOOLEAN, operand.expand(out), nulls)
-    if left_values.dtype != right_values.dtype:
-        left_values = left_values.astype(np.float64)
-        right_values = right_values.astype(np.float64)
-    per_run = _COMPARE[op](left_values, right_values)
-    return ColumnVector(DataType.BOOLEAN, operand.expand(per_run), nulls)
+    if left.dtype != right.dtype:
+        left = left.astype(np.float64)
+        right = right.astype(np.float64)
+    return ufunc(left, right)
 
 
 class BoundIsNull(BoundExpr):
@@ -403,7 +301,33 @@ class BoundIsNull(BoundExpr):
         return f"({self.operand!r} {suffix})"
 
 
-class BoundInList(BoundExpr):
+class _ValuePredicate(BoundExpr):
+    """A predicate decided by each non-NULL value of one operand alone.
+
+    Subclasses supply :meth:`kernel`; the operand's layout decides how
+    often it runs (once per row, dictionary entry or run). NULL rows come
+    out NULL with False stored under them, negated or not.
+    """
+
+    operand: BoundExpr
+    negated: bool
+
+    def children(self) -> list[BoundExpr]:
+        return [self.operand]
+
+    def kernel(self, values: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def evaluate(self, batch: Batch) -> ColumnVector:
+        inner = self.operand.evaluate(batch)
+        kernel = self.kernel
+        values = inner.map_present(
+            (lambda v: ~kernel(v)) if self.negated else kernel
+        )
+        return ColumnVector(DataType.BOOLEAN, values, inner.nulls.copy())
+
+
+class BoundInList(_ValuePredicate):
     """``x IN (literal, ...)`` — vectorized membership against constants."""
 
     def __init__(self, operand: BoundExpr, values: Sequence[Any], negated: bool):
@@ -412,53 +336,22 @@ class BoundInList(BoundExpr):
         self.negated = negated
         self.dtype = DataType.BOOLEAN
 
-    def children(self) -> list[BoundExpr]:
-        return [self.operand]
-
-    def evaluate(self, batch: Batch) -> ColumnVector:
-        inner = self.operand.evaluate(batch)
-        if isinstance(inner, DictionaryVector):
-            # Membership once per dictionary entry, gathered through codes.
+    def kernel(self, values: np.ndarray) -> np.ndarray:
+        if values.dtype == np.dtype(object):
             allowed = set(self.items)
-            dict_mask = np.fromiter(
-                (v in allowed for v in inner.dictionary.tolist()),
+            return np.fromiter(
+                (v in allowed for v in values.tolist()),
                 dtype=bool,
-                count=len(inner.dictionary),
+                count=len(values),
             )
-            values = inner.predicate_mask(dict_mask)
-            nulls = inner.codes < 0
-        elif isinstance(inner, RunLengthVector):
-            # Membership once per run, expanded back to rows.
-            if inner.dtype.numpy_dtype == np.dtype(object):
-                allowed = set(self.items)
-                per_run = np.fromiter(
-                    (v in allowed for v in inner.run_values),
-                    dtype=bool,
-                    count=len(inner.run_values),
-                )
-            else:
-                per_run = np.isin(inner.run_values, np.array(self.items))
-            values = inner.expand(per_run)
-            nulls = inner.expand(inner.run_nulls)
-        elif inner.dtype.numpy_dtype == np.dtype(object):
-            allowed = set(self.items)
-            values = np.fromiter(
-                (v in allowed for v in inner.values), dtype=bool, count=len(inner)
-            )
-            nulls = inner.nulls.copy()
-        else:
-            values = np.isin(inner.values, np.array(self.items))
-            nulls = inner.nulls.copy()
-        if self.negated:
-            values = ~values
-        return ColumnVector(DataType.BOOLEAN, values, nulls)
+        return np.isin(values, np.array(self.items))
 
     def __repr__(self) -> str:
         neg = "NOT " if self.negated else ""
         return f"({self.operand!r} {neg}IN {self.items!r})"
 
 
-class BoundLike(BoundExpr):
+class BoundLike(_ValuePredicate):
     """SQL LIKE with ``%`` and ``_`` wildcards (compiled to a regex once)."""
 
     def __init__(self, operand: BoundExpr, pattern: str, negated: bool):
@@ -468,48 +361,16 @@ class BoundLike(BoundExpr):
         self.dtype = DataType.BOOLEAN
         self._regex = re.compile(_like_to_regex(pattern), re.DOTALL)
 
-    def children(self) -> list[BoundExpr]:
-        return [self.operand]
-
-    def evaluate(self, batch: Batch) -> ColumnVector:
-        inner = self.operand.evaluate(batch)
+    def kernel(self, values: np.ndarray) -> np.ndarray:
         match = self._regex.match
-        if isinstance(inner, DictionaryVector):
-            # One regex match per dictionary entry instead of per row.
-            dict_mask = np.fromiter(
-                (
-                    bool(match(v)) if isinstance(v, str) else False
-                    for v in inner.dictionary.tolist()
-                ),
-                dtype=bool,
-                count=len(inner.dictionary),
-            )
-            values = inner.predicate_mask(dict_mask)
-            nulls = inner.codes < 0
-        elif isinstance(inner, RunLengthVector):
-            per_run = np.fromiter(
-                (
-                    bool(match(v)) if isinstance(v, str) else False
-                    for v in inner.run_values
-                ),
-                dtype=bool,
-                count=len(inner.run_values),
-            )
-            values = inner.expand(per_run)
-            nulls = inner.expand(inner.run_nulls)
-        else:
-            values = np.fromiter(
-                (
-                    bool(match(v)) if isinstance(v, str) else False
-                    for v in inner.values
-                ),
-                dtype=bool,
-                count=len(inner),
-            )
-            nulls = inner.nulls.copy()
-        if self.negated:
-            values = ~values
-        return ColumnVector(DataType.BOOLEAN, values, nulls)
+        return np.fromiter(
+            (
+                isinstance(v, str) and match(v) is not None
+                for v in values.tolist()
+            ),
+            dtype=bool,
+            count=len(values),
+        )
 
     def __repr__(self) -> str:
         neg = "NOT " if self.negated else ""

@@ -12,7 +12,7 @@ analogue of a record batch.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +130,19 @@ class ColumnVector:
     def has_nulls(self) -> bool:
         return bool(self.nulls.any())
 
+    def map_present(
+        self, kernel: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """One bool per row: *kernel* over the stored non-NULL values.
+
+        *kernel* maps a 1-D array of physical values to one bool each; NULL
+        rows come out False. Encoded layouts run it once per dictionary
+        entry or run, so a kernel must be total: a dictionary may hold
+        entries no row references, and an error raised there would name
+        no row's value.
+        """
+        return map_rows(kernel, self.nulls, self.values)
+
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -161,6 +174,22 @@ class ColumnVector:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         preview = self.to_pylist()[:8]
         return f"ColumnVector({self.dtype}, n={len(self)}, {preview}...)"
+
+
+def map_rows(
+    kernel: Callable[..., np.ndarray], nulls: np.ndarray, *arrays: np.ndarray
+) -> np.ndarray:
+    """``kernel(*arrays)`` at the rows where *nulls* is False, else False.
+
+    With no NULL the kernel sees the arrays whole, so a numeric predicate
+    costs one vector call and no mask.
+    """
+    if not nulls.any():
+        return kernel(*arrays)
+    present = ~nulls
+    out = np.zeros(len(nulls), dtype=bool)
+    out[present] = kernel(*(a[present] for a in arrays))
+    return out
 
 
 def concat_columns(

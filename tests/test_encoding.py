@@ -11,12 +11,14 @@ ORDER BY + LIMIT path (``topk=heap``).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flock
@@ -28,15 +30,24 @@ from flock.db.encoding import (
     EncodedVector,
     RunLengthVector,
     concat_encoded,
+    encode_bitpacked,
     encode_columns,
     encode_dictionary,
     encode_vector,
     encoding_of,
     vector_nbytes,
 )
+from flock.db.exec.grouping import sort_codes
 from flock.db.exec.spill import SpillManager
+from flock.db.expr import (
+    BoundBinary,
+    BoundColumn,
+    BoundInList,
+    BoundLike,
+    BoundLiteral,
+)
 from flock.db.types import DataType
-from flock.db.vector import ColumnVector
+from flock.db.vector import Batch, ColumnVector
 from flock.errors import BindError, ExecutionError, FlockError
 from flock.observability import metrics
 
@@ -296,6 +307,228 @@ def test_codes_against_an_existing_dictionary():
         fresh,
         ColumnVector.from_values(DataType.TEXT, ["a", "b", None] * 20 + ["c"]),
     )
+
+
+# ----------------------------------------------------------------------
+# Value-wise predicates and TEXT sort keys: every layout of one column
+# against a row-at-a-time reference
+# ----------------------------------------------------------------------
+_PY_COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_EDGE_TEXT = ["", "a", "b", "é", "日本", "a\x00", "\x00", "\U0001F600"]
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.0]
+#: Values of each column type; INTEGER stays inside one 32-bit frame so
+#: every column can be bit-packed.
+_VALUES = {
+    DataType.TEXT: st.one_of(st.sampled_from(_EDGE_TEXT), st.text(max_size=3)),
+    DataType.INTEGER: st.one_of(
+        st.integers(-3, 3), st.integers(-(2**31), 2**31 - 1)
+    ),
+    DataType.FLOAT: st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+}
+_LIKE_PATTERN = st.text(alphabet="ab%_é.*\x00", max_size=4)
+
+
+@st.composite
+def _predicate_cases(draw):
+    """(dtype, items, keep, other, literal, literal dtype, members, pattern).
+
+    The column under test is ``items`` where ``keep`` holds; ``other`` is
+    a second column of its length for column-vs-column comparisons.
+    """
+    dtype = draw(st.sampled_from(sorted(_VALUES, key=str)))
+    cell = st.one_of(st.none(), _VALUES[dtype])
+    items = draw(st.lists(cell, max_size=16))
+    keep = draw(st.lists(st.booleans(), min_size=len(items),
+                         max_size=len(items)))
+    other = draw(st.lists(cell, min_size=sum(keep), max_size=sum(keep)))
+    literal_dtype = dtype
+    if dtype is DataType.INTEGER and draw(st.booleans()):
+        literal_dtype = DataType.FLOAT  # mixed: both sides compare as float64
+    literal = draw(st.one_of(st.none(), _VALUES[literal_dtype]))
+    members = draw(st.lists(_VALUES[dtype], max_size=4))
+    return (dtype, items, keep, other, literal, literal_dtype, members,
+            draw(_LIKE_PATTERN))
+
+
+def _like_reference(value: str, pattern: str) -> bool:
+    """SQL LIKE by recursion on the pattern: ``%`` any run, ``_`` one char."""
+    if not pattern:
+        return value == ""
+    head, rest = pattern[0], pattern[1:]
+    if head == "%":
+        return any(
+            _like_reference(value[i:], rest) for i in range(len(value) + 1)
+        )
+    return (
+        value != ""
+        and head in ("_", value[0])
+        and _like_reference(value[1:], rest)
+    )
+
+
+def _runs_of(dtype, items):
+    """*items* run-length encoded whatever their run lengths."""
+    groups = [list(g) for _, g in itertools.groupby(items, key=repr)]
+    heads = ColumnVector.from_values(dtype, [g[0] for g in groups])
+    lengths = np.array([len(g) for g in groups], dtype=np.int64)
+    return RunLengthVector(dtype, heads.values, heads.nulls, lengths)
+
+
+def _dictionary_of(items):
+    """TEXT *items* dictionary-encoded whatever their cardinality."""
+    ordered = sorted({v for v in items if v is not None})
+    index = {v: i for i, v in enumerate(ordered)}
+    codes = np.array(
+        [-1 if v is None else index[v] for v in items], dtype=np.int32
+    )
+    dictionary = np.array(ordered, dtype=object)
+    return DictionaryVector(DataType.TEXT, codes, dictionary)
+
+
+def _layouts(dtype, items, keep=None):
+    """The column ``items[keep]`` in every layout that can hold *dtype*.
+
+    The dictionary is built over all of *items* and then filtered, so it
+    keeps entries that no remaining row references.
+    """
+    keep = [True] * len(items) if keep is None else keep
+    mask = np.array(keep, dtype=bool)
+    kept = [v for v, k in zip(items, keep) if k]
+    plain = ColumnVector.from_values(dtype, kept)
+    layouts = {"plain": plain, "rle": _runs_of(dtype, kept)}
+    if dtype is DataType.TEXT:
+        layouts["dict"] = _dictionary_of(items).filter(mask)
+    if dtype is DataType.INTEGER:
+        layouts["bitpacked"] = encode_bitpacked(plain) or BitPackedVector(
+            dtype, np.zeros(len(kept), dtype=np.uint8), 0, plain.nulls.copy()
+        )
+    return layouts
+
+
+def _assert_rows(result, want, label):
+    """*result* holds *want*'s (value, is NULL) pairs, False under NULL."""
+    assert result.dtype is DataType.BOOLEAN, label
+    assert len(result) == len(want), label
+    assert np.asarray(result.nulls).tolist() == [n for _, n in want], label
+    # NULL rows must hold False whatever the layout or negation.
+    values = np.asarray(result.values)
+    assert values.dtype == np.dtype(bool), label
+    assert values.tolist() == [v for v, _ in want], label
+
+
+def _compare_reference(op, left, right):
+    return [
+        (False, True) if a is None or b is None
+        else (_PY_COMPARE[op](a, b), False)
+        for a, b in zip(left, right)
+    ]
+
+
+def _sorted_rows(items, ascending):
+    """Row order of Python ``sorted`` (stable), NULLs last on ASC and first
+    on DESC."""
+    present = [i for i, v in enumerate(items) if v is not None]
+    nulls = [i for i, v in enumerate(items) if v is None]
+    ordered = sorted(present, key=items.__getitem__, reverse=not ascending)
+    return ordered + nulls if ascending else nulls + ordered
+
+
+_EMPTY = (DataType.TEXT, [], [], [], "a", DataType.TEXT, ["a"], "%")
+_ALL_NULL = (DataType.INTEGER, [None] * 5, [True] * 5, [None, 1, None, 2, 3],
+             0, DataType.INTEGER, [0], "%")
+#: Filtering leaves dictionary entries "b", "é" and "" unreferenced.
+_FILTERED_DICT = (
+    DataType.TEXT, ["b", "a\x00", None, "é", "a", "", "a"],
+    [False, True, True, False, True, False, True], ["a", None, "a", "a\x00"],
+    "a", DataType.TEXT, ["b", "a"], "a_",
+)
+_SIGNED_ZERO = (
+    DataType.FLOAT, [0.0, -0.0, None, math.nan, math.inf, -math.inf],
+    [True] * 6, [-0.0, 0.0, 1.0, math.nan, math.inf, None],
+    -0.0, DataType.FLOAT, [0.0, math.nan], "%",
+)
+
+#: 2**24 + 1 and 2**24 differ in float64 but not in float32.
+_MIXED = (
+    DataType.INTEGER, [2**24 + 1, None, -3, 2**24], [True] * 4,
+    [2**24, 2**24 + 1, None, 0], float(2**24), DataType.FLOAT, [2**24], "%",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_predicate_cases())
+@example(case=_EMPTY)
+@example(case=_ALL_NULL)
+@example(case=_FILTERED_DICT)
+@example(case=_SIGNED_ZERO)
+@example(case=_MIXED)
+def test_value_predicates_match_row_reference(case):
+    """Compare, IN and LIKE give the row-at-a-time answer on every layout.
+
+    Compare covers all six operators with the literal on either side and
+    column against column (every pair of layouts). IN and LIKE run plain
+    and negated. NULL rows hold False in every result. TEXT sort codes
+    order rows exactly as Python ``sorted`` does.
+    """
+    dtype, items, keep, other, literal, literal_dtype, members, pattern = case
+    kept = [v for v, k in zip(items, keep) if k]
+    layouts = _layouts(dtype, items, keep)
+    others = _layouts(dtype, other)
+    col = BoundColumn(0, dtype, "a")
+    lit = BoundLiteral(literal_dtype, literal)
+    constant = [literal] * len(kept)
+    for name, vector in layouts.items():
+        batch = Batch(["a"], [vector])
+        for op in _PY_COMPARE:
+            _assert_rows(
+                BoundBinary(op, col, lit, DataType.BOOLEAN).evaluate(batch),
+                _compare_reference(op, kept, constant), (name, op, "col-lit"),
+            )
+            _assert_rows(
+                BoundBinary(op, lit, col, DataType.BOOLEAN).evaluate(batch),
+                _compare_reference(op, constant, kept), (name, op, "lit-col"),
+            )
+            for other_name, other_vector in others.items():
+                pair = Batch(["a", "b"], [vector, other_vector])
+                right = BoundColumn(1, dtype, "b")
+                _assert_rows(
+                    BoundBinary(op, col, right, DataType.BOOLEAN).evaluate(pair),
+                    _compare_reference(op, kept, other),
+                    (name, other_name, op, "col-col"),
+                )
+        for negated in (False, True):
+            member = [
+                (False, True) if v is None
+                else (any(v == m for m in members) != negated, False)
+                for v in kept
+            ]
+            _assert_rows(
+                BoundInList(col, members, negated).evaluate(batch), member,
+                (name, "IN", negated),
+            )
+            like = [
+                (False, True) if v is None
+                else ((isinstance(v, str) and _like_reference(v, pattern))
+                      != negated, False)
+                for v in kept
+            ]
+            _assert_rows(
+                BoundLike(col, pattern, negated).evaluate(batch), like,
+                (name, "LIKE", pattern, negated),
+            )
+        if dtype is DataType.TEXT:
+            for ascending in (True, False):
+                codes = sort_codes(vector, ascending)
+                order = np.argsort(codes, kind="stable").tolist()
+                assert order == _sorted_rows(kept, ascending), (name, ascending)
 
 
 # ----------------------------------------------------------------------
