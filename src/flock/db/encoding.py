@@ -17,8 +17,9 @@ and the hot paths skip decoding entirely:
 
 Value-wise predicates (comparison against a literal, IN, LIKE) late-decode
 through one mechanism, :meth:`~flock.db.vector.ColumnVector.map_present`:
-a dictionary runs the kernel once per *entry* and gathers through the
-codes, a run-length vector once per *run* and repeats. Only total kernels
+a dictionary runs the kernel once per *entry* and maps the result out
+through the codes (a single matching entry is one compare of the codes),
+a run-length vector once per *run* and repeats. Only total kernels
 may map over a dictionary, which keeps entries no row references after a
 filter; CAST from TEXT can raise, so it stays row-ordered and its error
 names the first bad row's value.
@@ -186,9 +187,6 @@ class DictionaryVector(EncodedVector):
     def take(self, indices: np.ndarray) -> "DictionaryVector":
         return DictionaryVector(self.dtype, self.codes[indices], self.dictionary)
 
-    def filter(self, mask: np.ndarray) -> "DictionaryVector":
-        return DictionaryVector(self.dtype, self.codes[mask], self.dictionary)
-
     def slice(self, start: int, stop: int) -> "DictionaryVector":
         return DictionaryVector(self.dtype, self.codes[start:stop], self.dictionary)
 
@@ -227,9 +225,15 @@ class DictionaryVector(EncodedVector):
         )
 
     def map_present(self, kernel) -> np.ndarray:
-        # Once per dictionary entry, gathered through the codes; code -1
-        # (NULL) picks the appended False.
-        return np.append(kernel(self.dictionary), False)[self.codes]
+        # Once per dictionary entry, then out through the codes: a single
+        # matching entry (an equality) is one compare of the codes, else a
+        # gather in which code -1 (NULL) picks the appended False.
+        hits = np.flatnonzero(kernel(self.dictionary))
+        if len(hits) == 1:
+            return self.codes == hits[0]
+        lookup = np.zeros(len(self.dictionary) + 1, dtype=bool)
+        lookup[hits] = True
+        return lookup.take(self.codes)
 
     def storage_nbytes(self) -> int:
         return self.codes.nbytes + _object_payload_bytes(self.dictionary)
@@ -290,9 +294,6 @@ class RunLengthVector(EncodedVector):
 
     def take(self, indices: np.ndarray) -> ColumnVector:
         return self.materialize().take(indices)
-
-    def filter(self, mask: np.ndarray) -> ColumnVector:
-        return self.materialize().filter(mask)
 
     def slice(self, start: int, stop: int) -> ColumnVector:
         start = max(0, start)
@@ -383,11 +384,6 @@ class BitPackedVector(EncodedVector):
     def take(self, indices: np.ndarray) -> "BitPackedVector":
         return BitPackedVector(
             self.dtype, self.packed[indices], self.offset, self.null_mask[indices]
-        )
-
-    def filter(self, mask: np.ndarray) -> "BitPackedVector":
-        return BitPackedVector(
-            self.dtype, self.packed[mask], self.offset, self.null_mask[mask]
         )
 
     def slice(self, start: int, stop: int) -> "BitPackedVector":

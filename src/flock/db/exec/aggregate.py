@@ -5,7 +5,8 @@ from the key kernel's row codes (all zeros without GROUP BY) and returns
 one output vector per aggregate, NULL where a group holds no non-NULL
 input. Nothing loops over groups in Python:
 
-- COUNT is a ``bincount`` of the non-NULL rows.
+- COUNT is a ``bincount`` of the non-NULL rows (their number, for one
+  group).
 - SUM and AVG of FLOAT use :func:`group_sum`; SUM of INTEGER is exact in
   int64 and raises ``integer SUM out of range`` instead of wrapping, and
   AVG of INTEGER is the exact sum divided by the count.
@@ -202,19 +203,26 @@ def _magnitude(values: np.ndarray) -> float:
     return max(float(values.max()), -float(values.min()))
 
 
+def _group_totals(
+    codes: np.ndarray, n_groups: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.bincount(codes, weights, minlength=n_groups)``: rows per group,
+    or per-group sums of *weights*. One group (an aggregate without GROUP
+    BY) is counted or summed directly, which skips bincount's passes over
+    the codes; every caller passes counts or integer-valued float64 sums
+    below ``2**53``, exact in any order."""
+    if n_groups == 1:
+        return np.array([len(codes) if weights is None else weights.sum()])
+    return np.bincount(codes, weights, minlength=n_groups)
+
+
 def group_sum(values: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
     """Per-group exact sum of float64 *values*, rounded once (``math.fsum``
     of each group, for any row order); 0.0 for a group without rows."""
-
-    def reduce(digits: np.ndarray) -> np.ndarray:
-        if n_groups == 1:
-            return np.array([digits.sum()])
-        return np.bincount(codes, digits, minlength=n_groups)
-
     return _exact_sums(
         values,
-        reduce,
-        lambda mask: np.bincount(codes[mask], minlength=n_groups) > 0,
+        lambda digits: _group_totals(codes, n_groups, digits),
+        lambda mask: _group_totals(codes[mask], n_groups) > 0,
         n_groups,
     )
 
@@ -342,7 +350,7 @@ class _Input:
 
     def counts(self) -> np.ndarray:
         if self._counts is None:
-            self._counts = np.bincount(self.codes, minlength=self.n_groups)
+            self._counts = _group_totals(self.codes, self.n_groups)
         return self._counts
 
     def sums(self):
@@ -355,7 +363,7 @@ class _Input:
                 codes, n_groups = self.codes, self.n_groups
                 self._sums = _int_sums(
                     values.astype(np.int64, copy=False),
-                    lambda limb: np.bincount(codes, limb, minlength=n_groups),
+                    lambda limb: _group_totals(codes, n_groups, limb),
                 )
         return self._sums
 
@@ -370,7 +378,7 @@ def aggregate_columns(
     out = []
     for spec in specs:
         if spec.arg is None:  # COUNT(*)
-            counts = np.bincount(codes, minlength=n_groups)
+            counts = _group_totals(codes, n_groups)
             out.append(_vector(DataType.INTEGER, counts, None))
             continue
         distinct = spec.distinct and spec.func_name not in ("MIN", "MAX")
@@ -478,7 +486,7 @@ def _signed_zeros(best, values, arg: _Input, is_min: bool) -> None:
     if not zero.any():
         return
     wanted = (values == 0) & (np.signbit(values) == is_min)
-    has = np.bincount(arg.codes[wanted], minlength=arg.n_groups) > 0
+    has = _group_totals(arg.codes[wanted], arg.n_groups) > 0
     best[zero] = np.where(has[zero] == is_min, -0.0, 0.0)
 
 

@@ -222,8 +222,8 @@ def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
     dictionary is sorted, so code order is value order, and lexsort only
     needs order-isomorphic codes per column — the dense re-ranking of the
     generic path is unnecessary for an identical permutation. Every other
-    column is ranked densely by ``np.unique``, whose sort orders TEXT
-    object arrays by Python ``<``.
+    column is ranked densely by ``searchsorted`` into its sorted distinct
+    values, which order TEXT by Python ``<``.
     """
     if isinstance(vector, DictionaryVector):
         codes = vector.codes.astype(np.int64)
@@ -237,7 +237,12 @@ def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
         return codes
     nulls = vector.nulls
     present_values = vector.values[~nulls]
-    unique = np.unique(present_values)
+    if present_values.dtype == object:
+        # Sort only the distinct TEXT values: np.unique would sort every
+        # row through Python ``<``.
+        unique = np.array(sorted(set(present_values.tolist())), dtype=object)
+    else:
+        unique = np.unique(present_values)
     codes = np.zeros(len(vector), dtype=np.int64)
     codes[~nulls] = np.searchsorted(unique, present_values)
     distinct = len(unique)

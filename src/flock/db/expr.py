@@ -170,6 +170,8 @@ class BoundBinary(BoundExpr):
             return self._kleene_or(batch)
         lhs = self.left.evaluate(batch)
         rhs = self.right.evaluate(batch)
+        if op in _COMPARE:
+            return self._compare(lhs, rhs)
         nulls = lhs.nulls | rhs.nulls
         if op in _ARITH:
             values = _ARITH[op](
@@ -181,8 +183,6 @@ class BoundBinary(BoundExpr):
             return self._divide(lhs, rhs, nulls)
         if op == "%":
             return self._modulo(lhs, rhs, nulls)
-        if op in _COMPARE:
-            return self._compare(lhs, rhs, nulls)
         if op == "||":
             return self._concat(lhs, rhs, nulls)
         raise ExecutionError(f"unknown binary operator {op!r}")
@@ -211,17 +211,18 @@ class BoundBinary(BoundExpr):
         values = np.mod(lhs.values, safe).astype(self.dtype.numpy_dtype)
         return ColumnVector(self.dtype, values, nulls)
 
-    def _compare(
-        self, lhs: ColumnVector, rhs: ColumnVector, nulls: np.ndarray
-    ) -> ColumnVector:
+    def _compare(self, lhs: ColumnVector, rhs: ColumnVector) -> ColumnVector:
         ufunc = _COMPARE[self.op]
         if _is_literal(rhs):
             const = rhs.values[:1]
             values = lhs.map_present(lambda v: _compare_kernel(ufunc, v, const))
+            nulls = lhs.nulls.copy()
         elif _is_literal(lhs):
             const = lhs.values[:1]
             values = rhs.map_present(lambda v: _compare_kernel(ufunc, const, v))
+            nulls = rhs.nulls.copy()
         else:
+            nulls = lhs.nulls | rhs.nulls
             values = map_rows(
                 lambda lv, rv: _compare_kernel(ufunc, lv, rv),
                 nulls, lhs.values, rhs.values,

@@ -151,8 +151,12 @@ class ColumnVector:
         return ColumnVector(self.dtype, self.values[indices], self.nulls[indices])
 
     def filter(self, mask: np.ndarray) -> "ColumnVector":
-        """Keep rows where *mask* is True."""
-        return ColumnVector(self.dtype, self.values[mask], self.nulls[mask])
+        """Keep rows where *mask* is True.
+
+        Gathers by position: one ``flatnonzero`` and a ``take`` per array
+        cost several times less than boolean-mask indexing each array.
+        """
+        return self.take(np.flatnonzero(mask))
 
     def slice(self, start: int, stop: int) -> "ColumnVector":
         return ColumnVector(self.dtype, self.values[start:stop], self.nulls[start:stop])
@@ -181,11 +185,15 @@ def map_rows(
 ) -> np.ndarray:
     """``kernel(*arrays)`` at the rows where *nulls* is False, else False.
 
-    With no NULL the kernel sees the arrays whole, so a numeric predicate
-    costs one vector call and no mask.
+    Numeric arrays go to the kernel whole, NULL placeholders included (a
+    numeric kernel is total over them), and the result is masked after.
+    Object arrays with a NULL are gathered to the present rows first: the
+    ``None`` placeholder can make ``<`` raise.
     """
     if not nulls.any():
         return kernel(*arrays)
+    if all(a.dtype != object for a in arrays):
+        return kernel(*arrays) & ~nulls
     present = ~nulls
     out = np.zeros(len(nulls), dtype=bool)
     out[present] = kernel(*(a[present] for a in arrays))
@@ -342,7 +350,7 @@ class Batch:
         return Batch(self.names, [c.take(indices) for c in self.columns])
 
     def filter(self, mask: np.ndarray) -> "Batch":
-        return Batch(self.names, [c.filter(mask) for c in self.columns])
+        return self.take(np.flatnonzero(mask))
 
     def slice(self, start: int, stop: int) -> "Batch":
         return Batch(self.names, [c.slice(start, stop) for c in self.columns])
