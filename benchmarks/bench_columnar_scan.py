@@ -29,8 +29,9 @@ import time
 import pytest
 
 from benchmarks.conftest import cpu_count, write_json_report, write_report
+from flock import settings
 from flock.db import Database
-from flock.db.encoding import encoding_of, env_switch, vector_nbytes
+from flock.db.encoding import encoding_of, vector_nbytes
 
 ROWS = 60_000
 REPEATS = 7
@@ -67,7 +68,8 @@ GATED = ["filter_eq", "groupby_q1"]
 
 
 def _build_engine(encodings: bool) -> Database:
-    db = Database(encodings=encodings)
+    db = Database()
+    db.execute(f"SET flock.encodings = {int(encodings)}")
     db.execute(
         "CREATE TABLE lineitem (l_orderkey INT, l_quantity INT, "
         "l_extendedprice FLOAT, l_returnflag TEXT, l_linestatus TEXT, "
@@ -115,7 +117,7 @@ def _head_bytes(db: Database) -> tuple[int, dict[str, str | None]]:
 
 @pytest.fixture(scope="module")
 def columnar_report() -> dict:
-    encodings_lane = env_switch("FLOCK_ENCODINGS")
+    encodings_lane = bool(settings.env("encodings"))
     report: dict = {
         "rows": ROWS,
         "repeats": REPEATS,

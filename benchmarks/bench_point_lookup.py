@@ -71,12 +71,12 @@ def _build_engine() -> Database:
 
 def _prepare(db: Database, sql: str, indexes: bool):
     """Bind + optimize once, with index selection forced on or off."""
-    db._indexes_enabled = indexes
+    db.settings.indexes = int(indexes)
     try:
         bound = Binder(db, None).bind_query(parse_statement(sql))
         return db.optimizer.optimize(bound, db)
     finally:
-        db._indexes_enabled = True
+        db.settings.indexes = 1
 
 
 def _best_plan(db: Database, plan, sql: str) -> tuple[float, str]:

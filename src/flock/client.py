@@ -46,12 +46,7 @@ def _stack(cross_optimizer):
     return cross_optimizer, registry, DefaultScorer(), optimizer
 
 
-def memory_session(
-    cross_optimizer=None,
-    *,
-    encodings: bool | None = None,
-    memory_budget: int | None = None,
-):
+def memory_session(cross_optimizer=None):
     """An in-memory :class:`flock.FlockSession` (registry + scorer wired)."""
     import flock
     from flock.db import Database
@@ -61,8 +56,6 @@ def memory_session(
         model_store=registry,
         scorer=scorer,
         optimizer=optimizer,
-        encodings=encodings,
-        memory_budget=memory_budget,
     )
     database.cross_optimizer = cross_optimizer
     registry.bind_database(database)
@@ -76,8 +69,6 @@ def durable_session(
     sync_mode: str = "commit",
     group_window_ms: float = 1.0,
     checkpoint_bytes: int | None = None,
-    encodings: bool | None = None,
-    memory_budget: int | None = None,
 ):
     """A durable :class:`flock.FlockSession` over *path* (WAL + recovery)."""
     import flock
@@ -92,8 +83,6 @@ def durable_session(
         sync_mode=sync_mode,
         group_window_ms=group_window_ms,
         checkpoint_bytes=checkpoint_bytes,
-        encodings=encodings,
-        memory_budget=memory_budget,
     )
     database.cross_optimizer = cross_optimizer
     return flock.FlockSession(database, registry, cross_optimizer)
@@ -278,8 +267,6 @@ def connect(
     default_timeout_s: float = 30.0,
     process: bool | None = None,
     user: str = "admin",
-    encodings: bool | None = None,
-    memory_budget: int | None = None,
 ) -> Client:
     """Open a Flock stack and return a uniform :class:`Client`.
 
@@ -308,12 +295,13 @@ def connect(
     follows the ``FLOCK_PROC`` environment variable. Routing, broadcast
     and merge semantics are identical on both transports.
 
-    ``encodings`` toggles compressed columnar storage (None follows
-    ``FLOCK_ENCODINGS``; ``SET flock.encodings`` switches it at runtime).
-    ``memory_budget`` caps blocking-operator memory in bytes (None follows
-    ``FLOCK_MEMORY_BUDGET``). Both apply to every engine of the stack:
-    the embedded engine, or a tier's primary, coordinator, shard and
-    follower engines.
+    Engine settings (columnar encodings, index access paths, the
+    operator memory budget) come from the ``FLOCK_*`` environment
+    variables, which every engine of the stack reads when it opens —
+    worker processes inherit them — and from ``SET flock.*`` at runtime;
+    see :mod:`flock.settings`. A sharded client's ``SET`` reaches the
+    coordinator and every shard; a replicated client's reaches the
+    primary only, and followers keep their environment's values.
     """
     if shards:
         if path is None:
@@ -335,8 +323,6 @@ def connect(
             checkpoint_bytes=checkpoint_bytes,
             max_staleness=max_staleness,
             process=process,
-            encodings=encodings,
-            memory_budget=memory_budget,
         )
         return Client("sharded", sharded.session, cluster=sharded, user=user)
 
@@ -363,17 +349,11 @@ def connect(
             max_pending=max_pending,
             default_timeout_s=default_timeout_s,
             process=process,
-            encodings=encodings,
-            memory_budget=memory_budget,
         )
         return Client("cluster", cluster.session, cluster=cluster, user=user)
 
     if path is None:
-        session = memory_session(
-            cross_optimizer,
-            encodings=encodings,
-            memory_budget=memory_budget,
-        )
+        session = memory_session(cross_optimizer)
     else:
         session = durable_session(
             path,
@@ -381,8 +361,6 @@ def connect(
             sync_mode=sync_mode,
             group_window_ms=group_window_ms,
             checkpoint_bytes=checkpoint_bytes,
-            encodings=encodings,
-            memory_budget=memory_budget,
         )
     if not serving:
         return Client("embedded", session, user=user)

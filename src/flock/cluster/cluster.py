@@ -70,8 +70,6 @@ class FlockCluster:
         max_pending: int = 256,
         default_timeout_s: float = 30.0,
         process: bool | None = None,
-        encodings: bool | None = None,
-        memory_budget: int | None = None,
     ):
         if path is None:
             raise ReplicationError(
@@ -88,10 +86,6 @@ class FlockCluster:
             sync_mode=sync_mode,
             group_window_ms=group_window_ms,
             checkpoint_bytes=checkpoint_bytes,
-        )
-        #: Engine settings for the primary and every follower engine.
-        self._engine_kwargs = dict(
-            encodings=encodings, memory_budget=memory_budget
         )
         self._server_kwargs = dict(
             max_batch_size=max_batch_size,
@@ -126,7 +120,6 @@ class FlockCluster:
             self.path,
             self._cross_optimizer,
             **self._open_kwargs,
-            **self._engine_kwargs,
         )
         self.database = self.session.db
         self.registry = self.session.registry
@@ -175,7 +168,6 @@ class FlockCluster:
             "path": str(snapshot_dir),
             "replica_workers": self._replica_workers,
             "server_kwargs": dict(self._server_kwargs),
-            "engine": self._engine_kwargs,
         }
         if self._cross_optimizer is not None:
             config["cross_optimizer"] = self._cross_optimizer

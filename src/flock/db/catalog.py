@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import threading
 
-from flock.db.encoding import EncodingSettings
 from flock.db.index import IndexDef
 from flock.db.schema import TableSchema
 from flock.db.storage import Table
 from flock.errors import CatalogError
+from flock.settings import Settings
 
 
 class Catalog:
     """Thread-safe registry of tables, views and secondary indexes."""
 
-    def __init__(self, settings: EncodingSettings | None = None) -> None:
-        # One encodings switch shared by every table in this catalog; the
-        # owning Database mutates it on SET flock.encodings.
-        self.settings = settings if settings is not None else EncodingSettings()
+    def __init__(self, settings: Settings) -> None:
+        # The owning Database's settings, shared by every table here.
+        self.settings = settings
         self._tables: dict[str, Table] = {}
         self._views: dict[str, object] = {}  # name → view definition
         # CREATE INDEX namespace (database-wide, like table names). The

@@ -30,7 +30,7 @@ vector would hold (NULL slots hold the same placeholder), every fast path
 computes the same per-row result the generic path would, and group /
 sort orderings map through strictly monotone code spaces. The
 encoded-vs-plain twin fuzzer (tests/test_db_fuzz.py) holds this contract
-under churn; ``FLOCK_ENCODINGS=0`` / ``SET flock.encodings = 0`` is the
+under churn; the ``encodings`` setting (:mod:`flock.settings`) is the
 kill switch that forces every new table version back to plain vectors.
 
 Encoding selection happens once per staged :class:`TableVersion` (see
@@ -42,7 +42,6 @@ inserts never re-encode the whole column.
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import Any, Sequence
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from flock.db.types import DataType, python_value
 from flock.db.vector import ColumnVector, _zero_of
-from flock.errors import BindError, ExecutionError
+from flock.errors import ExecutionError
 
 #: Columns shorter than this stay plain: the per-vector bookkeeping would
 #: cost more than the bytes saved, and tiny tables are not scan-bound.
@@ -62,36 +61,6 @@ DICT_MAX_CARDINALITY = 4096
 
 #: Run-length encoding applies when the average run covers >= 4 rows.
 RLE_MAX_RUN_FRACTION = 4
-
-
-def env_switch(name: str) -> bool:
-    """The on/off environment variable *name*: unset or empty means on.
-
-    ``FLOCK_ENCODINGS`` and ``FLOCK_INDEXES`` take exactly the values
-    their ``SET flock.*`` statements take, 0 or 1; anything else is a
-    BindError rather than a silent default.
-    """
-    raw = os.environ.get(name, "").strip()
-    if raw not in ("", "0", "1"):
-        raise BindError(f"{name} must be empty, 0 or 1, got {raw!r}")
-    return raw != "0"
-
-
-class EncodingSettings:
-    """The mutable encodings switch shared by a catalog and its tables.
-
-    One instance per :class:`~flock.db.catalog.Catalog`; the owning
-    :class:`~flock.db.engine.Database` flips ``enabled`` on
-    ``SET flock.encodings`` so every table sees the change on its next
-    staged version.
-    """
-
-    __slots__ = ("enabled",)
-
-    def __init__(self, enabled: bool | None = None):
-        self.enabled = (
-            env_switch("FLOCK_ENCODINGS") if enabled is None else bool(enabled)
-        )
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ the input to the *lazy* SQL provenance capture mode (§4.2).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -29,7 +28,6 @@ from flock.db.binder import (
     insert_select_columns,
 )
 from flock.db.catalog import Catalog
-from flock.db.encoding import EncodingSettings, env_switch
 from flock.db.exec.executor import Executor, render_analyzed_plan
 from flock.db.expr import truthy_mask
 from flock.db.optimizer.rules import Optimizer
@@ -55,6 +53,7 @@ from flock.errors import (
     InferenceError,
     SecurityError,
 )
+from flock.settings import Settings
 
 
 class ModelStore(Protocol):
@@ -91,24 +90,6 @@ class QueryLogEntry:
     duration_ms: float = 0.0
 
 
-def _checked_memory_budget(value: int | str, source: str) -> int | None:
-    """*value* as a memory budget in bytes, None meaning unbounded.
-
-    The one check for ``FLOCK_MEMORY_BUDGET``,
-    ``Database(memory_budget=...)`` and ``SET flock.memory_budget``:
-    anything but an integer >= 0 is a BindError, and 0 means unbounded.
-    """
-    try:
-        budget = -1 if isinstance(value, (bool, float)) else int(value)
-    except (TypeError, ValueError):
-        budget = -1
-    if budget < 0:
-        raise BindError(
-            f"{source} must be an integer >= 0 bytes, got {value!r}"
-        )
-    return budget or None
-
-
 class Database:
     """An in-memory SQL engine with governance built in."""
 
@@ -117,14 +98,12 @@ class Database:
         model_store: ModelStore | None = None,
         scorer: Scorer | None = None,
         optimizer: Optimizer | None = None,
-        encodings: bool | None = None,
-        memory_budget: int | None = None,
     ):
-        # Columnar encodings (flock.db.encoding): the constructor argument
-        # wins, then FLOCK_ENCODINGS (default on). The settings object is
-        # shared with every table through the catalog, so SET
+        # Engine settings (flock.settings), read from the environment once
+        # here. Shared with every table through the catalog, so SET
         # flock.encodings takes effect on the next staged version anywhere.
-        self.catalog = Catalog(settings=EncodingSettings(encodings))
+        self.settings = Settings()
+        self.catalog = Catalog(self.settings)
         self.transactions = TransactionManager(self.catalog)
         self.security = SecurityManager()
         self.audit = AuditLogProxy()
@@ -153,28 +132,6 @@ class Database:
         # flock.db.wal.open_database / Database.open). None means purely
         # in-memory: the whole durability path costs one None check.
         self.wal = None
-        # Index-based access paths (hash indexes + zone maps). On by
-        # default; FLOCK_INDEXES=0 or `SET flock.indexes = 0` forces every
-        # query down the full-scan path — the live differential oracle the
-        # index-off CI job and the twin fuzzer rely on.
-        self._indexes_enabled = env_switch("FLOCK_INDEXES")
-        # Memory budget for blocking operators (bytes; None = unlimited):
-        # the constructor argument, then FLOCK_MEMORY_BUDGET. When a hash
-        # aggregate / join input exceeds it, the executor partitions and
-        # spills encoded chunks under spill_directory(); ORDER BY + LIMIT
-        # independently bounds memory via the top-k heap.
-        if memory_budget is not None:
-            memory_budget = _checked_memory_budget(
-                memory_budget, "Database(memory_budget=...)"
-            )
-        else:
-            raw = os.environ.get("FLOCK_MEMORY_BUDGET", "").strip()
-            memory_budget = (
-                _checked_memory_budget(raw, "FLOCK_MEMORY_BUDGET")
-                if raw
-                else None
-            )
-        self.memory_budget = memory_budget
         self._spill_dir: str | None = None
 
     # ------------------------------------------------------------------
@@ -191,8 +148,6 @@ class Database:
         sync_mode: str = "commit",
         group_window_ms: float = 1.0,
         checkpoint_bytes: int | None = None,
-        encodings: bool | None = None,
-        memory_budget: int | None = None,
     ) -> "Database":
         """Open (or create) a durable database directory with crash recovery.
 
@@ -210,8 +165,6 @@ class Database:
             optimizer=optimizer,
             sync_mode=sync_mode,
             group_window_ms=group_window_ms,
-            encodings=encodings,
-            memory_budget=memory_budget,
         )
         if checkpoint_bytes is not None:
             kwargs["checkpoint_bytes"] = checkpoint_bytes
@@ -246,7 +199,13 @@ class Database:
     # Columnar encodings + memory budget (see flock.db.encoding / spill)
     # ------------------------------------------------------------------
     def encodings_enabled(self) -> bool:
-        return self.catalog.settings.enabled
+        return bool(self.settings.encodings)
+
+    @property
+    def memory_budget(self) -> int | None:
+        """Bytes a blocking operator may hold before it spills (None:
+        unbounded); the ``memory_budget`` setting."""
+        return self.settings.memory_budget or None
 
     def spill_directory(self) -> str:
         """Where blocking operators spill: under the database directory
@@ -400,7 +359,7 @@ class Database:
 
     def indexes_enabled(self) -> bool:
         """Whether the optimizer may choose index/zone-map access paths."""
-        return self._indexes_enabled
+        return bool(self.settings.indexes)
 
     def index_for(self, table_name: str, column_position: int) -> str | None:
         """Name of a hash index over ``table_name[column_position]``, if any."""
@@ -1012,7 +971,7 @@ class Database:
     def _execute_set_option(
         self, statement: ast.SetOption, user: str
     ) -> QueryResult:
-        """``SET flock.indexes = 0`` and friends — engine-wide knobs.
+        """``SET flock.indexes = 0`` and friends (see :mod:`flock.settings`).
 
         Settings affect every session, so only admin may change them. The
         statement runs under the exclusive statement lock (it is classed
@@ -1021,26 +980,11 @@ class Database:
         """
         if user != "admin":
             raise SecurityError("only admin may change engine settings")
-        name = statement.name.lower()
-        value = statement.value
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise BindError(f"SET {name} expects an integer value")
-        if name == "flock.indexes":
-            if value not in (0, 1):
-                raise BindError("flock.indexes must be 0 or 1")
-            self._indexes_enabled = bool(value)
-            # Cached serving plans may embed IndexLookup/zone-map access
-            # paths chosen under the old setting.
-            self.bump_invalidation_epoch()
-        elif name == "flock.encodings":
-            if value not in (0, 1):
-                raise BindError("flock.encodings must be 0 or 1")
-            self.catalog.settings.enabled = bool(value)
-            self.bump_invalidation_epoch()
-        elif name == "flock.memory_budget":
-            self.memory_budget = _checked_memory_budget(value, name)
-        else:
-            raise BindError(f"unknown setting {name!r}")
+        name, value = statement.name.lower(), statement.value
+        self.settings.set(name, value)
+        # Cached serving plans may embed access paths or encodings chosen
+        # under the old value.
+        self.bump_invalidation_epoch()
         self.audit.log.record(user, "SET", name, detail=str(value))
         return QueryResult("SET", detail=f"{name} = {value}")
 

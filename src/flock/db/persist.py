@@ -214,8 +214,6 @@ def load_database(
     model_store=None,
     scorer=None,
     optimizer=None,
-    encodings: bool | None = None,
-    memory_budget: int | None = None,
 ) -> Database:
     """Restore a snapshot into a fresh :class:`Database`."""
     root = Path(path)
@@ -232,8 +230,6 @@ def load_database(
         model_store=model_store,
         scorer=scorer,
         optimizer=optimizer,
-        encodings=encodings,
-        memory_budget=memory_budget,
     )
 
     for name in manifest["tables"]:

@@ -729,10 +729,9 @@ class SetOption(Statement):
     """``SET <dotted.name> = <int>`` — an engine-wide setting change.
 
     The settings are access-path selection (``flock.indexes``, 0/1),
-    columnar encodings
-    (``flock.encodings``, 0/1) and the operator memory budget
-    (``flock.memory_budget``, bytes), so values are plain integers rather
-    than general expressions.
+    columnar encodings (``flock.encodings``, 0/1) and the operator memory
+    budget (``flock.memory_budget``, bytes), so values are plain integers
+    rather than general expressions; :mod:`flock.settings` checks them.
     """
 
     name: str

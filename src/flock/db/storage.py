@@ -31,7 +31,6 @@ from flock.db.encoding import (
     BitPackedVector,
     DictionaryVector,
     EncodedVector,
-    EncodingSettings,
     encode_vector,
 )
 from flock.db.exec import grouping
@@ -41,6 +40,7 @@ from flock.db.types import DataType
 from flock.db.vector import Batch, ColumnVector
 from flock.errors import CatalogError, ConstraintError, ExecutionError
 from flock.observability.metrics import metrics
+from flock.settings import Settings
 
 
 def _pow2_crossed(before: int, after: int) -> bool:
@@ -218,12 +218,12 @@ class Table:
     """
 
     def __init__(
-        self, schema: TableSchema, settings: EncodingSettings | None = None
+        self, schema: TableSchema, settings: Settings | None = None
     ):
         self.schema = schema
         # Shared with the owning catalog so SET flock.encodings takes
         # effect on the next staged version of every table at once.
-        self.settings = settings if settings is not None else EncodingSettings()
+        self.settings = settings if settings is not None else Settings()
         self._lock = threading.RLock()
         empty = [ColumnVector.empty(c.dtype) for c in schema.columns]
         self._versions: list[TableVersion] = [
@@ -470,7 +470,7 @@ class Table:
         always re-encoded. With encodings off, every new version is forced
         back to plain vectors.
         """
-        if not self.settings.enabled:
+        if not self.settings.encodings:
             return [
                 c.materialize() if isinstance(c, EncodedVector) else c
                 for c in columns

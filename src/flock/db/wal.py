@@ -608,8 +608,6 @@ def open_database(
     sync_mode: str = "commit",
     group_window_ms: float = 1.0,
     checkpoint_bytes: int | None = DEFAULT_CHECKPOINT_BYTES,
-    encodings: bool | None = None,
-    memory_budget: int | None = None,
 ) -> Database:
     """Open (or create) a durable database directory and recover it.
 
@@ -634,8 +632,6 @@ def open_database(
             model_store=model_store,
             scorer=scorer,
             optimizer=optimizer,
-            encodings=encodings,
-            memory_budget=memory_budget,
         )
         manifest = json.loads((checkpoint_dir / "manifest.json").read_text())
         generation = int(manifest.get("wal_generation", 1))
@@ -648,8 +644,6 @@ def open_database(
             model_store=model_store,
             scorer=scorer,
             optimizer=optimizer,
-            encodings=encodings,
-            memory_budget=memory_budget,
         )
         report.checkpoint_loaded = True
     else:
@@ -657,8 +651,6 @@ def open_database(
             model_store=model_store,
             scorer=scorer,
             optimizer=optimizer,
-            encodings=encodings,
-            memory_budget=memory_budget,
         )
     report.generation = generation
 

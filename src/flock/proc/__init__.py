@@ -19,17 +19,20 @@ through one of two transports with the same surface:
   attributes tests and tools reach through, on both transports.
 
 The transport seam is a single flag: ``flock.connect(path, shards=N,
-process=True)`` (or ``replicas=N``), defaulting from the ``FLOCK_PROC``
-environment variable so the whole test suite can run process-backed
-without edits. Worker processes escape this process's GIL; the in-process
-transport is the only one on hosts without POSIX sockets and keeps the
-unit suite fast. Routing, broadcast, bring-up and merge code is shared.
+process=True)`` (or ``replicas=N``), defaulting from the ``proc`` setting
+(the ``FLOCK_PROC`` environment variable: empty, 0 or 1, anything else a
+BindError; see :mod:`flock.settings`) so the whole test suite can run
+process-backed without edits. Worker processes escape this process's
+GIL; the in-process transport is the only one on hosts without POSIX
+sockets and keeps the unit suite fast. Routing, broadcast, bring-up and
+merge code is shared.
 """
 
 from __future__ import annotations
 
 import os
 
+from flock import settings
 from flock.errors import (  # noqa: F401  (re-exported tier errors)
     ProcError,
     ProtocolError,
@@ -59,7 +62,8 @@ def proc_available() -> bool:
 
 
 def proc_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the transport seam: explicit flag first, then ``FLOCK_PROC``.
+    """Resolve the transport seam: explicit flag first, then the ``proc``
+    setting (``FLOCK_PROC``, empty, 0 or 1; see :mod:`flock.settings`).
 
     ``explicit`` is the ``process=`` keyword a caller passed (None means
     "not specified"); the environment default lets CI run the entire
@@ -70,6 +74,4 @@ def proc_enabled(explicit: bool | None = None) -> bool:
         return False
     if explicit is not None:
         return bool(explicit)
-    return os.environ.get("FLOCK_PROC", "0").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
+    return bool(settings.env("proc"))

@@ -86,11 +86,6 @@ class RemoteCatalog:
     def view(self, name: str):
         return self._handle.call("db", "catalog.view", [name])
 
-    @property
-    def settings(self):
-        """The engine's encodings switch (``settings.enabled``)."""
-        return self._handle.call("db", "catalog.settings", invoke=False)
-
 
 class RemoteAuditLog:
     def __init__(self, handle):
@@ -138,8 +133,10 @@ class RemoteDatabaseFacade:
         )
 
     @property
-    def memory_budget(self) -> int | None:
-        return self._handle.call("db", "memory_budget", invoke=False)
+    def settings(self):
+        """The hosted engine's :class:`flock.settings.Settings` (a copy
+        over the process transport)."""
+        return self._handle.call("db", "settings", invoke=False)
 
     def checkpoint(self) -> None:
         self._handle.call("db", "checkpoint")

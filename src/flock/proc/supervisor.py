@@ -33,6 +33,7 @@ import sys
 import threading
 from typing import Any
 
+from flock import settings
 from flock.errors import (
     ProcError,
     ProtocolError,
@@ -42,17 +43,12 @@ from flock.errors import (
 from flock.proc.framing import recv_message, send_message
 from flock.proc.worker import _build, _close, _dispatch
 
-#: Default per-request deadline (seconds); a checkpoint or a scatter block
-#: fits comfortably, a hung worker does not. ``FLOCK_PROC_TIMEOUT``
-#: overrides it fleet-wide (CI lanes shrink it so hangs fail fast).
-DEFAULT_TIMEOUT_S = 120.0
-
-
 def request_timeout() -> float:
-    try:
-        return float(os.environ.get("FLOCK_PROC_TIMEOUT", DEFAULT_TIMEOUT_S))
-    except ValueError:
-        return DEFAULT_TIMEOUT_S
+    """The per-request deadline in seconds: the ``proc_timeout`` setting
+    (``FLOCK_PROC_TIMEOUT``, default 120; see :mod:`flock.settings`). A
+    checkpoint or a scatter block fits comfortably, a hung worker does
+    not; CI lanes shrink it so hangs fail fast."""
+    return settings.env("proc_timeout")
 
 
 class Channel:
@@ -190,6 +186,9 @@ class WorkerHandle(_Handle):
     def __init__(self, config: dict, *, timeout: float | None = None,
                  boot_timeout: float | None = None):
         super().__init__(config)
+        # Checked before the spawn, so a bad FLOCK_PROC_TIMEOUT leaves no
+        # orphaned worker behind.
+        timeout = request_timeout() if timeout is None else timeout
         parent_sock, child_sock = socket.socketpair(
             socket.AF_UNIX, socket.SOCK_STREAM
         )

@@ -87,10 +87,7 @@ def _build(config: dict) -> _State:
     state = _State(config["role"], config.get("name", config["role"]))
     if state.role == "shard":
         path = config["path"]
-        # ``engine`` holds the settings every hosted engine takes
-        # (encodings, memory budget); ``open_kwargs`` the durable-open
-        # ones (sync mode, group window, checkpoint threshold).
-        open_kwargs = {**config["open_kwargs"], **config["engine"]}
+        open_kwargs = config["open_kwargs"]
         if config.get("replicas"):
             from flock.cluster import FlockCluster
 
@@ -138,7 +135,6 @@ def _build_follower(state: _State, config: dict) -> None:
         model_store=registry,
         scorer=DefaultScorer(),
         optimizer=Optimizer(extra_rules=cross.rules()),
-        **config["engine"],
     )
     database.cross_optimizer = cross
     registry.bind_database(database)

@@ -316,8 +316,6 @@ class ShardedCluster:
         checkpoint_bytes: int | None = None,
         max_staleness: int | None = None,
         process: bool | None = None,
-        encodings: bool | None = None,
-        memory_budget: int | None = None,
     ):
         if path is None:
             raise ShardError(
@@ -336,10 +334,6 @@ class ShardedCluster:
             checkpoint_bytes=checkpoint_bytes,
         )
         self._max_staleness = max_staleness
-        #: Engine settings for the coordinator and every shard engine.
-        self._engine_kwargs = dict(
-            encodings=encodings, memory_budget=memory_budget
-        )
         from flock.proc import proc_enabled
 
         #: The transport seam: explicit ``process=`` wins, else FLOCK_PROC.
@@ -349,9 +343,7 @@ class ShardedCluster:
         import flock
         from flock.client import memory_session
 
-        coordinator_session = memory_session(
-            cross_optimizer, **self._engine_kwargs
-        )
+        coordinator_session = memory_session(cross_optimizer)
         self.coordinator = coordinator_session.db
         self._coordinator_registry = coordinator_session.registry
         self.cross_optimizer = coordinator_session.cross_optimizer
@@ -411,7 +403,6 @@ class ShardedCluster:
             "open_kwargs": dict(self._open_kwargs),
             "replicas": self.replicas,
             "max_staleness": self._max_staleness,
-            "engine": self._engine_kwargs,
         }
         return _Shard(index, shard_path, open_handle(config, self._process))
 

@@ -114,30 +114,36 @@ class TestClusterMode:
         )),
     ])
     def test_engine_settings_reach_every_tier_engine(self, tmp_path,
-                                                     process):
-        """``encodings``/``memory_budget`` configure the primary or
-        coordinator and every shard and follower engine, on both
-        transports."""
-        settings = dict(encodings=False, memory_budget=1000)
+                                                     monkeypatch, process):
+        """The ``FLOCK_*`` settings reach the primary or coordinator and
+        every shard and follower engine, on both transports, and a
+        sharded client's ``SET`` reaches every shard."""
+        monkeypatch.setenv("FLOCK_ENCODINGS", "0")
+        monkeypatch.setenv("FLOCK_MEMORY_BUDGET", "1000")
         backend = "process" if process else "thread"
-        with flock.connect(tmp_path / "sharded", shards=2, process=process,
-                           **settings) as client:
+
+        def values(engines):
+            return [
+                (e.settings.encodings, e.settings.memory_budget)
+                for e in engines
+            ]
+
+        with flock.connect(tmp_path / "sharded", shards=2,
+                           process=process) as client:
             assert client.cluster.backend == backend
             engines = [client.db] + [
                 shard.database for shard in client.cluster.shards
             ]
-            for engine in engines:
-                assert engine.catalog.settings.enabled is False
-                assert engine.memory_budget == 1000
+            assert values(engines) == [(0, 1000)] * 3
+            client.execute("SET flock.memory_budget = 2000")
+            assert values(engines) == [(0, 2000)] * 3
         with flock.connect(tmp_path / "replicated", replicas=1,
-                           process=process, **settings) as client:
+                           process=process) as client:
             assert client.cluster.backend == backend
             engines = [client.db] + [
                 follower.database for follower in client.cluster.followers
             ]
-            for engine in engines:
-                assert engine.catalog.settings.enabled is False
-                assert engine.memory_budget == 1000
+            assert values(engines) == [(0, 1000)] * 2
 
 
 class TestLifecycle:

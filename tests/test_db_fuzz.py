@@ -582,8 +582,9 @@ class _EncodingTwinDriver:
 
         self.path = path
         self.rng = _random.Random(seed)
-        self.encoded = Database.open(path, checkpoint_bytes=0, encodings=True)
-        self.plain = Database(encodings=False)
+        self.encoded = Database.open(path, checkpoint_bytes=0)
+        self.plain = Database()
+        self.plain.execute("SET flock.encodings = 0")
         self.budgeted = False
 
     def toggle_budget(self) -> None:
@@ -701,9 +702,7 @@ class _EncodingTwinDriver:
     def crash_reopen(self) -> None:
         # No close(): recovery replays the WAL and the loader re-encodes
         # the recovered head versions.
-        self.encoded = Database.open(
-            self.path, checkpoint_bytes=0, encodings=True
-        )
+        self.encoded = Database.open(self.path, checkpoint_bytes=0)
         if self.budgeted:
             self.encoded.execute("SET flock.memory_budget = 3000")
         self.diff()
@@ -724,12 +723,15 @@ class _EncodingTwinDriver:
         "FLOCK_ENCODING_FUZZ_SEEDS", "5,29"
     ).split(",")]
 )
-def test_differential_encoded_vs_plain(tmp_path, seed):
+def test_differential_encoded_vs_plain(tmp_path, monkeypatch, seed):
     """Compressed encodings, late-decode fast paths and memory-budgeted
     spill are observationally invisible: identical rows, order and errors
     as the plain-storage twin, through DML churn, budget flips,
     checkpoints and WAL-replay crash recovery. Two seeds x 120 ops = 240
     differential rounds per run; CI's encoded-oracle lane raises both."""
+    # The encoded side stays encoded in the FLOCK_ENCODINGS=0 lane too;
+    # the variable (not a SET) is what crash-reopen recovery reads.
+    monkeypatch.setenv("FLOCK_ENCODINGS", "1")
     driver = _EncodingTwinDriver(tmp_path / f"efuzz{seed}", seed)
     ops = int(os.environ.get("FLOCK_ENCODING_FUZZ_OPS", "120"))
     for i in range(1, ops + 1):

@@ -71,8 +71,9 @@ def _assert_version_matches(table, version) -> None:
 # TPC-H, plain and encoded
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("encodings", [False, True])
-def test_tpch_columns_equal_eager(encodings):
-    database = Database(encodings=encodings)
+def test_tpch_columns_equal_eager(monkeypatch, encodings):
+    monkeypatch.setenv("FLOCK_ENCODINGS", str(int(encodings)))
+    database = Database()
     create_tpch_schema(database)
     generate_tpch_data(database, scale=0.001, seed=7)
     packed_keys = 0
@@ -111,8 +112,9 @@ def _ingest(database: Database, rows: int) -> None:
 
 
 @pytest.mark.parametrize("encodings", [False, True])
-def test_write_chains_equal_eager(encodings):
-    database = Database(encodings=encodings)
+def test_write_chains_equal_eager(monkeypatch, encodings):
+    monkeypatch.setenv("FLOCK_ENCODINGS", str(int(encodings)))
+    database = Database()
     _ingest(database, 3000)
     table = database.catalog.table("orders")
     statements = [
