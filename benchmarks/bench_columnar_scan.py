@@ -8,7 +8,8 @@ selective text filters and the Q1-style grouped aggregation. With
 the text columns and frame-of-reference packs the integers/dates, and the
 executor's late-decode fast paths evaluate predicates once per dictionary
 entry and group by codes; with ``FLOCK_ENCODINGS=0`` the same statements
-run over plain vectors.
+run over plain vectors. Each side sets ``flock.encodings`` itself, so the
+comparison is the same whatever ``FLOCK_ENCODINGS`` the run inherits.
 
 Results must match row for row — the encoded engine is the same engine,
 bit-identically, just smaller and faster.
@@ -16,9 +17,9 @@ bit-identically, just smaller and faster.
 Acceptance gates (ISSUE.md): >=3x speedup for the filtered scan and the
 grouped aggregation, and >=2x resident-memory reduction for the table's
 head version. Both compare two storage layouts on the same host, so they
-apply regardless of core count; the honest skip is taken only when the
-``FLOCK_ENCODINGS=0`` kill-switch lane runs this file (there is nothing
-encoded to measure against).
+apply regardless of core count, and in every lane: each engine sets its
+own ``flock.encodings``, so the encoded side is encoded under
+``FLOCK_ENCODINGS=0`` too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import time
 import pytest
 
 from benchmarks.conftest import cpu_count, write_json_report, write_report
-from flock import settings
 from flock.db import Database
 from flock.db.encoding import encoding_of, vector_nbytes
 
@@ -117,7 +117,6 @@ def _head_bytes(db: Database) -> tuple[int, dict[str, str | None]]:
 
 @pytest.fixture(scope="module")
 def columnar_report() -> dict:
-    encodings_lane = bool(settings.env("encodings"))
     report: dict = {
         "rows": ROWS,
         "repeats": REPEATS,
@@ -126,11 +125,8 @@ def columnar_report() -> dict:
             "threshold_speedup": 3.0,
             "threshold_memory_reduction": 2.0,
             "queries": GATED,
-            "applied": encodings_lane,
-            "skipped_reason": None if encodings_lane else (
-                "FLOCK_ENCODINGS=0 lane: plain storage on both sides, "
-                "nothing encoded to measure"
-            ),
+            "applied": True,
+            "skipped_reason": None,
         },
         "queries": {},
     }
@@ -193,21 +189,15 @@ class TestColumnarScan:
             assert q["results_match"], name
 
     def test_text_columns_dictionary_encoded(self, columnar_report):
-        if not columnar_report["gate"]["applied"]:
-            pytest.skip(columnar_report["gate"]["skipped_reason"])
         layout = columnar_report["memory"]["encodings"]
         for column in ("l_returnflag", "l_linestatus", "l_shipmode"):
             assert layout[column] == "dict", layout
 
     def test_scan_and_groupby_speedup(self, columnar_report):
-        if not columnar_report["gate"]["applied"]:
-            pytest.skip(columnar_report["gate"]["skipped_reason"])
         for name in GATED:
             speedup = columnar_report["queries"][name]["speedup"]
             assert speedup >= 3.0, f"{name}: {speedup:.1f}x"
 
     def test_memory_reduction(self, columnar_report):
-        if not columnar_report["gate"]["applied"]:
-            pytest.skip(columnar_report["gate"]["skipped_reason"])
         reduction = columnar_report["memory"]["reduction"]
         assert reduction >= 2.0, f"{reduction:.2f}x"

@@ -220,10 +220,12 @@ def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
 
     Dictionary-encoded TEXT sorts on its int32 codes without decoding: the
     dictionary is sorted, so code order is value order, and lexsort only
-    needs order-isomorphic codes per column — the dense re-ranking of the
-    generic path is unnecessary for an identical permutation. Every other
-    column is ranked densely by ``searchsorted`` into its sorted distinct
-    values, which order TEXT by Python ``<``.
+    needs order-isomorphic codes per column. Numeric, DATE and BOOLEAN
+    keys sort on an order-preserving int64 image of their values
+    (:func:`_order_image`), with NULL at the int64 extreme past every
+    value; ranking 200 k floats densely only to keep 20 of them was most
+    of a top-k. Every other column is ranked densely by ``searchsorted``
+    into its sorted distinct values, which order TEXT by Python ``<``.
     """
     if isinstance(vector, DictionaryVector):
         codes = vector.codes.astype(np.int64)
@@ -236,7 +238,17 @@ def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
             codes[null_mask] = distinct  # NULL last on ASC
         return codes
     nulls = vector.nulls
-    present_values = vector.values[~nulls]
+    values = vector.values
+    if values.dtype != object:
+        codes = _order_image(values)
+        # Only an INTEGER key holding INT64_MAX itself could tie with NULL
+        # (DESC inverts it onto INT64_MIN); such a key ranks densely.
+        if not (nulls.any() and np.any((codes == _INT64_MAX) & ~nulls)):
+            if not ascending:
+                np.invert(codes, out=codes)
+            codes[nulls] = _INT64_MAX if ascending else _INT64_MIN
+            return codes
+    present_values = values[~nulls]
     if present_values.dtype == object:
         # Sort only the distinct TEXT values: np.unique would sort every
         # row through Python ``<``.
@@ -252,6 +264,26 @@ def sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
     else:
         codes[nulls] = distinct  # NULL last on ASC
     return codes
+
+
+_INT64_MIN = np.iinfo(np.int64).min
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _order_image(values: np.ndarray) -> np.ndarray:
+    """A new int64 array whose order (and equality) is that of *values*.
+
+    Integers are their own image. A float's IEEE bits order like signed
+    integers once a negative float's 63 magnitude bits are flipped; -0.0
+    is folded into +0.0 first and every NaN into one positive NaN, which
+    lands above +inf, as ``np.unique`` ranks them. The image of a float
+    never reaches an int64 extreme.
+    """
+    if values.dtype.kind != "f":
+        return values.astype(np.int64)
+    canonical = np.where(np.isnan(values), np.nan, values + 0.0)
+    bits = canonical.astype(np.float64, copy=False).view(np.int64)
+    return bits ^ ((bits >> 63) & _INT64_MAX)
 
 
 def sort_key_codes(keys, batch) -> list[np.ndarray]:

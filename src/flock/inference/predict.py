@@ -112,14 +112,31 @@ class DefaultScorer:
             else:
                 feeds[input_name] = np.full(n_rows, float(value))
 
-        mode = "per_row" if node.strategy == "row_udf" else "batch"
-        outputs = self.runtime.run(graph, feeds, mode=mode)
-
         tensor_by_field = dict(graph.output_field_names())
+        tensors = []
+        for plan_field in node.output_fields:
+            field_name = _strip_prefix(plan_field.name)
+            tensor = tensor_by_field.get(field_name, field_name)
+            if tensor not in graph.output_names:
+                raise InferenceError(
+                    f"model {node.model_name!r} produced no output "
+                    f"{field_name!r}"
+                )
+            tensors.append(tensor)
+        # Only what the statement reads (and the monitor's scores) runs.
+        wanted = dict.fromkeys(tensors)
         if self.monitor_hub is not None:
             score_tensor = tensor_by_field.get(
                 "probability", tensor_by_field.get("score")
             )
+            if score_tensor is not None:
+                wanted[score_tensor] = None
+        mode = "per_row" if node.strategy == "row_udf" else "batch"
+        outputs = self.runtime.run(
+            graph, feeds, mode=mode, outputs=list(wanted)
+        )
+
+        if self.monitor_hub is not None:
             try:
                 with self._monitor_lock:
                     self.monitor_hub.on_score(
@@ -129,17 +146,10 @@ class DefaultScorer:
                 # Observability must never break scoring: a broken monitor
                 # loses telemetry, not queries.
                 pass
-        result: list[ColumnVector] = []
-        for plan_field in node.output_fields:
-            field_name = _strip_prefix(plan_field.name)
-            tensor = tensor_by_field.get(field_name, field_name)
-            if tensor not in outputs:
-                raise InferenceError(
-                    f"model {node.model_name!r} produced no output "
-                    f"{field_name!r}"
-                )
-            result.append(_feed_to_column(outputs[tensor], plan_field.dtype))
-        return result
+        return [
+            _feed_to_column(outputs[tensor], plan_field.dtype)
+            for plan_field, tensor in zip(node.output_fields, tensors)
+        ]
 
     def _score_distinct_codes(
         self, node: PredictNode, inputs: Batch, store

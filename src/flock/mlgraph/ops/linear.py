@@ -20,11 +20,13 @@ def linear(attrs: dict, inputs: list[np.ndarray]) -> list[np.ndarray]:
     row with one fixed-order loop, making scoring invariant under row
     slicing — so a key served alone, in a serving micro-batch or on one
     shard of a scatter scores to the same bits as in a full-table PREDICT.
+    The loop's order follows the memory layout too, so the matrix is made
+    row-major first (``pack`` emits a column-major one).
     """
     (matrix,) = inputs
     weights = np.asarray(attrs["weights"], dtype=np.float64)
     bias = np.asarray(attrs["bias"], dtype=np.float64)
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if weights.ndim == 1:
         return [np.einsum("nk,k->n", matrix, weights) + bias]
     return [np.einsum("nk,km->nm", matrix, weights) + bias]

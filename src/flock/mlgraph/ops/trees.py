@@ -15,7 +15,7 @@ arrays once; :class:`~flock.mlgraph.runtime.GraphRuntime` keeps the
 result per graph object, so repeated runs never re-read the dicts. The
 arrays are the ensemble's distinct ``(feature, threshold)`` tests, each
 tree's tests paired with the bitmask of the leaves in their left subtree
-(uint8/16/32/64 by leaf count), a (leaves, width) value table per tree,
+(int8/16/32/64 by leaf count), a (leaves, width) value table per tree,
 and per-tree flat feature/threshold/left/right lists. A batch is scored
 one of three ways:
 
@@ -23,21 +23,27 @@ one of three ways:
   flat lists per row, which costs microseconds where one numpy call per
   test costs more;
 - a tree with at most 64 leaves: QuickScorer-style bitvectors (Lucchese
-  et al., SIGIR 2015). Each distinct test is one contiguous column
-  compare for the whole ensemble; a row that fails a test (``~(x <= t)``)
-  clears that test's left-subtree leaves from its mask, and the lowest
-  set bit left is the exit leaf. With ≤8 leaves the mask byte indexes a
-  256-entry value table directly;
+  et al., SIGIR 2015). Each distinct test is one column compare for the
+  whole ensemble, kept as a byte that is all ones where a row fails it
+  (``not x <= t``). Per tree, each test ANDs that byte with its
+  left-subtree leaves and ORs the result into a ``cleared`` word; the
+  lowest leaf not cleared is the exit leaf. With ≤8 leaves the cleared
+  byte indexes a 256-entry value table directly;
 - a tree with more than 64 leaves: :func:`eval_tree_dict`, which is also
   the reference the other two paths are tested against.
 
-Every path writes each tree's (n, width) output into one (trees, n,
-width) stack whose trees are added one by one in tree order (``average``
-divides that sum by the tree count), so a score is bit-identical
-whichever path produced it and however many rows shared the batch.
+:meth:`CompiledEnsemble.outputs` yields each tree's (n, width) output in
+tree order, and the ensemble adds them one by one into a running total
+(``average`` divides that sum by the tree count), so a score is
+bit-identical whichever path produced it and however many rows shared
+the batch. The bitvector path writes every tree into one reused buffer,
+so a batch costs O(rows) memory, not O(trees × rows), and batches of
+more than :data:`BLOCK_ROWS` rows are scored a block of rows at a time.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -46,14 +52,25 @@ from flock.mlgraph.ops import register_compiled
 
 #: Batches with fewer rows take the scalar walk. On the e2e GBM (40
 #: depth-3 trees, 75 distinct tests), best of 60 runs on a 2 vCPU x86
-#: host: the walk costs 0.035 ms for 1 row and ~10 µs per further row;
-#: the bitvector path has a ~0.9 ms floor (one numpy call per test and
-#: per mask update) and is flat to a few hundred rows. They break even
-#: between 64 and 128 rows.
-SCALAR_MAX_ROWS = 96
+#: host: the walk costs 0.056 ms for 1 row and ~7 µs per further row;
+#: the bitvector path has a ~0.53 ms floor (two numpy calls per distinct
+#: test and per test use) and is flat to a few hundred rows. They break
+#: even between 72 and 76 rows.
+SCALAR_MAX_ROWS = 74
 
-_MASK_DTYPES = ((8, np.uint8), (16, np.uint16), (32, np.uint32),
-                (64, np.uint64))
+#: Bigger batches are scored in blocks of this many rows. A row scores
+#: the same in any block, and a block's scratch (one byte per row per
+#: distinct test, two mask words and one output per row) is small enough
+#: to stay in cache and to be reused from the allocator's free lists
+#: rather than page-faulted in afresh: on the e2e GBM over 200 k rows
+#: (2 vCPU x86 host) whole-batch scoring took a ``gbm_filter`` PREDICT to
+#: 42-45 ms and 32 768-row blocks to 31-35 ms; 16 k- and 64 k-row blocks
+#: did no better.
+BLOCK_ROWS = 32_768
+
+#: Signed mask words: a failed-test byte of -1 widens to all ones.
+_MASK_DTYPES = ((8, np.int8), (16, np.int16), (32, np.int32),
+                (64, np.int64))
 
 
 def eval_tree_dict(tree: dict, matrix: np.ndarray) -> np.ndarray:
@@ -105,6 +122,10 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     np.take(table, index, axis=0, out=out, mode="clip")
 
 
+def _lowest_zero_bit(word: int) -> int:
+    return ((word + 1) & ~word).bit_length() - 1
+
+
 class CompiledTree:
     """One tree as flat lists and arrays (see the module docstring).
 
@@ -148,17 +169,20 @@ class CompiledTree:
         self.width = self.leaves.shape[1]
         n_leaves = len(values)
         self.tests = tests
-        self.mask_dtype = next(
-            (dtype for bits, dtype in _MASK_DTYPES if n_leaves <= bits), None
+        bits, self.mask_dtype = next(
+            (pair for pair in _MASK_DTYPES if n_leaves <= pair[0]), (0, None)
         )
         if self.mask_dtype is None:
             return
-        self.all_leaves = self.mask_dtype((1 << n_leaves) - 1)
-        self.left_masks = [self.mask_dtype(m) for m in left_masks]
+        # The mask's bit pattern as a signed word (bit 7 of an int8 is -128).
+        self.left_masks = [
+            self.mask_dtype(m - (1 << bits) if m >> (bits - 1) else m)
+            for m in left_masks
+        ]
+        self.byte_table = None
         if n_leaves <= 8:
             exit_leaf = [
-                min((b & -b).bit_length() - 1, n_leaves - 1) if b else 0
-                for b in range(256)
+                min(_lowest_zero_bit(b), n_leaves - 1) for b in range(256)
             ]
             self.byte_table = self.leaves[exit_leaf]
 
@@ -176,21 +200,26 @@ class CompiledTree:
                 )
             exits.append(first_leaf + ~node)
 
-    def score_bits(self, failed: list[np.ndarray], out: np.ndarray) -> None:
-        """Write this tree's (n, width) output from the failed-test flags."""
-        n = out.shape[0]
-        bits = np.full(n, self.all_leaves, dtype=self.mask_dtype)
-        ruled_out = np.empty(n, dtype=self.mask_dtype)
+    def score_bits(
+        self, failed: list[np.ndarray], out: np.ndarray,
+        cleared: np.ndarray, ruled_out: np.ndarray,
+    ) -> None:
+        """Write this tree's (n, width) output from the failed-test bytes;
+        *cleared* and *ruled_out* are scratch words of :attr:`mask_dtype`."""
+        cleared.fill(0)
         for test, mask in zip(self.tests, self.left_masks):
             # A failed test rules out its left subtree's leaves.
-            np.multiply(failed[test], mask, out=ruled_out)
-            np.bitwise_xor(ruled_out, self.all_leaves, out=ruled_out)
-            np.bitwise_and(bits, ruled_out, out=bits)
-        if self.mask_dtype is np.uint8:
-            _gather(self.byte_table, bits, out)
+            np.bitwise_and(failed[test], mask, out=ruled_out)
+            np.bitwise_or(cleared, ruled_out, out=cleared)
+        if self.byte_table is not None:
+            _gather(self.byte_table, cleared.view(np.uint8), out)
             return
-        lowest = bits & (~bits + self.mask_dtype(1))
-        exit_leaf = np.frexp(lowest)[1] - 1  # exact: a power of two
+        # The exit leaf is the lowest one not ruled out: isolate the
+        # lowest zero bit of cleared, a power of two frexp reads exactly.
+        np.add(cleared, 1, out=ruled_out)
+        np.invert(cleared, out=cleared)
+        np.bitwise_and(cleared, ruled_out, out=cleared)
+        exit_leaf = np.frexp(cleared)[1] - 1
         _gather(self.leaves, exit_leaf, out)
 
 
@@ -214,8 +243,8 @@ class CompiledEnsemble:
         if len(widths) != 1:
             raise GraphError(f"tree_ensemble leaf widths differ: {widths}")
         (self.width,) = widths
-        # Every tree's leaves in one table, so the scalar path fills the
-        # whole stack with one gather.
+        # Every tree's leaves in one table, so the scalar path fills all
+        # the trees' outputs with one gather.
         self.leaf_table = np.concatenate([tree.leaves for tree in self.trees])
         self.first_leaf = np.cumsum(
             [0] + [len(tree.leaves) for tree in self.trees[:-1]]
@@ -223,51 +252,68 @@ class CompiledEnsemble:
 
     def __call__(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
         (matrix,) = inputs
-        stacked = self.stack(np.asarray(matrix, dtype=np.float64))
-        # Tree by tree, never stacked.sum(axis=0): numpy reduces that axis
-        # pairwise for one row but in tree order for many, so a row served
-        # alone would differ in the last bit from the same row in a batch.
-        total = stacked[0].copy()
-        for out in stacked[1:]:
-            total += out
+        # Column-major, so every block's feature columns are contiguous; a
+        # no-op for the matrix ``pack`` emits.
+        matrix = np.asfortranarray(matrix, dtype=np.float64)
+        total = np.empty((matrix.shape[0], self.width))
+        for start in range(0, len(total), BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            outputs = self.outputs(matrix[start:stop])
+            # A running total in tree order, never a stack's sum(axis=0):
+            # numpy reduces that axis pairwise for one row but in tree
+            # order for many, so a row served alone would differ in the
+            # last bit from the same row in a batch.
+            block = total[start:stop]
+            np.copyto(block, next(outputs))
+            for out in outputs:
+                block += out
         if self.aggregation == "sum":
-            combined = self.init + self.scale * total
+            total *= self.scale
+            total += self.init
         else:
-            combined = total / len(self.trees)
-        if combined.shape[1] == 1:
-            return [combined[:, 0]]
-        return [combined]
+            total /= len(self.trees)
+        if total.shape[1] == 1:
+            return [total[:, 0]]
+        return [total]
 
-    def stack(self, matrix: np.ndarray) -> np.ndarray:
-        """Every tree's output on *matrix*: (trees, n, width)."""
-        stacked = np.empty((len(self.trees), matrix.shape[0], self.width))
-        if matrix.shape[0] < SCALAR_MAX_ROWS:
+    def outputs(self, matrix: np.ndarray) -> Iterator[np.ndarray]:
+        """Each tree's (n, width) output on *matrix*, in tree order. The
+        bitvector path writes every tree into one buffer: an output is
+        valid until the next one is drawn, so copy it to keep it."""
+        n = matrix.shape[0]
+        if n < SCALAR_MAX_ROWS:
             rows = matrix.tolist()
             exits: list[int] = []
             for tree, first_leaf in zip(self.trees, self.first_leaf):
                 tree.walk(rows, exits, first_leaf)
+            stacked = np.empty((len(self.trees), n, self.width))
             _gather(
                 self.leaf_table, np.asarray(exits, dtype=np.intp),
                 stacked.reshape(-1, self.width),
             )
-            return stacked
+            yield from stacked
+            return
         failed = self._failed_tests(matrix)
-        for tree, out in zip(self.trees, stacked):
+        out = np.empty((n, self.width))
+        words: dict[type, tuple[np.ndarray, np.ndarray]] = {}
+        for tree in self.trees:
             if tree.mask_dtype is None:
-                out[...] = eval_tree_dict(tree.source, matrix)
-            else:
-                tree.score_bits(failed, out)
-        return stacked
+                yield eval_tree_dict(tree.source, matrix)
+                continue
+            if tree.mask_dtype not in words:
+                words[tree.mask_dtype] = (
+                    np.empty(n, tree.mask_dtype), np.empty(n, tree.mask_dtype)
+                )
+            tree.score_bits(failed, out, *words[tree.mask_dtype])
+            yield out
 
     def _failed_tests(self, matrix: np.ndarray) -> list[np.ndarray]:
-        """Per distinct test, 1 where a row goes right (``~(x <= t)``)."""
-        columns = {}
+        """Per distinct test, an int8 column: -1 (all bits set) where a
+        row goes right (``not x <= t``, so NaN fails), 0 where it goes
+        left."""
+        passed = np.empty(matrix.shape[0], dtype=bool)
         failed = []
         for feature, threshold in self.tests:
-            column = columns.get(feature)
-            if column is None:
-                column = columns[feature] = np.ascontiguousarray(
-                    matrix[:, feature]
-                )
-            failed.append(np.logical_not(column <= threshold).view(np.uint8))
+            np.less_equal(matrix[:, feature], threshold, out=passed)
+            failed.append(np.subtract(passed.view(np.int8), np.int8(1)))
         return failed

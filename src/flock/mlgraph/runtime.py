@@ -55,50 +55,62 @@ class GraphRuntime:
     def __init__(self) -> None:
         self.stats = RuntimeStats()
         self._stats_lock = threading.Lock()
-        # Execution plan per graph object: the topological order, each node
-        # bound to its operator with compiled attributes (a tree ensemble's
-        # flat arrays). Batch PREDICTs and every served statement run the
-        # same graph again and again; re-deriving the order or
-        # re-reading the trees per run would be pure overhead. Keyed by
-        # id() with a weakref guard against id reuse after collection; the
-        # plan is built under the lock, so a graph compiles once even when
-        # threads first run it together.
-        self._plan_cache: dict[int, tuple[object, list]] = {}
+        # Per graph object: the topological order with each node bound to
+        # its operator and compiled attributes (a tree ensemble's flat
+        # arrays), and per requested output set the plan, those bound
+        # nodes the outputs depend on. Batch PREDICTs and every served
+        # statement run the same graph again and again; re-deriving the
+        # order or re-reading the trees per run would be pure overhead.
+        # Keyed by id() with a weakref guard against id reuse after
+        # collection; built under the lock, so a graph compiles once even
+        # when threads first run it together.
+        self._plan_cache: dict[int, tuple[object, list, dict]] = {}
         self._plan_lock = threading.Lock()
 
-    def _plan(self, graph: Graph) -> list[tuple[Node, BoundOp]]:
+    def _plan(
+        self, graph: Graph, outputs: tuple[str, ...]
+    ) -> list[tuple[Node, BoundOp]]:
         key = id(graph)
         with self._plan_lock:
             entry = self._plan_cache.get(key)
-            if entry is not None and entry[0]() is graph:
-                return entry[1]
-            plan = [
-                (node, bind(node.op_type, node.attrs))
-                for node in graph.toposorted()
-            ]
-            try:
-                ref = weakref.ref(graph)
-            except TypeError:  # graph type without weakref support
-                return plan
-            if len(self._plan_cache) > 256:  # bound a long-lived runtime
-                self._plan_cache.clear()
-            self._plan_cache[key] = (ref, plan)
-        return plan
+            if entry is None or entry[0]() is not graph:
+                bound = [
+                    (node, bind(node.op_type, node.attrs))
+                    for node in graph.toposorted()
+                ]
+                try:
+                    ref = weakref.ref(graph)
+                except TypeError:  # graph type without weakref support
+                    return _needed(bound, outputs)
+                if len(self._plan_cache) > 256:  # bound a long-lived runtime
+                    self._plan_cache.clear()
+                entry = self._plan_cache[key] = (ref, bound, {})
+            plans = entry[2]
+            if outputs not in plans:
+                plans[outputs] = _needed(entry[1], outputs)
+            return plans[outputs]
 
     def run(
         self,
         graph: Graph,
         feeds: dict[str, np.ndarray],
         mode: str = "batch",
+        outputs: list[str] | None = None,
     ) -> dict[str, np.ndarray]:
         """Execute *graph* and return its named outputs.
 
         Every feed must be a 1-D array of the same length (one value per
         row); outputs are 1-D arrays (or 2-D for matrix-valued outputs).
+        *outputs* names the graph outputs wanted (default: all of them);
+        only the nodes they depend on run.
         """
         missing = [n for n in graph.input_names if n not in feeds]
         if missing:
             raise GraphError(f"missing graph inputs: {missing}")
+        wanted = tuple(graph.output_names if outputs is None else outputs)
+        unknown = [n for n in wanted if n not in graph.output_names]
+        if unknown:
+            raise GraphError(f"not outputs of graph {graph.name!r}: {unknown}")
         lengths = {len(np.asarray(feeds[n])) for n in graph.input_names}
         if len(lengths) > 1:
             raise GraphError(f"ragged input feeds: lengths {sorted(lengths)}")
@@ -112,9 +124,9 @@ class GraphRuntime:
             {"mode": mode, "graph": getattr(graph, "name", "?")},
         ) as span:
             if mode == "batch":
-                result = self._run_batch(graph, feeds, local)
+                result = self._run_batch(graph, feeds, wanted, local)
             elif mode == "per_row":
-                result = self._run_per_row(graph, feeds, n_rows, local)
+                result = self._run_per_row(graph, feeds, wanted, n_rows, local)
             else:
                 raise GraphError(f"unknown execution mode {mode!r}")
             span.set_attribute("rows", n_rows)
@@ -133,12 +145,12 @@ class GraphRuntime:
     # ------------------------------------------------------------------
     def _run_batch(
         self, graph: Graph, feeds: dict[str, np.ndarray],
-        stats: RuntimeStats,
+        wanted: tuple[str, ...], stats: RuntimeStats,
     ) -> dict[str, np.ndarray]:
         tensors: dict[str, np.ndarray] = {
             name: np.asarray(feeds[name]) for name in graph.input_names
         }
-        for node, run in self._plan(graph):
+        for node, run in self._plan(graph, wanted):
             outputs = run([tensors[name] for name in node.inputs])
             if len(outputs) != len(node.outputs):
                 raise GraphError(
@@ -148,17 +160,17 @@ class GraphRuntime:
             for name, value in zip(node.outputs, outputs):
                 tensors[name] = value
             stats.note(node.op_type)
-        return {name: tensors[name] for name in graph.output_names}
+        return {name: tensors[name] for name in wanted}
 
     def _run_per_row(
-        self, graph: Graph, feeds: dict[str, np.ndarray], n_rows: int,
-        stats: RuntimeStats,
+        self, graph: Graph, feeds: dict[str, np.ndarray],
+        wanted: tuple[str, ...], n_rows: int, stats: RuntimeStats,
     ) -> dict[str, np.ndarray]:
-        collected: dict[str, list] = {name: [] for name in graph.output_names}
+        collected: dict[str, list] = {name: [] for name in wanted}
         arrays = {name: np.asarray(feeds[name]) for name in graph.input_names}
         for i in range(n_rows):
             row_feed = {name: arrays[name][i : i + 1] for name in arrays}
-            row_out = self._run_batch(graph, row_feed, stats)
+            row_out = self._run_batch(graph, row_feed, wanted, stats)
             for name, value in row_out.items():
                 collected[name].append(value)
         out: dict[str, np.ndarray] = {}
@@ -168,3 +180,16 @@ class GraphRuntime:
             else:
                 out[name] = np.empty(0)
         return out
+
+
+def _needed(
+    bound: list[tuple[Node, BoundOp]], outputs: tuple[str, ...]
+) -> list[tuple[Node, BoundOp]]:
+    """The bound nodes *outputs* depend on, in their topological order."""
+    needed = set(outputs)
+    kept = []
+    for node, run in reversed(bound):
+        if needed.intersection(node.outputs):
+            kept.append((node, run))
+            needed.update(node.inputs)
+    return kept[::-1]

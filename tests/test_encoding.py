@@ -449,13 +449,36 @@ def _compare_reference(op, left, right):
     ]
 
 
+def _sort_key(value):
+    """Python order with every NaN equal and above +inf."""
+    return (1, 0.0) if value != value else (0, value)
+
+
 def _sorted_rows(items, ascending):
     """Row order of Python ``sorted`` (stable), NULLs last on ASC and first
     on DESC."""
     present = [i for i, v in enumerate(items) if v is not None]
     nulls = [i for i, v in enumerate(items) if v is None]
-    ordered = sorted(present, key=items.__getitem__, reverse=not ascending)
+    ordered = sorted(
+        present, key=lambda i: _sort_key(items[i]), reverse=not ascending
+    )
     return ordered + nulls if ascending else nulls + ordered
+
+
+def _assert_sort_codes(vector, items, label):
+    """:func:`sort_codes` orders *vector* (holding *items*) as Python
+    ``sorted`` does both ways, and two rows tie exactly when their values
+    are equal (NULL with NULL, NaN with NaN, -0.0 with 0.0): window peers
+    read the ties."""
+    keys = [None if v is None else _sort_key(v) for v in items]
+    for ascending in (True, False):
+        codes = sort_codes(vector, ascending)
+        order = np.argsort(codes, kind="stable").tolist()
+        assert order == _sorted_rows(items, ascending), (label, ascending)
+        for i, j in itertools.combinations(range(len(items)), 2):
+            assert (codes[i] == codes[j]) == (keys[i] == keys[j]), (
+                label, ascending, i, j,
+            )
 
 
 _EMPTY = (DataType.TEXT, [], [], [], "a", DataType.TEXT, ["a"], "%")
@@ -492,8 +515,8 @@ def test_value_predicates_match_row_reference(case):
 
     Compare covers all six operators with the literal on either side and
     column against column (every pair of layouts). IN and LIKE run plain
-    and negated. NULL rows hold False in every result. TEXT sort codes
-    order rows exactly as Python ``sorted`` does.
+    and negated. NULL rows hold False in every result. Sort codes order
+    rows exactly as Python ``sorted`` does and tie exactly on equal values.
     """
     dtype, items, keep, other, literal, literal_dtype, members, pattern = case
     kept = [v for v, k in zip(items, keep) if k]
@@ -541,11 +564,41 @@ def test_value_predicates_match_row_reference(case):
                 BoundLike(col, pattern, negated).evaluate(batch), like,
                 (name, "LIKE", pattern, negated),
             )
-        if dtype is DataType.TEXT:
-            for ascending in (True, False):
-                codes = sort_codes(vector, ascending)
-                order = np.argsort(codes, kind="stable").tolist()
-                assert order == _sorted_rows(kept, ascending), (name, ascending)
+        _assert_sort_codes(vector, kept, name)
+
+
+_INT64_EDGES = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1]
+
+
+@st.composite
+def _numeric_keys(draw):
+    """(dtype, items): an INTEGER column over the whole int64 range or a
+    FLOAT column with the float edges, NULLs among them."""
+    dtype = draw(st.sampled_from([DataType.INTEGER, DataType.FLOAT]))
+    value = _VALUES[DataType.FLOAT] if dtype is DataType.FLOAT else st.one_of(
+        st.sampled_from(_INT64_EDGES), st.integers(-(2**63), 2**63 - 1)
+    )
+    return dtype, draw(st.lists(st.one_of(st.none(), value), max_size=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_numeric_keys())
+@example(case=(DataType.INTEGER, [None, 2**63 - 1, -(2**63), None]))
+@example(case=(
+    DataType.FLOAT,
+    [math.nan, None, -0.0, math.inf, 0.0, -math.inf, -math.nan],
+))
+def test_numeric_sort_codes_order_like_python(case):
+    """Numeric sort codes on every layout: NULL never ties with an int64
+    extreme, NaN sorts above +inf, -0.0 ties with 0.0."""
+    dtype, items = case
+    plain = ColumnVector.from_values(dtype, items)
+    layouts = {"plain": plain, "rle": _runs_of(dtype, items)}
+    packed = encode_bitpacked(plain) if dtype is DataType.INTEGER else None
+    if packed is not None:
+        layouts["bitpacked"] = packed
+    for name, vector in layouts.items():
+        _assert_sort_codes(vector, items, name)
 
 
 # ----------------------------------------------------------------------

@@ -144,8 +144,63 @@ class TestOps:
         )
         assert averaged.tolist() == [1.0, 5.0]
 
+    def test_sigmoid_matches_the_masked_formula(self):
+        """Bit for bit the two-branch formula it replaced, which scattered
+        ``1/(1+exp(-z))`` and ``exp(z)/(1+exp(z))`` through a mask."""
+        z = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0, 745.2,
+             -745.2, 1e-300, -1e-300],
+            np.random.default_rng(0).normal(scale=12.0, size=2000),
+        ])
+        want = np.empty_like(z)
+        positive = z >= 0
+        want[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+        exp_z = np.exp(z[~positive])
+        want[~positive] = exp_z / (1.0 + exp_z)
+        with np.errstate(over="raise", divide="raise"):  # exp never overflows
+            (got,) = lookup("sigmoid")({}, [z])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def _classifier_graph() -> Graph:
+    """pack → linear → sigmoid → threshold → label_map."""
+    return Graph(
+        name="clf",
+        inputs=[TensorSpec("x0"), TensorSpec("x1")],
+        outputs=[TensorSpec("p"), TensorSpec("label", "int"),
+                 TensorSpec("score")],
+        nodes=[
+            Node("pack", ["x0", "x1"], ["features"]),
+            Node("linear", ["features"], ["score"],
+                 {"weights": [1.0, -2.0], "bias": 0.25}),
+            Node("sigmoid", ["score"], ["p"]),
+            Node("threshold", ["p"], ["idx"]),
+            Node("label_map", ["idx"], ["label"], {"labels": [0, 1]}),
+        ],
+        output_kinds={"p": "probability", "label": "label",
+                      "score": "score"},
+    )
+
 
 class TestRuntime:
+    def test_only_the_requested_outputs_run(self):
+        graph = _classifier_graph()
+        feeds = {"x0": np.array([0.0, 3.0]), "x1": np.array([1.0, 0.0])}
+        rt = GraphRuntime()
+        full = rt.run(graph, feeds)
+        assert set(full) == {"p", "label", "score"}
+        assert rt.stats.node_executions == 5
+        for mode in ("batch", "per_row"):
+            got = rt.run(graph, feeds, mode=mode, outputs=["p"])
+            assert list(got) == ["p"]
+            assert got["p"].tobytes() == full["p"].tobytes()
+        assert rt.stats.per_op.get("threshold") == 1
+        assert rt.stats.per_op.get("label_map") == 1
+        assert rt.run(graph, feeds, outputs=[]) == {}
+        with pytest.raises(GraphError, match="not outputs"):
+            rt.run(graph, feeds, outputs=["idx"])
+
     def test_linear_batch(self):
         graph = _linear_graph([2.0, -1.0], 0.5)
         rt = GraphRuntime()

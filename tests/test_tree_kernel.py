@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -113,15 +114,18 @@ def _stack_and_sum(ensemble, matrix, aggregation, scale=0.1, init=-0.25):
 
 @contextmanager
 def _route(path: str):
-    """Route by row count, or force every batch down one path."""
-    saved = trees.SCALAR_MAX_ROWS
-    trees.SCALAR_MAX_ROWS = {
-        "routed": saved, "scalar": 10**9, "bitvector": 0,
+    """Route by row count, force every batch down one path, or score in
+    blocks of ``CROSS + 1`` rows, so a 300-row batch is three bitvector
+    blocks and a scalar one."""
+    saved = trees.SCALAR_MAX_ROWS, trees.BLOCK_ROWS
+    trees.SCALAR_MAX_ROWS, trees.BLOCK_ROWS = {
+        "routed": saved, "scalar": (10**9, saved[1]),
+        "bitvector": (0, saved[1]), "blocked": (saved[0], CROSS + 1),
     }[path]
     try:
         yield
     finally:
-        trees.SCALAR_MAX_ROWS = saved
+        trees.SCALAR_MAX_ROWS, trees.BLOCK_ROWS = saved
 
 
 PATHS = pytest.mark.parametrize("path", ["routed", "scalar", "bitvector"])
@@ -136,12 +140,19 @@ PATHS = pytest.mark.parametrize("path", ["routed", "scalar", "bitvector"])
 def test_every_tree_matches_the_walker(path, case):
     ensemble, matrix = case
     with _route(path):
-        stacked = CompiledEnsemble({"trees": ensemble}).stack(matrix)
-    for i, tree in enumerate(ensemble):
-        assert np.array_equal(stacked[i], eval_tree_dict(tree, matrix))
+        # Copy each output: the bitvector path reuses one buffer.
+        outputs = [
+            out.copy()
+            for out in CompiledEnsemble({"trees": ensemble}).outputs(matrix)
+        ]
+    assert len(outputs) == len(ensemble)
+    for out, tree in zip(outputs, ensemble):
+        assert np.array_equal(out, eval_tree_dict(tree, matrix))
 
 
-@PATHS
+@pytest.mark.parametrize(
+    "path", ["routed", "scalar", "bitvector", "blocked"]
+)
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(case=_case(), aggregation=st.sampled_from(["sum", "average"]))
 def test_ensemble_is_bit_equal_to_stack_and_sum(path, case, aggregation):
@@ -160,7 +171,7 @@ def test_ensemble_is_bit_equal_to_stack_and_sum(path, case, aggregation):
 def test_trees_past_64_leaves_use_the_walker(case):
     ensemble, _ = case
     compiled = CompiledEnsemble({"trees": ensemble})
-    assert [t.mask_dtype for t in compiled.trees[:2]] == [None, np.uint32]
+    assert [t.mask_dtype for t in compiled.trees[:2]] == [None, np.int32]
 
 
 def test_nan_goes_right_and_ties_go_left():
@@ -173,6 +184,28 @@ def test_nan_goes_right_and_ties_go_left():
             [np.repeat(matrix, n, axis=0)]
         )
         assert got.tolist() == [v for v in expected for _ in range(n)]
+
+
+def test_batch_memory_is_linear_in_rows():
+    """20 000 rows through 40 trees peak at a few (n, width) float arrays
+    plus one byte per row per distinct test, never at a (trees, n, width)
+    stack: the trees add into a running total."""
+    rng = np.random.default_rng(5)
+    ensemble = [
+        _tree(rng, 4, [-1.0, 0.0, 1.0], 1, 3, full=True) for _ in range(40)
+    ]
+    n = 20_000
+    matrix = np.asfortranarray(rng.normal(size=(n, 4)))
+    compiled = CompiledEnsemble({"trees": ensemble})
+    assert n >= CROSS and len(compiled.tests) <= 12
+    tracemalloc.start()
+    try:
+        compiled([matrix])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_output = n * 1 * 8
+    assert peak <= 5 * one_output + len(compiled.tests) * n, peak
 
 
 # ----------------------------------------------------------------------
