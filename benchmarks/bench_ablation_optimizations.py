@@ -46,18 +46,15 @@ QUERY = (
 
 CONFIGS = {
     "none": dict(enable_compression=False, enable_pruning=False,
-                 enable_inlining=False, enable_strategy_selection=False),
+                 enable_inlining=False),
     "+compression": dict(enable_compression=True, enable_pruning=False,
-                         enable_inlining=False,
-                         enable_strategy_selection=False),
+                         enable_inlining=False),
     "+pruning": dict(enable_compression=False, enable_pruning=True,
-                     enable_inlining=False, enable_strategy_selection=False),
+                     enable_inlining=False),
     "+inlining": dict(enable_compression=False, enable_pruning=False,
-                      enable_inlining=True, enable_strategy_selection=False),
-    "+selection": dict(enable_compression=False, enable_pruning=False,
-                       enable_inlining=False, enable_strategy_selection=True),
+                      enable_inlining=True),
     "all": dict(enable_compression=True, enable_pruning=True,
-                enable_inlining=True, enable_strategy_selection=True),
+                enable_inlining=True),
 }
 
 

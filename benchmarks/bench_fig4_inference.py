@@ -108,7 +108,6 @@ _OFF = dict(
     enable_compression=False,
     enable_pruning=False,
     enable_inlining=False,
-    enable_strategy_selection=False,
 )
 
 

@@ -2,9 +2,7 @@
 
 Each node is evaluated bottom-up into a :class:`~flock.db.vector.Batch`.
 Tables are materialized in memory, so full materialization per operator is
-the appropriate regime (it is also what keeps the vectorized-vs-per-row
-comparison in the Figure 4 benchmark honest: both regimes share this
-executor and differ only in the Predict operator's strategy).
+the appropriate regime.
 """
 
 from __future__ import annotations
@@ -128,15 +126,11 @@ class Executor:
             batch = self._execute_node(plan)
             elapsed_ns = time.perf_counter_ns() - start_ns
             span.set_attribute("rows_out", batch.num_rows)
-            if isinstance(plan, PredictNode):
-                span.set_attribute("strategy", plan.strategy or "batch")
             if self.collect_stats:
                 node_stats = self.node_stats.setdefault(id(plan), NodeStats())
                 node_stats.calls += 1
                 node_stats.rows_out += batch.num_rows
                 node_stats.wall_ns += elapsed_ns
-                if isinstance(plan, PredictNode):
-                    node_stats.extras["strategy"] = plan.strategy or "batch"
         metrics().counter("exec.operators").inc()
         return batch
 

@@ -19,6 +19,7 @@ import numpy as np
 from flock.db.types import DataType, date_to_days
 from flock.db.vector import ColumnVector
 from flock.errors import BindError, ExecutionError
+from flock.mlgraph.ops.math import logistic
 
 # ----------------------------------------------------------------------
 # Scalar functions
@@ -200,6 +201,9 @@ _register(
 )
 _register("EXP", (1, 1), _always(DataType.FLOAT), _unary_numpy(np.exp, DataType.FLOAT))
 _register("LN", (1, 1), _always(DataType.FLOAT), _unary_numpy(np.log, DataType.FLOAT))
+_register(
+    "SIGMOID", (1, 1), _always(DataType.FLOAT), _unary_numpy(logistic, DataType.FLOAT)
+)
 _register("POWER", (2, 2), _always(DataType.FLOAT), _power_impl)
 _register(
     "UPPER", (1, 1), _always(DataType.TEXT), _text_map(lambda s: s.upper(), DataType.TEXT)

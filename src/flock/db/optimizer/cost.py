@@ -2,8 +2,8 @@
 
 Cardinality estimation uses table statistics (row counts, distinct counts)
 with textbook default selectivities. The estimates drive join-side selection
-and the inference layer's physical operator selection ("physical operator
-selection based on statistics", §4.1).
+and the index access-path gates. How a PREDICT is scored is not chosen
+here: that choice is made at run time on the rows actually observed.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Passes, in order:
    combined with the inference layer's sparsity analysis this realizes
    "automatic pruning of unused input feature-columns");
 6. extra rules registered by other layers (flock.inference contributes model
-   pruning/compression/inlining and physical strategy selection).
+   pruning/compression/inlining).
 
 Rules never mutate shared expression state: expressions are deep-copied when
 they move across a node boundary.
@@ -440,7 +440,6 @@ def _prune(
             plan.model_name,
             [child_mapping[i] for i in plan.input_indexes],
             plan.output_fields,
-            strategy=plan.strategy,
         )
         node.compiled = plan.compiled
         mapping = dict(child_mapping)

@@ -166,9 +166,9 @@ class PredictNode(PlanNode):
     positions, ordered as the model's input features) to the model named
     ``model_name``, and appends the prediction columns to the child schema.
 
-    ``strategy`` is filled by the physical selector ('batch' | 'row_udf' |
-    'inline'); ``compiled`` caches artifacts the executor needs (a pruned /
-    compressed model graph, or an inlined expression).
+    ``compiled`` caches the artifact the executor needs (a pruned /
+    compressed model graph); a node the cross-optimizer inlines is replaced
+    by a projection and never executes.
     """
 
     def __init__(
@@ -177,13 +177,11 @@ class PredictNode(PlanNode):
         model_name: str,
         input_indexes: Sequence[int],
         output_fields: Sequence[Field],
-        strategy: str = "batch",
     ):
         self.child = child
         self.model_name = model_name
         self.input_indexes = list(input_indexes)
         self.output_fields = list(output_fields)
-        self.strategy = strategy
         self.compiled: Optional[object] = None
         self.fields = list(child.fields) + list(output_fields)
 
@@ -194,7 +192,7 @@ class PredictNode(PlanNode):
         outs = ", ".join(f.name for f in self.output_fields)
         return (
             f"Predict(model={self.model_name}, inputs={self.input_indexes}, "
-            f"outputs=[{outs}], strategy={self.strategy})"
+            f"outputs=[{outs}])"
         )
 
 

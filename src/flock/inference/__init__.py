@@ -9,23 +9,23 @@ over the :mod:`flock.mlgraph` runtime, and optimized by
 - predicate push-down below the model (relational side, in flock.db) and
   push-up of predicates over predictions via UDF inlining;
 - automatic pruning of unused input feature-columns from model sparsity;
-- model compression exploiting input data statistics;
-- physical operator selection (vectorized batch vs per-row UDF) based on
-  statistics.
+- model compression exploiting input data statistics.
+
+A PREDICT the optimizer does not inline runs in one vectorized batch
+path; its physical choices are made on the input it observes (the tree
+scorer's row count, dictionary-coded inputs scored once per distinct code).
 """
 
 from flock.inference.compression import compress_graph
 from flock.inference.optimizer import CrossOptimizer
 from flock.inference.predict import DefaultScorer, PreparedModel
 from flock.inference.pruning import prune_predict_inputs
-from flock.inference.selection import choose_strategy
 from flock.inference.udf import inline_graph
 
 __all__ = [
     "CrossOptimizer",
     "DefaultScorer",
     "PreparedModel",
-    "choose_strategy",
     "compress_graph",
     "inline_graph",
     "prune_predict_inputs",

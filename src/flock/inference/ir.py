@@ -4,50 +4,13 @@ The paper derives "an intermediate representation amenable to optimization"
 from end-to-end prediction pipelines (§4.1). In this codebase that IR *is*
 the logical plan: relational operators (:mod:`flock.db.plan`) and the
 :class:`~flock.db.plan.PredictNode` ML operator live in one tree, so one
-optimizer moves work across the SQL/ML boundary. This module provides
-introspection helpers over that hybrid IR.
+optimizer moves work across the SQL/ML boundary. This module traces plan
+columns back to the stored columns whose statistics compress a model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from flock.db.plan import PlanNode, PredictNode, ScanNode
-
-
-def predict_nodes(plan: PlanNode) -> list[PredictNode]:
-    """All ML operators in the plan, in walk order."""
-    return [n for n in plan.walk() if isinstance(n, PredictNode)]
-
-
-def scan_nodes(plan: PlanNode) -> list[ScanNode]:
-    return [n for n in plan.walk() if isinstance(n, ScanNode)]
-
-
-@dataclass(frozen=True)
-class HybridPlanSummary:
-    """Shape metrics of a hybrid plan (used by tests and ablation benches)."""
-
-    relational_operators: int
-    ml_operators: int
-    scanned_columns: int
-    strategies: tuple[str, ...]
-
-    @property
-    def total_operators(self) -> int:
-        return self.relational_operators + self.ml_operators
-
-
-def summarize(plan: PlanNode) -> HybridPlanSummary:
-    predicts = predict_nodes(plan)
-    scans = scan_nodes(plan)
-    total = sum(1 for _ in plan.walk())
-    return HybridPlanSummary(
-        relational_operators=total - len(predicts),
-        ml_operators=len(predicts),
-        scanned_columns=sum(len(s.column_indexes) for s in scans),
-        strategies=tuple(p.strategy for p in predicts),
-    )
 
 
 def column_origin(

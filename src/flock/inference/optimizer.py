@@ -9,9 +9,12 @@ PredictNode:
    the later projection-pruning pass shrinks the scans);
 3. **UDF inlining + predicate push-up**: small models become SQL expressions
    and the node disappears; a pushdown re-run then moves predicates over
-   predictions into the scans;
-4. **physical strategy selection**: vectorized batch vs per-row UDF scoring
-   by estimated cardinality.
+   predictions into the scans.
+
+A node left in the plan is scored in one vectorized batch; no physical
+choice is made here from estimated cardinalities. The choices that depend
+on the input (the tree scorer's scalar walk for a few rows, scoring once
+per distinct dictionary code) are made at run time on the rows observed.
 
 Every decision is recorded in :attr:`CrossOptimizer.last_report` so tests,
 examples and the ablation benchmarks can observe what fired.
@@ -19,12 +22,10 @@ examples and the ablation benchmarks can observe what fired.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field as dataclass_field
 
 from flock.db.expr import BoundColumn, BoundLiteral
-from flock.db.optimizer.cost import estimate_rows
 from flock.db.optimizer.rules import apply_pushdown
 from flock.db.plan import JoinNode, PlanNode, PredictNode, ProjectNode
 from flock.db.types import DataType
@@ -32,7 +33,6 @@ from flock.inference.compression import compress_graph
 from flock.inference.ir import column_origin
 from flock.inference.predict import PreparedModel, _strip_prefix
 from flock.inference.pruning import prune_predict_inputs
-from flock.inference.selection import choose_strategy
 from flock.inference.udf import DEFAULT_MAX_EXPR_NODES, inline_graph
 
 
@@ -43,7 +43,6 @@ class CrossOptimizer:
     enable_compression: bool = True
     enable_pruning: bool = True
     enable_inlining: bool = True
-    enable_strategy_selection: bool = True
     weight_tolerance: float = 1e-9
     max_inline_nodes: int = DEFAULT_MAX_EXPR_NODES
     # When a MonitorHub is attached, monitored models are not inlined:
@@ -99,9 +98,6 @@ class CrossOptimizer:
                 with get_tracer().span("xopt.inline"):
                     plan = self._inline_pass(plan)
                     plan = apply_pushdown(plan)
-            if self.enable_strategy_selection:
-                with get_tracer().span("xopt.strategy"):
-                    self._select_strategies(plan, context)
             span.set_attribute("rules_applied", len(self.last_report))
         registry = metrics()
         registry.counter("xopt.applications").inc()
@@ -234,23 +230,3 @@ class CrossOptimizer:
             f"{plan.model_name}: inlined into SQL expressions"
         )
         return ProjectNode(plan.child, passthrough + output_exprs, names)
-
-    # -- strategy selection ---------------------------------------------
-    def _select_strategies(self, plan: PlanNode, context) -> None:
-        for node in plan.walk():
-            if not isinstance(node, PredictNode):
-                continue
-            prepared = node.compiled
-            graph = (
-                prepared.graph
-                if isinstance(prepared, PreparedModel)
-                else context.model_artifact(node.model_name)
-            )
-            rows = estimate_rows(node.child, context.table_row_count)
-            if not math.isfinite(rows):
-                rows = 1e9
-            node.strategy = choose_strategy(rows, graph)
-            self.last_report.append(
-                f"{node.model_name}: strategy={node.strategy} "
-                f"(est. {rows:.0f} rows)"
-            )

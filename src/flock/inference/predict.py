@@ -1,9 +1,11 @@
 """Executing PredictNode operators.
 
 :class:`DefaultScorer` is the bridge between the relational executor and the
-:mod:`flock.mlgraph` runtime. It honours the physical strategy chosen by the
-cross-optimizer ('batch' vectorized vs 'row_udf' tuple-at-a-time) and the
-prepared artifact (pruned inputs, compressed graph) attached to the node.
+:mod:`flock.mlgraph` runtime. Every PREDICT the cross-optimizer leaves in
+the plan is scored here in one vectorized batch, with the prepared artifact
+(pruned inputs, compressed graph) attached to the node. The one physical
+choice made here is on the observed input: a batch whose inputs are all
+dictionary-coded is scored once per distinct code combination.
 """
 
 from __future__ import annotations
@@ -64,11 +66,7 @@ class DefaultScorer:
         self, node: PredictNode, inputs: Batch, store
     ) -> list[ColumnVector]:
         with get_tracer().span(
-            "predict.score",
-            {
-                "model": node.model_name,
-                "strategy": node.strategy or "batch",
-            },
+            "predict.score", {"model": node.model_name}
         ) as span:
             start_ns = time.perf_counter_ns()
             result = self._score(node, inputs, store)
@@ -131,10 +129,7 @@ class DefaultScorer:
             )
             if score_tensor is not None:
                 wanted[score_tensor] = None
-        mode = "per_row" if node.strategy == "row_udf" else "batch"
-        outputs = self.runtime.run(
-            graph, feeds, mode=mode, outputs=list(wanted)
-        )
+        outputs = self.runtime.run(graph, feeds, outputs=list(wanted))
 
         if self.monitor_hub is not None:
             try:
@@ -162,12 +157,10 @@ class DefaultScorer:
         row permutation/selection of the full batch — bit-identical,
         because every mlgraph op is elementwise or row-wise over the batch
         axis. Skipped when a monitor hub is attached (it must observe the
-        actual per-row feeds) and in per-row UDF mode (whose cost model is
-        the point of the comparison).
+        actual per-row feeds).
         """
         if (
-            node.strategy == "row_udf"
-            or self.monitor_hub is not None
+            self.monitor_hub is not None
             or inputs.num_columns == 0
             or inputs.num_rows < 2
             or not all(
@@ -218,10 +211,10 @@ def _column_to_feed(
             )
         # Hoist: on encoded vectors each property access decodes the column.
         nulls = column.nulls
-        values = column.values.astype(np.float64)
-        if nulls.any():
-            values = values.copy()
-            values[nulls] = np.nan  # imputers downstream handle NaN
+        if not nulls.any():
+            return column.values.astype(np.float64, copy=False)
+        values = column.values.astype(np.float64)  # a copy, never the store
+        values[nulls] = np.nan  # imputers downstream handle NaN
         return values
     if isinstance(column, DictionaryVector):
         # Gather the feed straight from the dictionary; object slots start

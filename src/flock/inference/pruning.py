@@ -26,6 +26,10 @@ def prune_predict_inputs(
     ``input_indexes`` are narrowed in place.
     """
     used = used_inputs(graph, weight_tolerance)
+    if not used and graph.input_names:
+        # A batch with no columns has no rows: a model that reads nothing
+        # (every tree folded to a leaf) keeps one input for the row count.
+        used = {graph.input_names[0]}
     active_inputs: list[str] = []
     kept_indexes: list[int] = []
     constant_fill: dict[str, float] = {}

@@ -203,12 +203,7 @@ def _inline_node(
 
     if op == "sigmoid":
         (operand,) = inputs
-        out = []
-        for z in operand:
-            neg = builder.sub(builder.lit(0.0), z)
-            denominator = builder.add(builder.lit(1.0), builder.call("EXP", [neg]))
-            out.append(builder.div(builder.lit(1.0), denominator))
-        return [out]
+        return [[builder.call("SIGMOID", [z]) for z in operand]]
 
     if op == "threshold":
         (operand,) = inputs

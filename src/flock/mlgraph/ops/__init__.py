@@ -1,9 +1,8 @@
 """Operator registry for model graphs.
 
 Each operator has a name and a batch implementation
-``execute(attrs, inputs) -> outputs`` over numpy arrays. Row-at-a-time
-execution is handled by the runtime (it slices rows and calls the same
-implementations), so batch and per-row modes cannot diverge semantically.
+``execute(attrs, inputs) -> outputs`` over numpy arrays; a row scored
+alone is a one-row batch through the same implementation.
 
 An operator whose attributes are worth preparing once (a tree ensemble's
 flat arrays) registers a compiler ``compile(attrs) -> run(inputs)``

@@ -57,8 +57,7 @@ def mul(attrs: dict, inputs: list[np.ndarray]) -> list[np.ndarray]:
     return [left * right]
 
 
-@register("sigmoid")
-def sigmoid(attrs: dict, inputs: list[np.ndarray]) -> list[np.ndarray]:
+def logistic(z: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-z))`` for ``z >= 0`` and ``exp(z) / (1 + exp(z))``
     otherwise, so ``exp`` never overflows.
 
@@ -70,8 +69,11 @@ def sigmoid(attrs: dict, inputs: list[np.ndarray]) -> list[np.ndarray]:
     over both quotients 3.9 ms and the scatter 6.8 ms. Only a NaN
     input differs, in the sign ``-|z|`` gives it, so NaN rows take the
     second formula on ``z`` itself.
+
+    The ``sigmoid`` graph op and the SQL function ``SIGMOID`` (which an
+    inlined model calls) both run this, so an inlined and a runtime-scored
+    PREDICT agree bit for bit on the same ``z``.
     """
-    (z,) = inputs
     e = np.exp(-np.abs(z))
     out = np.maximum(e, z >= 0)
     out /= 1.0 + e
@@ -79,7 +81,13 @@ def sigmoid(attrs: dict, inputs: list[np.ndarray]) -> list[np.ndarray]:
     if nan.any():
         exp_z = np.exp(z[nan])
         out[nan] = exp_z / (1.0 + exp_z)
-    return [out]
+    return out
+
+
+@register("sigmoid")
+def sigmoid(attrs: dict, inputs: list[np.ndarray]) -> list[np.ndarray]:
+    (z,) = inputs
+    return [logistic(z)]
 
 
 @register("softmax")

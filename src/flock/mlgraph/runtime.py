@@ -1,12 +1,10 @@
 """The reference graph runtime (the ONNX Runtime stand-in).
 
-Two execution regimes, shared op implementations:
-
-- ``batch``: one vectorized pass over the whole feed — the regime of
-  standalone ONNX Runtime and of in-DBMS batch scoring;
-- ``per_row``: rows are fed one at a time — the regime of row-oriented
-  Python UDF scoring, whose per-call dispatch overhead is exactly what
-  Figure 4's SONNX/SONNX-ext columns eliminate.
+One execution regime: one vectorized pass over the whole feed, the regime
+of standalone ONNX Runtime and of in-DBMS batch scoring. A row scored
+alone is a one-row feed through the same pass and gets the same bits as
+inside a larger batch; an operator that picks a cheaper kernel for few
+rows (the tree scorer's scalar walk) decides on the row count it is given.
 """
 
 from __future__ import annotations
@@ -94,7 +92,6 @@ class GraphRuntime:
         self,
         graph: Graph,
         feeds: dict[str, np.ndarray],
-        mode: str = "batch",
         outputs: list[str] | None = None,
     ) -> dict[str, np.ndarray]:
         """Execute *graph* and return its named outputs.
@@ -120,15 +117,20 @@ class GraphRuntime:
 
         local = RuntimeStats()
         with get_tracer().span(
-            "mlgraph.run",
-            {"mode": mode, "graph": getattr(graph, "name", "?")},
+            "mlgraph.run", {"graph": getattr(graph, "name", "?")}
         ) as span:
-            if mode == "batch":
-                result = self._run_batch(graph, feeds, wanted, local)
-            elif mode == "per_row":
-                result = self._run_per_row(graph, feeds, wanted, n_rows, local)
-            else:
-                raise GraphError(f"unknown execution mode {mode!r}")
+            tensors: dict[str, np.ndarray] = {
+                name: np.asarray(feeds[name]) for name in graph.input_names
+            }
+            for node, op in self._plan(graph, wanted):
+                values = op([tensors[name] for name in node.inputs])
+                if len(values) != len(node.outputs):
+                    raise GraphError(
+                        f"operator {node.op_type} produced {len(values)} "
+                        f"outputs, expected {len(node.outputs)}"
+                    )
+                tensors.update(zip(node.outputs, values))
+                local.note(node.op_type)
             span.set_attribute("rows", n_rows)
         local.runs = 1
         local.rows = n_rows
@@ -140,46 +142,7 @@ class GraphRuntime:
             local.node_executions
         )
         registry.histogram("mlgraph.run_rows").observe(n_rows)
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_batch(
-        self, graph: Graph, feeds: dict[str, np.ndarray],
-        wanted: tuple[str, ...], stats: RuntimeStats,
-    ) -> dict[str, np.ndarray]:
-        tensors: dict[str, np.ndarray] = {
-            name: np.asarray(feeds[name]) for name in graph.input_names
-        }
-        for node, run in self._plan(graph, wanted):
-            outputs = run([tensors[name] for name in node.inputs])
-            if len(outputs) != len(node.outputs):
-                raise GraphError(
-                    f"operator {node.op_type} produced {len(outputs)} outputs, "
-                    f"expected {len(node.outputs)}"
-                )
-            for name, value in zip(node.outputs, outputs):
-                tensors[name] = value
-            stats.note(node.op_type)
         return {name: tensors[name] for name in wanted}
-
-    def _run_per_row(
-        self, graph: Graph, feeds: dict[str, np.ndarray],
-        wanted: tuple[str, ...], n_rows: int, stats: RuntimeStats,
-    ) -> dict[str, np.ndarray]:
-        collected: dict[str, list] = {name: [] for name in wanted}
-        arrays = {name: np.asarray(feeds[name]) for name in graph.input_names}
-        for i in range(n_rows):
-            row_feed = {name: arrays[name][i : i + 1] for name in arrays}
-            row_out = self._run_batch(graph, row_feed, wanted, stats)
-            for name, value in row_out.items():
-                collected[name].append(value)
-        out: dict[str, np.ndarray] = {}
-        for name, chunks in collected.items():
-            if chunks:
-                out[name] = np.concatenate(chunks)
-            else:
-                out[name] = np.empty(0)
-        return out
 
 
 def _needed(

@@ -7,8 +7,8 @@ from typing import Dict, List, Optional
 
 from .tracing import Span
 
-_INTERESTING_ATTRS = ("rows_in", "rows_out", "rows", "strategy", "statement",
-                      "operator", "model", "rules_applied", "mode", "user")
+_INTERESTING_ATTRS = ("rows_in", "rows_out", "rows", "statement", "operator",
+                      "model", "rules_applied", "user")
 
 
 def _attr_text(span: Span) -> str:

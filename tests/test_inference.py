@@ -1,7 +1,7 @@
 """In-DBMS inference tests: PREDICT semantics and the cross-optimizer.
 
 The golden property throughout: whatever the cross-optimizer does —
-compression, input pruning, UDF inlining, strategy switching — the
+compression, input pruning, UDF inlining — the
 predictions match the Python pipeline exactly.
 """
 
@@ -11,14 +11,15 @@ import pytest
 from flock import create_database
 from flock.errors import BindError
 from flock.inference import CrossOptimizer
-from flock.inference.selection import choose_strategy, estimate_costs
 from flock.ml import (
     GradientBoostingClassifier,
-    LinearRegression,
     LogisticRegression,
     Pipeline,
     StandardScaler,
 )
+from flock.db.types import DataType
+from flock.db.vector import ColumnVector
+from flock.inference.predict import _column_to_feed
 from flock.ml.datasets import load_dataset_into, make_loans
 from flock.mlgraph import to_graph
 
@@ -89,15 +90,15 @@ class TestPredictSQL:
 class TestCrossOptimizerEquivalence:
     CONFIGS = [
         {"enable_compression": False, "enable_pruning": False,
-         "enable_inlining": False, "enable_strategy_selection": False},
+         "enable_inlining": False},
         {"enable_compression": True, "enable_pruning": False,
-         "enable_inlining": False, "enable_strategy_selection": False},
+         "enable_inlining": False},
         {"enable_compression": False, "enable_pruning": True,
-         "enable_inlining": False, "enable_strategy_selection": False},
+         "enable_inlining": False},
         {"enable_compression": False, "enable_pruning": False,
-         "enable_inlining": True, "enable_strategy_selection": False},
+         "enable_inlining": True},
         {"enable_compression": True, "enable_pruning": True,
-         "enable_inlining": True, "enable_strategy_selection": True},
+         "enable_inlining": True},
     ]
 
     @pytest.mark.parametrize("config", CONFIGS)
@@ -180,7 +181,7 @@ class TestInliningAndPushup:
         )
         assert "Predict(" not in plan_text  # fully inlined
         assert "Filter" in plan_text
-        assert "EXP" in plan_text  # the sigmoid became SQL arithmetic
+        assert "SIGMOID" in plan_text  # the sigmoid became a SQL function
 
     def test_report_mentions_inlining(self, loan_setup):
         database, *_ = loan_setup
@@ -198,8 +199,8 @@ class TestInliningAndPushup:
             "SELECT applicant_id FROM loans WHERE PREDICT(loan_model) > 0.9"
         )
         assert "Predict(" not in plan_text
-        # The sigmoid expression (EXP) occurs once in the whole plan.
-        assert plan_text.count("EXP") == 1
+        # The sigmoid call (SIGMOID) occurs once in the whole plan.
+        assert plan_text.count("SIGMOID") == 1
         # And the filter sits over the projection that computes it.
         lines = [l.strip() for l in plan_text.splitlines()]
         filter_index = next(
@@ -255,58 +256,100 @@ class TestPruning:
         )
 
 
-class TestStrategySelection:
-    def test_batch_for_large_row_udf_for_tiny(self):
-        dataset = make_loans(60, random_state=5)
-        model = LinearRegression().fit(
-            dataset.feature_matrix(), dataset.target_vector().astype(float)
-        )
-        graph = to_graph(model, dataset.feature_names, name="m")
-        assert choose_strategy(100_000, graph) == "batch"
-        assert choose_strategy(1, graph) == "row_udf"
-
-    def test_costs_monotone_in_rows(self):
-        dataset = make_loans(60, random_state=6)
-        model = LinearRegression().fit(
-            dataset.feature_matrix(), dataset.target_vector().astype(float)
-        )
-        graph = to_graph(model, dataset.feature_names, name="m")
-        small = estimate_costs(10, graph)
-        large = estimate_costs(10_000, graph)
-        assert large.batch_cost > small.batch_cost
-        assert large.row_udf_cost > small.row_udf_cost
-
-    def test_row_udf_execution_correct(self):
+class TestRuntimeScoring:
+    def test_runtime_scoring_matches_predict_proba(self):
         dataset = make_loans(50, random_state=7)
         gbm = GradientBoostingClassifier(n_estimators=5, random_state=0).fit(
             dataset.feature_matrix(), dataset.target_vector()
         )
         database, registry = create_database(
-            CrossOptimizer(
-                enable_inlining=False, enable_strategy_selection=False
-            )
+            CrossOptimizer(enable_inlining=False)
         )
         load_dataset_into(database, dataset)
         registry.deploy("m", to_graph(gbm, dataset.feature_names, name="m"))
-
-        # Force row_udf by planning manually.
-        from flock.db.plan import PredictNode
-
-        class ForcedRowUDF(CrossOptimizer):
-            def apply(self, plan, context):
-                plan = super().apply(plan, context)
-                for node in plan.walk():
-                    if isinstance(node, PredictNode):
-                        node.strategy = "row_udf"
-                return plan
-
-        database.optimizer.extra_rules = [
-            ForcedRowUDF(
-                enable_inlining=False, enable_strategy_selection=False
-            ).apply
-        ]
         got = database.execute(
             "SELECT PREDICT(m) AS p FROM loans ORDER BY applicant_id"
         ).column("p")
         expected = gbm.predict_proba(dataset.feature_matrix())[:, 1]
         assert np.allclose(got, expected)
+
+    @pytest.mark.parametrize("kind", ["gbm", "linear"])
+    def test_tiny_tables_score_the_bits_of_a_large_one(self, kind):
+        """A 1-row or 3-row table is scored through the same batch path as
+        a 300-row one, and each key gets the same bits in both."""
+        dataset = make_loans(300, random_state=3)
+        X, y = dataset.feature_matrix(), dataset.target_vector()
+        if kind == "gbm":
+            model = GradientBoostingClassifier(
+                n_estimators=40, random_state=0
+            ).fit(X, y)
+        else:
+            model = Pipeline(
+                [("s", StandardScaler()),
+                 ("m", LogisticRegression(max_iter=150))]
+            ).fit(X, y)
+        database, registry = create_database(
+            CrossOptimizer(enable_inlining=False)
+        )
+        load_dataset_into(database, dataset)
+        registry.deploy("m", to_graph(model, dataset.feature_names, name="m"))
+        rows = dataset.insert_rows()
+        placeholders = ", ".join("?" * len(rows[0]))
+        query = (
+            "SELECT applicant_id, PREDICT(m) AS p FROM {} "
+            "ORDER BY applicant_id"
+        )
+        large = dict(database.execute(query.format("loans")).rows())
+        for name, picked in (("one", [rows[13]]),
+                             ("three", [rows[7], rows[150], rows[299]])):
+            database.execute(dataset.create_table_sql(name))
+            database.executemany(
+                f"INSERT INTO {name} VALUES ({placeholders})", picked
+            )
+            small = database.execute(query.format(name)).rows()
+            assert len(small) == len(picked)
+            for key, score in small:
+                assert np.float64(score).tobytes() == (
+                    np.float64(large[key]).tobytes()
+                ), (name, key)
+
+    def test_scoring_leaves_the_stored_columns_unchanged(self, monkeypatch):
+        """A NULL-free FLOAT feed is the stored array itself, not a copy;
+        a feed with NULLs is one copy with NaN in the NULL slots. Either
+        way scoring writes nothing into the table."""
+        monkeypatch.setenv("FLOCK_ENCODINGS", "0")
+        dataset = make_loans(120, random_state=4)
+        pipeline = Pipeline(
+            [("s", StandardScaler()), ("m", LogisticRegression(max_iter=150))]
+        ).fit(dataset.feature_matrix(), dataset.target_vector())
+        database, registry = create_database(
+            CrossOptimizer(enable_inlining=False)
+        )
+        load_dataset_into(database, dataset)
+        database.execute(
+            "UPDATE loans SET income = NULL WHERE applicant_id % 7 = 0"
+        )
+        registry.deploy(
+            "m", to_graph(pipeline, dataset.feature_names, name="m")
+        )
+        stored = database.catalog.table("loans").head_version.batch().columns
+
+        def snapshot():
+            return [(c.values.tobytes(), c.nulls.tobytes()) for c in stored]
+
+        before = snapshot()
+        result = database.execute(
+            "SELECT PREDICT(m) AS p FROM loans"
+        ).column("p")
+        assert len(result) == 120
+        assert snapshot() == before
+
+        values = np.array([1.5, -2.0, 0.25])
+        plain = ColumnVector(DataType.FLOAT, values, np.zeros(3, dtype=bool))
+        assert _column_to_feed(plain, "float", "m") is values
+        nulls = np.array([False, True, False])
+        with_nulls = ColumnVector(DataType.FLOAT, values, nulls)
+        feed = _column_to_feed(with_nulls, "float", "m")
+        assert not np.shares_memory(feed, values)
+        assert np.isnan(feed[1]) and feed[[0, 2]].tolist() == [1.5, 0.25]
+        assert values.tolist() == [1.5, -2.0, 0.25]

@@ -20,6 +20,11 @@ from flock.mlgraph import GraphRuntime
 from flock.mlgraph.analysis import used_inputs
 from flock.mlgraph.graph import Graph, Node, TensorSpec
 
+# An overflow or invalid value in these equivalences is a fault, not
+# noise: an inlined sigmoid whose EXP overflows reads 0.0 where the graph
+# reads a subnormal.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _linear_pipeline_graph(weights, bias, offsets, divisors) -> Graph:
     names = [f"x{i}" for i in range(len(weights))]
@@ -203,3 +208,82 @@ def test_pruning_soundness_property(weights):
             assert f"x{i}" not in used
         else:
             assert f"x{i}" in used
+
+
+_SIGMOID_GRAPH = Graph(
+    "g",
+    inputs=[TensorSpec("z")],
+    outputs=[TensorSpec("probability")],
+    nodes=[Node("sigmoid", ["z"], ["probability"])],
+    output_kinds={"probability": "probability"},
+)
+#: Past exp's overflow (-709.78), in the subnormal tail (-745.2), both
+#: zeros, both infinities and NaN.
+_SIGMOID_EDGES = [-720.0, -745.2, 0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+def _inlined_sigmoid(z: np.ndarray) -> np.ndarray:
+    exprs = inline_graph(
+        _SIGMOID_GRAPH, {"z": BoundColumn(0, DataType.FLOAT, "z")}
+    )
+    assert exprs is not None
+    column = ColumnVector(DataType.FLOAT, z, np.zeros(len(z), dtype=bool))
+    return exprs["probability"].evaluate(Batch(["z"], [column])).values
+
+
+def test_inlined_sigmoid_is_the_graph_sigmoid_at_the_edges():
+    rng = np.random.default_rng(5)
+    z = np.concatenate([_SIGMOID_EDGES, rng.normal(0.0, 30.0, 10_000)])
+    want = GraphRuntime().run(_SIGMOID_GRAPH, {"z": z})["probability"]
+    got = _inlined_sigmoid(z)
+    assert got.tobytes() == want.tobytes()
+    assert want[0] == pytest.approx(np.exp(-720.0), rel=1e-12)
+    assert want[0] > 0.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+def test_inlined_sigmoid_is_the_graph_sigmoid(zs):
+    z = np.array(zs, dtype=np.float64)
+    want = GraphRuntime().run(_SIGMOID_GRAPH, {"z": z})["probability"]
+    assert _inlined_sigmoid(z).tobytes() == want.tobytes()
+
+
+def test_inlined_predict_far_below_zero_matches_the_runtime():
+    """An inlined PREDICT and a runtime-scored one of the same stored rows
+    return the same bits, at z = -720 too, with no overflow warning."""
+    from flock import create_database
+    from flock.inference import CrossOptimizer
+
+    graph = Graph(
+        "m",
+        inputs=[TensorSpec("x")],
+        outputs=[TensorSpec("probability")],
+        nodes=[
+            Node("pack", ["x"], ["v"]),
+            Node("linear", ["v"], ["z"], {"weights": [1.0], "bias": 0.0}),
+            Node("sigmoid", ["z"], ["probability"]),
+        ],
+        output_kinds={"probability": "probability"},
+    )
+    results = {}
+    for inline in (True, False):
+        database, registry = create_database(
+            CrossOptimizer(enable_inlining=inline)
+        )
+        database.execute("CREATE TABLE t (k INTEGER, x FLOAT)")
+        database.executemany(
+            "INSERT INTO t VALUES (?, ?)",
+            [(1, -720.0), (2, -745.2), (3, -3.5), (4, 0.0), (5, 2.25)],
+        )
+        registry.deploy("m", graph)
+        plan = database.explain("SELECT PREDICT(m) FROM t")
+        assert ("Predict(" in plan) is not inline
+        results[inline] = np.array(
+            database.execute(
+                "SELECT PREDICT(m) AS p FROM t ORDER BY k"
+            ).column("p"),
+            dtype=np.float64,
+        )
+    assert results[True].tobytes() == results[False].tobytes()
+    assert results[True][0] > 0.0

@@ -1,4 +1,4 @@
-"""Coverage for the smaller public surfaces: hybrid-IR helpers, datasets,
+"""Coverage for the smaller public surfaces: hybrid-IR column origins, datasets,
 training-service edges, create_database wiring, script corpora."""
 
 import numpy as np
@@ -9,26 +9,6 @@ from flock.errors import FlockError, WorkloadError
 
 
 class TestHybridIR:
-    def test_summarize_counts_operators(self, loan_setup):
-        from flock.db.binder import Binder
-        from flock.db.sql.parser import parse_statement
-        from flock.inference.ir import predict_nodes, scan_nodes, summarize
-
-        database, *_ = loan_setup
-        plan = Binder(database).bind_select(
-            parse_statement(
-                "SELECT applicant_id, PREDICT(loan_model) AS p FROM loans"
-            )
-        )
-        summary = summarize(plan)
-        assert summary.ml_operators == 1
-        assert summary.relational_operators >= 2
-        assert summary.total_operators == (
-            summary.ml_operators + summary.relational_operators
-        )
-        assert len(predict_nodes(plan)) == 1
-        assert len(scan_nodes(plan)) == 1
-
     def test_column_origin_through_operators(self, emp_db):
         from flock.db.binder import Binder
         from flock.db.sql.parser import parse_statement

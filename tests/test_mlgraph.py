@@ -191,10 +191,14 @@ class TestRuntime:
         full = rt.run(graph, feeds)
         assert set(full) == {"p", "label", "score"}
         assert rt.stats.node_executions == 5
-        for mode in ("batch", "per_row"):
-            got = rt.run(graph, feeds, mode=mode, outputs=["p"])
-            assert list(got) == ["p"]
-            assert got["p"].tobytes() == full["p"].tobytes()
+        got = rt.run(graph, feeds, outputs=["p"])
+        assert list(got) == ["p"]
+        assert got["p"].tobytes() == full["p"].tobytes()
+        for i in range(2):
+            row = {name: values[i : i + 1] for name, values in feeds.items()}
+            alone = rt.run(graph, row, outputs=["p"])
+            assert list(alone) == ["p"]
+            assert alone["p"].tobytes() == full["p"][i : i + 1].tobytes()
         assert rt.stats.per_op.get("threshold") == 1
         assert rt.stats.per_op.get("label_map") == 1
         assert rt.run(graph, feeds, outputs=[]) == {}
@@ -218,9 +222,12 @@ class TestRuntime:
             "x1": np.arange(10, dtype=float)[::-1].copy(),
         }
         rt = GraphRuntime()
-        batch = rt.run(graph, feeds, mode="batch")["score"]
-        per_row = rt.run(graph, feeds, mode="per_row")["score"]
-        assert np.allclose(batch, per_row)
+        batch = rt.run(graph, feeds)["score"]
+        per_row = np.concatenate([
+            rt.run(graph, {n: v[i : i + 1] for n, v in feeds.items()})["score"]
+            for i in range(10)
+        ])
+        assert per_row.tobytes() == batch.tobytes()
 
     def test_missing_feed_rejected(self):
         graph = _linear_graph([1.0], 0.0)
@@ -233,11 +240,6 @@ class TestRuntime:
             GraphRuntime().run(
                 graph, {"x0": np.zeros(2), "x1": np.zeros(3)}
             )
-
-    def test_unknown_mode(self):
-        graph = _linear_graph([1.0], 0.0)
-        with pytest.raises(GraphError):
-            GraphRuntime().run(graph, {"x0": np.zeros(1)}, mode="quantum")
 
 
 class TestSerialization:

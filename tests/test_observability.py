@@ -352,9 +352,9 @@ class TestExplainAnalyze:
             l for l in text.splitlines() if "Predict(" in l
         )
         # Every loan matches exactly one region: 200 rows flow through the
-        # Predict operator, which also reports its scoring strategy.
+        # Predict operator, which also reports its own time.
         assert "rows=200" in predict_line
-        assert "strategy=" in predict_line
+        assert "time=" in predict_line
         join_line = next(l for l in text.splitlines() if "Join" in l)
         assert "rows=200" in join_line
 
